@@ -24,9 +24,9 @@ from .evaluation import (
     tune_alpha,
     weighted_combine,
 )
-from .model import MtlModel, PairModel, rank_bin
+from .model import CqaModel, MtlModel, PairModel, rank_bin
 from .nn_core import NumericError, Parameter, RmsProp, Tensor, grad_check
-from .text_pipeline import Vocabulary, build_vocabulary, preprocess, tokenize
+from .text_pipeline import Vocabulary, build_vocabulary, preprocess, tokenize, vocabulary_for
 from .training import (
     CheckpointError,
     EarlyStopper,
@@ -43,6 +43,7 @@ __all__ = [
     "BinaryLabels",
     "CheckpointError",
     "CorpusError",
+    "CqaModel",
     "EarlyStopper",
     "EvalResult",
     "MtlModel",
@@ -75,5 +76,6 @@ __all__ = [
     "tokenize",
     "train",
     "tune_alpha",
+    "vocabulary_for",
     "weighted_combine",
 ]

@@ -12,6 +12,8 @@ tolerance).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import os
 import sys
 from typing import Optional, Sequence
@@ -36,9 +38,9 @@ from .evaluation import (
     weighted_combine,
     write_predictions,
 )
-from .model import TASKS, MtlModel, PairModel, apply_word_vectors, load_word_vectors
-from .synthetic import gradcheck_corpus, vocabulary_for
-from .text_pipeline import build_vocabulary, preprocess
+from .model import SIZES, TASKS, CqaModel, apply_word_vectors, load_word_vectors
+from .synthetic import gradcheck_corpus
+from .text_pipeline import vocabulary_for
 from .training import (
     CheckpointError,
     TrainConfig,
@@ -79,23 +81,15 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# Training options default to the TrainConfig fields, model sizes to the
+# network's constructor.
+_TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "tasks"]
+_MODEL_SIZES = {k: inspect.signature(CqaModel).parameters[k].default for k in SIZES}
+
 _CONFIG_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "rho": float,
-    "eps": float,
-    "dropout_input": float,
-    "dropout_hidden": float,
-    "patience": int,
-    "stopping": str,
-    "seed": int,
+    **{f.name: type(f.default) for f in _TRAIN_FIELDS},
     "tasks": str,
-    "m": int,
-    "d_w": int,
-    "d_feat": int,
-    "filter_width": int,
-    "max_len": int,
+    **{k: type(v) for k, v in _MODEL_SIZES.items()},
     "min_count": int,
     "model": str,
     "task": str,
@@ -225,41 +219,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         tasks = _parse_tasks(tasks_spec) if tasks_spec else TASKS
 
     train_conf = TrainConfig(
-        epochs=merged_option(args, config_file, "epochs", 100),
-        batch_size=merged_option(args, config_file, "batch_size", 32),
-        lr=merged_option(args, config_file, "lr", 0.001),
-        rho=merged_option(args, config_file, "rho", 0.9),
-        eps=merged_option(args, config_file, "eps", 1e-6),
-        dropout_input=merged_option(args, config_file, "dropout_input", 0.4),
-        dropout_hidden=merged_option(args, config_file, "dropout_hidden", 0.7),
-        patience=merged_option(args, config_file, "patience", 10),
-        stopping=merged_option(args, config_file, "stopping", "global"),
-        seed=merged_option(args, config_file, "seed", 0),
         tasks=tasks,
+        **{f.name: merged_option(args, config_file, f.name, f.default) for f in _TRAIN_FIELDS},
     )
 
     train_data = load_corpus(args.corpus)
     dev_data = load_corpus(args.dev)
 
-    texts = []
-    for t in train_data:
-        texts.append(preprocess(t.q_new_subject, t.q_new_body))
-        texts.append(preprocess(t.q_rel_subject, t.q_rel_body))
-        texts.append(preprocess(None, t.c_rel))
-    vocab = build_vocabulary(texts, min_count=merged_option(args, config_file, "min_count", 1))
-
-    hyper = dict(
-        m=merged_option(args, config_file, "m", 100),
-        d_w=merged_option(args, config_file, "d_w", 50),
-        d_feat=merged_option(args, config_file, "d_feat", 5),
-        filter_width=merged_option(args, config_file, "filter_width", 5),
-        max_len=merged_option(args, config_file, "max_len", 100),
-        seed=train_conf.seed,
-    )
-    if kind == "mtl":
-        model = MtlModel(vocab, **hyper)
-    else:
-        model = PairModel(vocab, task=task, **hyper)
+    vocab = vocabulary_for(train_data, min_count=merged_option(args, config_file, "min_count", 1))
+    sizes = {k: merged_option(args, config_file, k, v) for k, v in _MODEL_SIZES.items()}
+    model = CqaModel(vocab, task=task if kind == "pair" else None, seed=train_conf.seed, **sizes)
 
     if args.vectors:
         vectors = load_word_vectors(args.vectors, vocab, model.d_w)
@@ -268,7 +237,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             print(f"loaded pretrained vectors for {n} tokens")
 
     log = None if args.quiet else print
-    report = train(model, train_data, dev_data, train_conf, log=log)
+    # a diverging run overflows before its loss turns non-finite; train()
+    # reports that loss as one error line instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = train(model, train_data, dev_data, train_conf, log=log)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_history_csv(os.path.join(args.out_dir, "history.csv"), report.history)
@@ -348,7 +320,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     data = gradcheck_corpus()
     vocab = vocabulary_for(data)
-    model = MtlModel(vocab, m=args.m, d_w=10, d_feat=3, seed=args.seed, dtype=np.float64)
+    model = CqaModel(vocab, m=args.m, d_w=10, d_feat=3, seed=args.seed, dtype=np.float64)
     features = [model.featurize(t) for t in data]
     gold = [binarize(t) for t in data]
 
@@ -393,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, FileNotFoundError) as exc:
+    except (CorpusError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except nn.NumericError as exc:

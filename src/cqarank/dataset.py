@@ -139,21 +139,24 @@ def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
     """
     triples: list[Triple] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {lineno}: record must be a JSON object")
-            triple = _parse_record(obj, lineno, require_labels)
-            if triple.id in seen_ids:
-                raise CorpusError(f"line {lineno}: duplicate id {triple.id!r}")
-            seen_ids.add(triple.id)
-            triples.append(triple)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"line {lineno}: record must be a JSON object")
+                triple = _parse_record(obj, lineno, require_labels)
+                if triple.id in seen_ids:
+                    raise CorpusError(f"line {lineno}: duplicate id {triple.id!r}")
+                seen_ids.add(triple.id)
+                triples.append(triple)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return triples
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .dataset import Triple, binarize
 
@@ -105,15 +105,19 @@ def task_relevance(triple: Triple, task: str) -> int:
     return {"A": labels.yA, "B": labels.yB, "C": labels.yC}[task]
 
 
-def score_triples(model, triples: Sequence[Triple]) -> dict[str, list[float]]:
-    """Forward every triple through the model in inference mode; returns one
-    score list per task the model produces, aligned with ``triples``."""
+def score_features(model, features: Iterable) -> dict[str, list[float]]:
+    """Forward featurized triples through the model in inference mode;
+    returns one score list per task the model produces, in input order."""
     scores: dict[str, list[float]] = {t: [] for t in model.tasks}
-    for triple in triples:
-        preds = model.predict(model.featurize(triple), training=False)
-        for task, tensor in preds.items():
+    for feats in features:
+        for task, tensor in model.predict(feats, training=False).items():
             scores[task].append(float(tensor.data[0]))
     return scores
+
+
+def score_triples(model, triples: Sequence[Triple]) -> dict[str, list[float]]:
+    """:func:`score_features` over the triples, featurized one at a time."""
+    return score_features(model, (model.featurize(t) for t in triples))
 
 
 def build_rows(
@@ -130,18 +134,14 @@ def build_rows(
 def evaluate(model, triples: Sequence[Triple], task: str) -> EvalResult:
     """Rerank the dev/test triples with the model and measure MAP/MRR for one
     task."""
-    if not triples:
-        raise ValueError("evaluate: no triples to evaluate")
-    scores = score_triples(model, triples)
-    if task not in scores:
-        raise ValueError(f"model does not score task {task!r}")
-    return evaluate_scores(build_rows(triples, scores[task], task))
+    return evaluate_tasks(model, triples, (task,))[task]
 
 
 def evaluate_tasks(
     model, triples: Sequence[Triple], tasks: Optional[Sequence[str]] = None
 ) -> dict[str, EvalResult]:
-    """``evaluate`` over several tasks, scoring each triple only once."""
+    """MAP/MRR for several tasks (default: every task the model scores),
+    scoring each triple only once."""
     if not triples:
         raise ValueError("evaluate_tasks: no triples to evaluate")
     scores = score_triples(model, triples)

@@ -1,11 +1,11 @@
-"""Network architectures: the convolutional sentence encoder, the joint
-three-input multitask network with a shared question encoder, and the
-individual pairwise scorer.
+"""The network: convolutional sentence encoders over the input texts, a
+search-rank bin embedding, a shared tanh layer, and one sigmoid head per task.
 
-The multitask network encodes (new question, related question, comment) into
-three fixed-size vectors, one encoder shared by the two questions, appends a
-search-rank bin embedding, mixes everything through a shared tanh layer, and
-scores each task with its own two-layer head.
+One class covers both networks the paper compares.  The joint network reads
+(new question, related question, comment), shares one encoder between the two
+questions, and scores all three tasks.  An individual network reads only its
+task's text pair, uses the rank embedding only for the search-ranked tasks B
+and C, and scores that one task.
 """
 
 from __future__ import annotations
@@ -19,21 +19,33 @@ import numpy as np
 from . import nn_core as nn
 from .dataset import Triple
 from .text_pipeline import (
+    DEFAULT_MAX_LEN,
     PAD_ID,
     PAD_TOKEN,
     TokenizedText,
     Vocabulary,
     overlap_indicators,
-    preprocess,
+    triple_texts,
 )
 
 TASKS = ("A", "B", "C")
+
+# The texts each network reads, keyed by task (None: the joint network).
+INPUTS = {
+    None: ("q_new", "q_rel", "c_rel"),
+    "A": ("q_rel", "c_rel"),
+    "B": ("q_new", "q_rel"),
+    "C": ("q_new", "c_rel"),
+}
 
 # rank bins [1,2), [2,5), [5,10), [10,25), [25,inf)
 _RANK_BIN_EDGES = (2, 5, 10, 25)
 RANK_BINS = len(_RANK_BIN_EDGES) + 1
 
 INIT_SCALE = 0.05
+
+# The constructor's size options; checkpoints record them in their meta.
+SIZES = ("m", "d_w", "d_feat", "filter_width", "max_len")
 
 
 def rank_bin(google_rank: int) -> int:
@@ -45,6 +57,12 @@ def rank_bin(google_rank: int) -> int:
 
 def _uniform(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
+
+
+def _inputs_of(task: Optional[str]) -> tuple[str, ...]:
+    if task not in INPUTS:
+        raise ValueError(f"unknown task {task!r}")
+    return INPUTS[task]
 
 
 class SentenceEncoder:
@@ -82,13 +100,15 @@ def encode_sentence(encoder: SentenceEncoder, text: TokenizedText) -> nn.Tensor:
 
 class TaskHead:
     """Per-task scorer: one tanh layer sized like its input, then a sigmoid
-    unit producing the relevance probability."""
+    unit producing the relevance probability.  ``names`` are the parameter
+    names of the hidden weight and bias and the output weight and bias."""
 
-    def __init__(self, name, in_dim, rng, dtype):
-        self.hidden_w = nn.Parameter(f"{name}.hidden_w", _uniform(rng, (in_dim, in_dim), dtype))
-        self.hidden_b = nn.Parameter(f"{name}.hidden_b", np.zeros(in_dim, dtype=dtype))
-        self.out_w = nn.Parameter(f"{name}.out_w", _uniform(rng, (1, in_dim), dtype))
-        self.out_b = nn.Parameter(f"{name}.out_b", np.zeros(1, dtype=dtype))
+    def __init__(self, names, in_dim, rng, dtype):
+        hidden_w, hidden_b, out_w, out_b = names
+        self.hidden_w = nn.Parameter(hidden_w, _uniform(rng, (in_dim, in_dim), dtype))
+        self.hidden_b = nn.Parameter(hidden_b, np.zeros(in_dim, dtype=dtype))
+        self.out_w = nn.Parameter(out_w, _uniform(rng, (1, in_dim), dtype))
+        self.out_b = nn.Parameter(out_b, np.zeros(1, dtype=dtype))
 
     def parameters(self) -> list[nn.Parameter]:
         return [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
@@ -100,181 +120,64 @@ class TaskHead:
 
 
 @dataclass(frozen=True)
-class TripleFeatures:
-    """Tokenized triple ready for the joint network: ids and union overlap
-    indicators per text, plus the discretized search rank."""
+class Features:
+    """A triple ready for a network: the network's input texts in its order,
+    each with ids and overlap indicators, plus the discretized search rank."""
 
-    q_new: TokenizedText
-    q_rel: TokenizedText
-    c_rel: TokenizedText
+    texts: tuple[TokenizedText, ...]
     rank_bin: int
-
-
-@dataclass(frozen=True)
-class PairFeatures:
-    """Tokenized text pair with pairwise overlaps for the individual model."""
-
-    left: TokenizedText
-    right: TokenizedText
-    rank_bin: int
-
-
-def _pad_text() -> TokenizedText:
-    return TokenizedText((PAD_TOKEN,), (PAD_ID,), (0,))
 
 
 def _finish(text: TokenizedText, vocab: Vocabulary, others) -> TokenizedText:
     if len(text) == 0:
-        return _pad_text()
+        return TokenizedText((PAD_TOKEN,), (PAD_ID,), (0,))
     return vocab.encode(text).with_overlaps(overlap_indicators(text, others))
 
 
-def compute_triple_features(
-    triple: Triple, vocab: Vocabulary, max_len: int = 100
-) -> TripleFeatures:
-    """Tokenize all three texts; each text's overlap indicators are computed
-    against the union of the other two (each sentence is encoded once)."""
-    q_new = preprocess(triple.q_new_subject, triple.q_new_body, max_len)
-    q_rel = preprocess(triple.q_rel_subject, triple.q_rel_body, max_len)
-    c_rel = preprocess(None, triple.c_rel, max_len)
-    return TripleFeatures(
-        q_new=_finish(q_new, vocab, (q_rel, c_rel)),
-        q_rel=_finish(q_rel, vocab, (q_new, c_rel)),
-        c_rel=_finish(c_rel, vocab, (q_new, q_rel)),
+def compute_features(
+    triple: Triple, vocab: Vocabulary, task: Optional[str] = None, max_len: int = DEFAULT_MAX_LEN
+) -> Features:
+    """Tokenize the texts the network for ``task`` reads (all three for the
+    joint network, ``task=None``).  Each text's overlap indicators are taken
+    against the union of the network's other texts, so every sentence is
+    encoded once; for a pair that union is just the other text."""
+    by_role = triple_texts(triple, max_len)
+    texts = [by_role[role] for role in _inputs_of(task)]
+    return Features(
+        texts=tuple(
+            _finish(text, vocab, texts[:k] + texts[k + 1 :]) for k, text in enumerate(texts)
+        ),
         rank_bin=rank_bin(triple.google_rank),
     )
 
 
-def compute_pair_features(
-    triple: Triple, task: str, vocab: Vocabulary, max_len: int = 100
-) -> PairFeatures:
-    """Extract the task's text pair with overlaps computed between the two."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    q_new = preprocess(triple.q_new_subject, triple.q_new_body, max_len)
-    q_rel = preprocess(triple.q_rel_subject, triple.q_rel_body, max_len)
-    c_rel = preprocess(None, triple.c_rel, max_len)
-    left, right = {
-        "A": (q_rel, c_rel),
-        "B": (q_new, q_rel),
-        "C": (q_new, c_rel),
-    }[task]
-    return PairFeatures(
-        left=_finish(left, vocab, (right,)),
-        right=_finish(right, vocab, (left,)),
-        rank_bin=rank_bin(triple.google_rank),
-    )
+class CqaModel:
+    """Sentence encoders (questions share ``q_encoder``, the comment uses
+    ``c_encoder``), the rank-bin embedding unless the task is A, a shared tanh
+    layer, and one task head per scored task.
 
-
-class MtlModel:
-    """Joint three-task network: shared question encoder, comment encoder,
-    rank-bin embedding, shared tanh layer, three task heads."""
-
-    kind = "mtl"
+    ``task=None`` builds the joint three-task network; a task letter builds
+    that task's individual pair network.  Parameter names and the order of
+    the initial draws are part of the checkpoint format.
+    """
 
     def __init__(
         self,
         vocab: Vocabulary,
+        task: Optional[str] = None,
         m: int = 100,
         d_w: int = 50,
         d_feat: int = 5,
         filter_width: int = 5,
-        max_len: int = 100,
+        max_len: int = DEFAULT_MAX_LEN,
         seed: int = 0,
         dtype=np.float32,
     ):
-        self.vocab = vocab
-        self.m = m
-        self.d_w = d_w
-        self.d_feat = d_feat
-        self.filter_width = filter_width
-        self.max_len = max_len
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.q_encoder = SentenceEncoder("q_encoder", len(vocab), d_w, d_feat, m, filter_width, rng, self.dtype)
-        self.c_encoder = SentenceEncoder("c_encoder", len(vocab), d_w, d_feat, m, filter_width, rng, self.dtype)
-        self.rank_emb = nn.Parameter("rank_emb", _uniform(rng, (RANK_BINS, d_feat), self.dtype))
-        self.joint_dim = 3 * m + d_feat
-        self.joint_w = nn.Parameter("joint.weight", _uniform(rng, (self.joint_dim, self.joint_dim), self.dtype))
-        self.joint_b = nn.Parameter("joint.bias", np.zeros(self.joint_dim, dtype=self.dtype))
-        self.heads = {t: TaskHead(f"head_{t}", self.joint_dim, rng, self.dtype) for t in TASKS}
-
-    @property
-    def tasks(self) -> tuple[str, ...]:
-        return TASKS
-
-    def parameters(self) -> list[nn.Parameter]:
-        params = self.q_encoder.parameters() + self.c_encoder.parameters()
-        params.append(self.rank_emb)
-        params += [self.joint_w, self.joint_b]
-        for t in TASKS:
-            params += self.heads[t].parameters()
-        return params
-
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def featurize(self, triple: Triple) -> TripleFeatures:
-        return compute_triple_features(triple, self.vocab, self.max_len)
-
-    def predict(
-        self,
-        features: TripleFeatures,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
-        dropout_input: float = 0.4,
-        dropout_hidden: float = 0.7,
-    ) -> dict[str, nn.Tensor]:
-        return forward_mtl(self, features, training, rng, dropout_input, dropout_hidden)
-
-
-def forward_mtl(
-    model: MtlModel,
-    features: TripleFeatures,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    dropout_input: float = 0.4,
-    dropout_hidden: float = 0.7,
-) -> dict[str, nn.Tensor]:
-    """Score one triple on all three tasks; dropout applies only when
-    ``training`` is set (rate ``dropout_input`` on the joint layer input,
-    ``dropout_hidden`` after each tanh layer)."""
-    x_q_new = encode_sentence(model.q_encoder, features.q_new)
-    x_q_rel = encode_sentence(model.q_encoder, features.q_rel)
-    x_c_rel = encode_sentence(model.c_encoder, features.c_rel)
-    rank_vec = nn.row_lookup(model.rank_emb, features.rank_bin)
-    h_j = nn.concat([x_q_new, x_q_rel, x_c_rel, rank_vec])
-    h_j = nn.dropout(h_j, dropout_input, training, rng)
-    h_s = nn.dense(h_j, model.joint_w, model.joint_b, "tanh")
-    h_s = nn.dropout(h_s, dropout_hidden, training, rng)
-    return {t: model.heads[t].forward(h_s, training, rng, dropout_hidden) for t in TASKS}
-
-
-class PairModel:
-    """Individual model for one task: two sentence encoders (a single shared
-    one when both inputs are questions), the rank-bin embedding for the
-    search-ranked tasks, two tanh layers sized like the join layer, and a
-    sigmoid output."""
-
-    kind = "pair"
-
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        task: str,
-        m: int = 100,
-        d_w: int = 50,
-        d_feat: int = 5,
-        filter_width: int = 5,
-        max_len: int = 100,
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
+        self.inputs = _inputs_of(task)
         self.vocab = vocab
         self.task = task
+        self.kind = "mtl" if task is None else "pair"
+        self.tasks = TASKS if task is None else (task,)
         self.m = m
         self.d_w = d_w
         self.d_feat = d_feat
@@ -282,87 +185,75 @@ class PairModel:
         self.max_len = max_len
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        self.left_encoder = SentenceEncoder("q_encoder", len(vocab), d_w, d_feat, m, filter_width, rng, self.dtype)
-        if task == "B":
-            # both inputs are questions: one shared encoder object
-            self.right_encoder = self.left_encoder
-        else:
-            self.right_encoder = SentenceEncoder("c_encoder", len(vocab), d_w, d_feat, m, filter_width, rng, self.dtype)
-        self.uses_rank = task in ("B", "C")
-        self.rank_emb = (
-            nn.Parameter("rank_emb", _uniform(rng, (RANK_BINS, d_feat), self.dtype))
-            if self.uses_rank
-            else None
-        )
-        self.joint_dim = 2 * m + (d_feat if self.uses_rank else 0)
-        self.hidden1_w = nn.Parameter("hidden1.weight", _uniform(rng, (self.joint_dim, self.joint_dim), self.dtype))
-        self.hidden1_b = nn.Parameter("hidden1.bias", np.zeros(self.joint_dim, dtype=self.dtype))
-        self.hidden2_w = nn.Parameter("hidden2.weight", _uniform(rng, (self.joint_dim, self.joint_dim), self.dtype))
-        self.hidden2_b = nn.Parameter("hidden2.bias", np.zeros(self.joint_dim, dtype=self.dtype))
-        self.out_w = nn.Parameter("out.weight", _uniform(rng, (1, self.joint_dim), self.dtype))
-        self.out_b = nn.Parameter("out.bias", np.zeros(1, dtype=self.dtype))
 
-    @property
-    def tasks(self) -> tuple[str, ...]:
-        return (self.task,)
+        def encoder(name):
+            return SentenceEncoder(name, len(vocab), d_w, d_feat, m, filter_width, rng, self.dtype)
+
+        self.q_encoder = encoder("q_encoder")
+        self.c_encoder = encoder("c_encoder") if "c_rel" in self.inputs else None
+        self.encoders = tuple(self.c_encoder if r == "c_rel" else self.q_encoder for r in self.inputs)
+        uses_rank = task != "A"
+        self.rank_emb = (
+            nn.Parameter("rank_emb", _uniform(rng, (RANK_BINS, d_feat), self.dtype)) if uses_rank else None
+        )
+        self.joint_dim = dim = len(self.inputs) * m + (d_feat if uses_rank else 0)
+        if task is None:
+            trunk = "joint"
+            heads = {t: [f"head_{t}.{n}" for n in ("hidden_w", "hidden_b", "out_w", "out_b")] for t in TASKS}
+        else:
+            trunk = "hidden1"
+            heads = {task: ["hidden2.weight", "hidden2.bias", "out.weight", "out.bias"]}
+        self.trunk_w = nn.Parameter(f"{trunk}.weight", _uniform(rng, (dim, dim), self.dtype))
+        self.trunk_b = nn.Parameter(f"{trunk}.bias", np.zeros(dim, dtype=self.dtype))
+        self.heads = {t: TaskHead(names, dim, rng, self.dtype) for t, names in heads.items()}
+
+    def unique_encoders(self) -> list[SentenceEncoder]:
+        return [e for e in (self.q_encoder, self.c_encoder) if e is not None]
 
     def parameters(self) -> list[nn.Parameter]:
-        params = self.left_encoder.parameters()
-        if self.right_encoder is not self.left_encoder:
-            params += self.right_encoder.parameters()
+        params = [p for e in self.unique_encoders() for p in e.parameters()]
         if self.rank_emb is not None:
             params.append(self.rank_emb)
-        params += [
-            self.hidden1_w,
-            self.hidden1_b,
-            self.hidden2_w,
-            self.hidden2_b,
-            self.out_w,
-            self.out_b,
-        ]
+        params += [self.trunk_w, self.trunk_b]
+        for head in self.heads.values():
+            params += head.parameters()
         return params
 
     def zero_grads(self) -> None:
         for p in self.parameters():
             p.zero_grad()
 
-    def featurize(self, triple: Triple) -> PairFeatures:
-        return compute_pair_features(triple, self.task, self.vocab, self.max_len)
+    def featurize(self, triple: Triple) -> Features:
+        return compute_features(triple, self.vocab, self.task, self.max_len)
 
     def predict(
         self,
-        features: PairFeatures,
+        features: Features,
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
         dropout_input: float = 0.4,
         dropout_hidden: float = 0.7,
     ) -> dict[str, nn.Tensor]:
-        score = forward_pair(self, features, training, rng, dropout_input, dropout_hidden)
-        return {self.task: score}
+        """Score one featurized triple on every task the network has; dropout
+        applies only when ``training`` is set (rate ``dropout_input`` on the
+        shared layer's input, ``dropout_hidden`` after each tanh layer)."""
+        parts = [encode_sentence(e, text) for e, text in zip(self.encoders, features.texts)]
+        if self.rank_emb is not None:
+            parts.append(nn.row_lookup(self.rank_emb, features.rank_bin))
+        h = nn.dropout(nn.concat(parts), dropout_input, training, rng)
+        h = nn.dense(h, self.trunk_w, self.trunk_b, "tanh")
+        h = nn.dropout(h, dropout_hidden, training, rng)
+        return {t: head.forward(h, training, rng, dropout_hidden) for t, head in self.heads.items()}
 
 
-def forward_pair(
-    model: PairModel,
-    features: PairFeatures,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    dropout_input: float = 0.4,
-    dropout_hidden: float = 0.7,
-) -> nn.Tensor:
-    """Similarity score for one text pair; the rank embedding joins the
-    concatenation only for the search-ranked tasks."""
-    x_left = encode_sentence(model.left_encoder, features.left)
-    x_right = encode_sentence(model.right_encoder, features.right)
-    parts = [x_left, x_right]
-    if model.uses_rank:
-        parts.append(nn.row_lookup(model.rank_emb, features.rank_bin))
-    h = nn.concat(parts)
-    h = nn.dropout(h, dropout_input, training, rng)
-    h = nn.dense(h, model.hidden1_w, model.hidden1_b, "tanh")
-    h = nn.dropout(h, dropout_hidden, training, rng)
-    h = nn.dense(h, model.hidden2_w, model.hidden2_b, "tanh")
-    h = nn.dropout(h, dropout_hidden, training, rng)
-    return nn.dense(h, model.out_w, model.out_b, "sigmoid")
+MtlModel = CqaModel  # task=None, the default, builds the joint network
+
+
+def PairModel(vocab: Vocabulary, task: str, **kwargs) -> CqaModel:
+    """The individual network for one task."""
+    if task is None:
+        raise ValueError("the pair network needs a task")
+    return CqaModel(vocab, task=task, **kwargs)
 
 
 def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.ndarray]:
@@ -384,23 +275,16 @@ def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.nd
     return vectors
 
 
-def apply_word_vectors(model, vectors: dict[str, np.ndarray]) -> int:
+def apply_word_vectors(model: CqaModel, vectors: dict[str, np.ndarray]) -> int:
     """Overwrite word-embedding rows with pretrained vectors; tokens absent
     from ``vectors`` keep their random initialization.  Returns the number of
     rows replaced per table."""
-    encoders = []
-    if isinstance(model, MtlModel):
-        encoders = [model.q_encoder, model.c_encoder]
-    else:
-        encoders = [model.left_encoder]
-        if model.right_encoder is not model.left_encoder:
-            encoders.append(model.right_encoder)
     replaced = 0
     for token, vec in vectors.items():
         if token not in model.vocab:
             continue
         idx = model.vocab.id_of(token)
-        for enc in encoders:
+        for enc in model.unique_encoders():
             enc.word_emb.data[idx] = vec.astype(model.dtype)
         replaced += 1
     return replaced

@@ -10,7 +10,6 @@ verifying gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -317,6 +316,13 @@ def dropout(
 BCE_CLAMP = 1e-7
 
 
+def clamped_bce(p: np.ndarray, y) -> np.ndarray:
+    """-[y ln p + (1-y) ln(1-p)] elementwise, with p clamped to
+    [1e-7, 1 - 1e-7] before the logs."""
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return -(y * np.log(pc) + (1 - y) * np.log1p(-pc))
+
+
 def bce_loss(p: Tensor, y: int) -> Tensor:
     """Binary cross-entropy -[y ln p + (1-y) ln(1-p)] with p clamped to
     [1e-7, 1 - 1e-7] before the logs."""
@@ -324,13 +330,13 @@ def bce_loss(p: Tensor, y: int) -> Tensor:
         raise ValueError(f"bce_loss: label must be 0 or 1, got {y!r}")
     if p.data.size != 1:
         raise ValueError("bce_loss: probability must be a single value")
-    pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    out = -(y * np.log(pc) + (1 - y) * np.log1p(-pc))
+    out = clamped_bce(p.data, y)
 
     def backward_fn(grad: np.ndarray) -> None:
         if p.requires_grad:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
+            pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
             inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
             p.grad += grad * inside * (pc - y) / (pc * (1.0 - pc))
 
@@ -372,40 +378,30 @@ def scale(x: Tensor, factor: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RmsPropState:
-    """Running mean-square accumulator for one parameter."""
-
-    acc: np.ndarray
-    rho: float = 0.9
-    lr: float = 0.001
-    eps: float = 1e-6
-
-
-def rmsprop_step(param: Parameter, state: RmsPropState) -> None:
-    """acc <- rho*acc + (1-rho)*g^2;  value <- value - lr * g / sqrt(acc+eps)."""
-    g = param.grad
-    state.acc *= state.rho
-    state.acc += (1.0 - state.rho) * g * g
-    param.data -= state.lr * g / np.sqrt(state.acc + state.eps)
-
-
 class RmsProp:
-    """rmsprop over a fixed parameter list."""
+    """rmsprop over a fixed parameter list, one running mean-square
+    accumulator per parameter:
+
+    acc <- rho*acc + (1-rho)*g^2;  value <- value - lr * g / sqrt(acc+eps).
+    """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.001, rho: float = 0.9, eps: float = 1e-6):
         self.params = list(params)
-        self.states = [
-            RmsPropState(np.zeros_like(p.data), rho=rho, lr=lr, eps=eps) for p in self.params
-        ]
+        self.lr = lr
+        self.rho = rho
+        self.eps = eps
+        self.accs = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grads(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
-        for p, state in zip(self.params, self.states):
-            rmsprop_step(p, state)
+        for p, acc in zip(self.params, self.accs):
+            g = p.grad
+            acc *= self.rho
+            acc += (1.0 - self.rho) * g * g
+            p.data -= self.lr * g / np.sqrt(acc + self.eps)
 
 
 # ---------------------------------------------------------------------------

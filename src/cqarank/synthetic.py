@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Triple
-from .text_pipeline import TokenizedText, Vocabulary, build_vocabulary, preprocess
+from .text_pipeline import vocabulary_for  # noqa: F401  (re-exported next to the corpora)
 
 
 def gradcheck_corpus() -> list[Triple]:
@@ -89,20 +89,6 @@ def gradcheck_corpus() -> list[Triple]:
         ),
     ]
     return [Triple(**row) for row in rows]
-
-
-def _corpus_vocab(triples: list[Triple]) -> Vocabulary:
-    texts: list[TokenizedText] = []
-    for t in triples:
-        texts.append(preprocess(t.q_new_subject, t.q_new_body))
-        texts.append(preprocess(t.q_rel_subject, t.q_rel_body))
-        texts.append(preprocess(None, t.c_rel))
-    return build_vocabulary(texts)
-
-
-def vocabulary_for(triples: list[Triple]) -> Vocabulary:
-    """Vocabulary over every text in the corpus."""
-    return _corpus_vocab(triples)
 
 
 def conjunction_corpus(

@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .dataset import Triple
+
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 PAD_ID = 0
@@ -88,6 +90,16 @@ def preprocess(subject: Optional[str], body: str, max_len: int = DEFAULT_MAX_LEN
     return TokenizedText(tuple(tokens[:max_len]))
 
 
+def triple_texts(triple: Triple, max_len: int = DEFAULT_MAX_LEN) -> dict[str, TokenizedText]:
+    """The triple's three texts preprocessed, keyed ``q_new``, ``q_rel`` and
+    ``c_rel``; a comment has no subject."""
+    return {
+        "q_new": preprocess(triple.q_new_subject, triple.q_new_body, max_len),
+        "q_rel": preprocess(triple.q_rel_subject, triple.q_rel_body, max_len),
+        "c_rel": preprocess(None, triple.c_rel, max_len),
+    }
+
+
 class Vocabulary:
     """Token-to-id map with reserved PAD=0 and UNK=1 entries."""
 
@@ -132,6 +144,13 @@ def build_vocabulary(corpus: Iterable[TokenizedText], min_count: int = 1) -> Voc
         counts.update(text.tokens)
     kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
+
+
+def vocabulary_for(triples: Iterable[Triple], min_count: int = 1) -> Vocabulary:
+    """Vocabulary over every text of every triple in a corpus."""
+    return build_vocabulary(
+        (text for t in triples for text in triple_texts(t).values()), min_count=min_count
+    )
 
 
 def overlap_indicators(target: TokenizedText, others: Iterable[TokenizedText]) -> tuple[int, ...]:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import BinaryLabels, Triple, binarize, make_batches
-from .evaluation import build_rows, evaluate_scores
-from .model import TASKS, MtlModel, PairModel
+from .evaluation import build_rows, evaluate_scores, score_features, task_relevance
+from .model import SIZES, TASKS, CqaModel
 from .text_pipeline import Vocabulary
 
 
@@ -143,27 +143,19 @@ class DevStats:
     task_map: dict[str, float]
 
 
-def _dev_pass(model, dev: Sequence[Triple], tasks: Sequence[str]) -> DevStats:
-    """One inference pass over the dev set: mean per-task loss, their sum over
-    active tasks, and per-task MAP percentage (nan when no dev group has a
-    positive)."""
-    loss_sums = {t: 0.0 for t in tasks}
-    scores: dict[str, list[float]] = {t: [] for t in tasks}
-    for triple in dev:
-        preds = model.predict(model.featurize(triple), training=False)
-        labels = binarize(triple)
-        gold = {"A": labels.yA, "B": labels.yB, "C": labels.yC}
-        for t in tasks:
-            p = float(preds[t].data[0])
-            scores[t].append(p)
-            pc = min(max(p, nn.BCE_CLAMP), 1.0 - nn.BCE_CLAMP)
-            loss_sums[t] += -(gold[t] * math.log(pc) + (1 - gold[t]) * math.log(1.0 - pc))
-    n = max(len(dev), 1)
-    task_loss = {t: loss_sums[t] / n for t in tasks}
+def _dev_pass(model, dev: tuple[Sequence[Triple], Sequence], tasks: Sequence[str]) -> DevStats:
+    """One inference pass over the dev set, given as its triples and their
+    features: mean per-task loss, their sum over active tasks, and per-task
+    MAP percentage (nan when no dev group has a positive)."""
+    triples, features = dev
+    scores = score_features(model, features)
+    task_loss = {}
     task_map = {}
     for t in tasks:
+        gold = np.array([task_relevance(x, t) for x in triples], dtype=np.float64)
+        task_loss[t] = float(np.mean(nn.clamped_bce(np.array(scores[t], dtype=np.float64), gold)))
         try:
-            task_map[t] = evaluate_scores(build_rows(dev, scores[t], t)).map
+            task_map[t] = evaluate_scores(build_rows(triples, scores[t], t)).map
         except ValueError:
             task_map[t] = math.nan
     return DevStats(total=sum(task_loss.values()), task_loss=task_loss, task_map=task_map)
@@ -196,6 +188,7 @@ def train(
 
     features = [model.featurize(t) for t in train_data]
     gold = [binarize(t) for t in train_data]
+    dev_set = (dev_data, [model.featurize(t) for t in dev_data])
 
     epoch = 0
     for epoch in range(1, config.epochs + 1):
@@ -225,7 +218,9 @@ def train(
             loss_total += value * len(batch)
         loss_train = loss_total / len(train_data)
 
-        dev = _dev_pass(model, dev_data, tasks)
+        dev = _dev_pass(model, dev_set, tasks)
+        if not math.isfinite(dev.total):
+            raise nn.NumericError(f"non-finite dev loss {dev.total} in epoch {epoch}")
         report.history.append(
             EpochStats(
                 epoch=epoch,
@@ -287,16 +282,8 @@ _MAGIC = b"CQRK0001"
 
 
 def _meta_for(model) -> dict:
-    meta = {
-        "kind": model.kind,
-        "m": model.m,
-        "d_w": model.d_w,
-        "d_feat": model.d_feat,
-        "filter_width": model.filter_width,
-        "max_len": model.max_len,
-        "dtype": model.dtype.name,
-    }
-    if isinstance(model, PairModel):
+    meta = {"kind": model.kind, "dtype": model.dtype.name, **{k: getattr(model, k) for k in SIZES}}
+    if model.task is not None:
         meta["task"] = model.task
     return meta
 
@@ -345,49 +332,64 @@ def save_checkpoint(path: str, model, params: Optional[dict[str, np.ndarray]] = 
         raise
 
 
-def _read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_array(payload: bytes, entry: dict) -> np.ndarray:
+    name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+    offset, nbytes = entry["offset"], entry["nbytes"]
+    if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in (offset, nbytes, *shape)):
+        raise ValueError(f"array entry {name!r} needs a name and non-negative integer sizes")
+    if dtype.kind != "f" or math.prod(shape) * dtype.itemsize != nbytes:
+        raise ValueError(f"array {name!r}: shape {list(shape)} of {dtype} does not fill {nbytes} bytes")
+    if offset + nbytes > len(payload):
+        raise ValueError(f"truncated array {name!r}")
+    return np.frombuffer(payload, dtype, count=math.prod(shape), offset=offset).reshape(shape).copy()
+
+
+def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]]:
+    """Parse and validate a checkpoint: its meta, vocabulary and arrays."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    pos = len(_MAGIC)
-    head_len = int.from_bytes(data[pos : pos + 8], "little")
-    pos += 8
+    pos = len(_MAGIC) + 8
+    head_len = int.from_bytes(data[len(_MAGIC) : pos], "little")
     try:
         index = json.loads(data[pos : pos + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt index: {exc}") from exc
-    pos += head_len
-    params = {}
-    for entry in index["params"]:
-        start = pos + entry["offset"]
-        blob = data[start : start + entry["nbytes"]]
-        if len(blob) != entry["nbytes"]:
-            raise CheckpointError(f"{path}: truncated array {entry['name']!r}")
-        arr = np.frombuffer(blob, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-        params[entry["name"]] = arr.copy()
-    return index, params
+    payload = data[pos + head_len :]
+    try:
+        meta, entries, tokens = index["meta"], index["params"], index["vocab"]
+        if not (isinstance(meta, dict) and isinstance(entries, list) and isinstance(tokens, list)):
+            raise ValueError("meta must be an object, params and vocab lists")
+        if not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocab entries must be strings")
+        if meta["kind"] not in ("mtl", "pair"):
+            raise ValueError(f"unknown model kind {meta['kind']!r}")
+        if meta["kind"] == "pair" and meta["task"] not in TASKS:
+            raise ValueError(f"unknown pair task {meta['task']!r}")
+        for key in SIZES:
+            if type(meta[key]) is not int or meta[key] < 1:
+                raise ValueError(f"meta {key} must be a positive integer, got {meta[key]!r}")
+        if np.dtype(meta["dtype"]).kind != "f":
+            raise ValueError(f"meta dtype {meta['dtype']!r} is not a float type")
+        vocab = Vocabulary(tokens)
+        params = {entry["name"]: _read_array(payload, entry) for entry in entries}
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: index lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid index: {exc}") from None
+    return meta, vocab, params
 
 
-def load_checkpoint(path: str):
+def load_checkpoint(path: str) -> CqaModel:
     """Rebuild the model (architecture, vocabulary, weights) from a file
     written by :func:`save_checkpoint`."""
-    index, params = _read_checkpoint(path)
-    meta = index["meta"]
-    vocab = Vocabulary(index["vocab"])
-    common = dict(
-        m=meta["m"],
-        d_w=meta["d_w"],
-        d_feat=meta["d_feat"],
-        filter_width=meta["filter_width"],
-        max_len=meta["max_len"],
+    meta, vocab, params = _read_checkpoint(path)
+    model = CqaModel(
+        vocab,
+        task=meta["task"] if meta["kind"] == "pair" else None,
         dtype=np.dtype(meta["dtype"]),
+        **{key: meta[key] for key in SIZES},
     )
-    if meta["kind"] == "mtl":
-        model = MtlModel(vocab, **common)
-    elif meta["kind"] == "pair":
-        model = PairModel(vocab, task=meta["task"], **common)
-    else:
-        raise CheckpointError(f"{path}: unknown model kind {meta['kind']!r}")
     restore(model, params)
     return model

@@ -355,7 +355,7 @@ def test_criterion_8_sharing_and_invariances(tmp_path):
     assert len({id(p) for p in params}) == len(params)
     assert len({p.name for p in params}) == len(params)
     pair_b = PairModel(vocab, task="B", m=4, d_w=4, d_feat=2, seed=0)
-    assert pair_b.right_encoder is pair_b.left_encoder
+    assert pair_b.encoders[1] is pair_b.encoders[0]
 
     # (b) zeroed rank table -> search rank cannot influence predictions
     model.rank_emb.data[:] = 0.0

@@ -6,7 +6,9 @@ import pytest
 
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus
-from cqarank.synthetic import gradcheck_corpus
+from cqarank.model import MtlModel
+from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, vocabulary_for
+from cqarank.training import save_checkpoint
 
 
 @pytest.fixture()
@@ -181,6 +183,85 @@ def test_exit_codes(tmp_path, corpus_path):
     assert main(["train", "--no-such-flag"]) == 1
     # unknown subcommand -> usage error
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("stopping", ["global", "per_task"])
+def test_train_stops_on_non_finite_dev_loss(tmp_path, capsys, stopping):
+    # a huge learning rate turns the weights non-finite in the first update;
+    # the training loss was taken before it, so only the dev loss shows it
+    data = conjunction_corpus(12, seed=0)
+    train_path, dev_path = tmp_path / "train.jsonl", tmp_path / "dev.jsonl"
+    save_corpus(str(train_path), data[:32])
+    save_corpus(str(dev_path), data[32:])
+    out_dir = tmp_path / "run"
+    code = main(["train", "--corpus", str(train_path), "--dev", str(dev_path),
+                 "--out-dir", str(out_dir), "--epochs", "1", "--m", "8", "--lr", "1e30",
+                 "--stopping", stopping])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: non-finite dev loss nan in epoch 1"]
+    assert not out_dir.exists()
+
+
+def _edit_index(edit):
+    """Corruption that rewrites the checkpoint's JSON index with ``edit``."""
+
+    def corrupt(ckpt, corpus):
+        data = ckpt.read_bytes()
+        head_len = int.from_bytes(data[8:16], "little")
+        index = json.loads(data[16 : 16 + head_len])
+        edit(index)
+        head = json.dumps(index).encode("utf-8")
+        ckpt.write_bytes(data[:8] + len(head).to_bytes(8, "little") + head + data[16 + head_len :])
+        return ckpt, corpus
+
+    return corrupt
+
+
+def _set_header_length(ckpt, corpus):
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:8] + (2**40).to_bytes(8, "little") + data[16:])
+    return ckpt, corpus
+
+
+def _non_utf8_corpus(ckpt, corpus):
+    corpus.write_bytes(b'{"id": "\xff\xfe"}\n')
+    return ckpt, corpus
+
+
+MALFORMED = {
+    "index_without_params": _edit_index(lambda ix: ix.pop("params")),
+    "pair_meta_without_task": _edit_index(lambda ix: ix["meta"].update(kind="pair")),
+    "unknown_kind": _edit_index(lambda ix: ix["meta"].update(kind="tree")),
+    "meta_dtype_garbage": _edit_index(lambda ix: ix["meta"].update(dtype="garbage")),
+    "meta_size_not_int": _edit_index(lambda ix: ix["meta"].update(m="4")),
+    "entry_dtype_garbage": _edit_index(lambda ix: ix["params"][0].update(dtype="garbage")),
+    "entry_without_offset": _edit_index(lambda ix: ix["params"][0].pop("offset")),
+    "shape_does_not_match_nbytes": _edit_index(lambda ix: ix["params"][0].update(shape=[3, 5])),
+    "negative_offset": _edit_index(lambda ix: ix["params"][0].update(offset=-8)),
+    "offset_past_the_end": _edit_index(lambda ix: ix["params"][-1].update(offset=10**9)),
+    "vocab_not_a_list": _edit_index(lambda ix: ix.update(vocab="tokens")),
+    "duplicate_vocab_token": _edit_index(lambda ix: ix["vocab"].append(ix["vocab"][0])),
+    "bogus_header_length": _set_header_length,
+    "checkpoint_is_a_directory": lambda ckpt, corpus: (ckpt.parent, corpus),
+    "corpus_is_a_directory": lambda ckpt, corpus: (ckpt, corpus.parent),
+    "corpus_not_utf8": _non_utf8_corpus,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
+    data = gradcheck_corpus()
+    ckpt, corpus = tmp_path / "in" / "model.ckpt", tmp_path / "in" / "corpus.jsonl"
+    ckpt.parent.mkdir()
+    save_corpus(str(corpus), data)
+    save_checkpoint(str(ckpt), MtlModel(vocabulary_for(data), m=4, d_w=4, d_feat=2))
+    assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus)]) == 0
+    capsys.readouterr()
+    ckpt, corpus = MALFORMED[case](ckpt, corpus)
+    assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_config_file_merging(tmp_path, corpus_path):

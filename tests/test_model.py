@@ -7,8 +7,7 @@ from cqarank.model import (
     MtlModel,
     PairModel,
     apply_word_vectors,
-    compute_pair_features,
-    compute_triple_features,
+    compute_features,
     load_word_vectors,
     rank_bin,
 )
@@ -67,38 +66,38 @@ def test_rank_bin_total_and_monotone():
 
 
 def test_triple_features_use_union_overlaps(corpus, vocab):
-    feats = compute_triple_features(corpus[0], vocab)
+    feats = compute_features(corpus[0], vocab)
     # "wifi" occurs in all three texts, so it overlaps from every side
-    for text in (feats.q_new, feats.q_rel, feats.c_rel):
+    for text in feats.texts:
         assert text.ids is not None and text.overlaps is not None
         idx = text.tokens.index("wifi")
         assert text.overlaps[idx] == 1
     # "pizza" appears only in q_rel of corpus[1]
-    feats = compute_triple_features(corpus[1], vocab)
-    idx = feats.q_rel.tokens.index("pizza")
-    assert feats.q_rel.overlaps[idx] == 0
+    feats = compute_features(corpus[1], vocab)
+    idx = feats.texts[1].tokens.index("pizza")
+    assert feats.texts[1].overlaps[idx] == 0
     assert feats.rank_bin == rank_bin(corpus[1].google_rank)
 
 
 def test_pair_features_select_task_texts(corpus, vocab):
     t = corpus[0]
-    a = compute_pair_features(t, "A", vocab)
-    b = compute_pair_features(t, "B", vocab)
-    c = compute_pair_features(t, "C", vocab)
-    assert a.left.tokens[:2] == ("wifi", "drops")  # q_rel subject first
-    assert b.left.tokens[:2] == ("upgrade", "breaks")  # q_new
-    assert b.right.tokens[:2] == ("wifi", "drops")  # q_rel
-    assert c.right.tokens == a.right.tokens  # both use the comment
+    a = compute_features(t, vocab, "A")
+    b = compute_features(t, vocab, "B")
+    c = compute_features(t, vocab, "C")
+    assert a.texts[0].tokens[:2] == ("wifi", "drops")  # q_rel subject first
+    assert b.texts[0].tokens[:2] == ("upgrade", "breaks")  # q_new
+    assert b.texts[1].tokens[:2] == ("wifi", "drops")  # q_rel
+    assert c.texts[1].tokens == a.texts[1].tokens  # both use the comment
     with pytest.raises(ValueError):
-        compute_pair_features(t, "D", vocab)
+        compute_features(t, vocab, "D")
 
 
 def test_pair_overlaps_are_pairwise_not_union(corpus, vocab):
     t = corpus[1]  # pizza question, comment about a place on fifth street
-    b = compute_pair_features(t, "B", vocab)
+    b = compute_features(t, vocab, "B")
     # "pizza" is not in q_new, so in the (q_new, q_rel) pair it has no overlap
-    idx = b.right.tokens.index("pizza")
-    assert b.right.overlaps[idx] == 0
+    idx = b.texts[1].tokens.index("pizza")
+    assert b.texts[1].overlaps[idx] == 0
 
 
 def test_empty_text_falls_back_to_pad(vocab):
@@ -109,9 +108,9 @@ def test_empty_text_falls_back_to_pad(vocab):
         q_rel_body="b", c_rel="c", google_rank=1,
         label_A="good", label_B="relevant", label_C="good",
     )
-    feats = compute_triple_features(t, vocab)
-    assert feats.q_new.tokens == ("<pad>",)
-    assert feats.q_new.ids == (0,)
+    feats = compute_features(t, vocab)
+    assert feats.texts[0].tokens == ("<pad>",)
+    assert feats.texts[0].ids == (0,)
     model = small_mtl(vocab)
     preds = model.predict(feats)
     for tensor in preds.values():
@@ -155,9 +154,9 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
 
 def test_pair_model_task_b_shares_one_encoder(vocab):
     b = PairModel(vocab, task="B", m=6, d_w=8, d_feat=3)
-    assert b.right_encoder is b.left_encoder
+    assert b.encoders[1] is b.encoders[0]
     a = PairModel(vocab, task="A", m=6, d_w=8, d_feat=3)
-    assert a.right_encoder is not a.left_encoder
+    assert a.encoders[1] is not a.encoders[0]
     # task A is not search-ranked, so it has no rank embedding
     assert a.rank_emb is None and a.joint_dim == 12
     assert b.rank_emb is not None and b.joint_dim == 15

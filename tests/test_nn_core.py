@@ -225,10 +225,10 @@ def test_bce_loss_gradient_value():
 def test_rmsprop_frozen_scalar_step():
     p = param("p", np.array([1.0]))
     p.grad[:] = 1.0
-    state = nn.RmsPropState(acc=np.zeros(1), rho=0.9, lr=0.001, eps=1e-6)
-    nn.rmsprop_step(p, state)
+    opt = nn.RmsProp([p], lr=0.001, rho=0.9, eps=1e-6)
+    opt.step()
     assert p.data[0] == pytest.approx(0.9968377381511013, rel=1e-12)
-    assert state.acc[0] == pytest.approx(0.1, rel=1e-12)
+    assert opt.accs[0][0] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_rmsprop_optimizer_matches_manual_updates():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -264,9 +265,9 @@ def test_pair_checkpoint_round_trip(tmp_path, vocab):
     path = tmp_path / "pair.ckpt"
     save_checkpoint(str(path), model)
     loaded = load_checkpoint(str(path))
-    assert isinstance(loaded, PairModel)
+    assert loaded.kind == "pair"
     assert loaded.task == "B"
-    assert loaded.right_encoder is loaded.left_encoder
+    assert loaded.encoders[1] is loaded.encoders[0]
     for p, q in zip(model.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(p.data, q.data)
 
@@ -280,6 +281,50 @@ def test_checkpoint_bytes_are_deterministic(tmp_path, vocab):
     # save -> load -> save must also be bit-identical
     save_checkpoint(str(three), load_checkpoint(str(one)))
     assert one.read_bytes() == three.read_bytes()
+
+
+def _encoder_table(name, vocab_size=73):
+    return [(f"{name}.word_emb", (vocab_size, 4)), (f"{name}.feat_emb", (2, 2)),
+            (f"{name}.filters", (3, 6, 2)), (f"{name}.conv_bias", (3,))]
+
+
+def _pair_table(dim):
+    return [("hidden1.weight", (dim, dim)), ("hidden1.bias", (dim,)),
+            ("hidden2.weight", (dim, dim)), ("hidden2.bias", (dim,)),
+            ("out.weight", (1, dim)), ("out.bias", (1,))]
+
+
+_MTL_TABLE = (
+    _encoder_table("q_encoder") + _encoder_table("c_encoder")
+    + [("rank_emb", (5, 2)), ("joint.weight", (11, 11)), ("joint.bias", (11,))]
+    + [(f"head_{t}.{n}", shape) for t in "ABC"
+       for n, shape in (("hidden_w", (11, 11)), ("hidden_b", (11,)), ("out_w", (1, 11)), ("out_b", (1,)))]
+)
+
+# Parameter tables and checkpoint digests of freshly built networks as
+# released: a renamed parameter or a reordered initial draw changes them and
+# makes every saved model unreadable or different.
+CHECKPOINT_FORMAT = {
+    None: (_MTL_TABLE, "71026ad6ac79d07cad1bfe399c78276e81abf2241e06107070cd6635cbc5c307"),
+    "A": (_encoder_table("q_encoder") + _encoder_table("c_encoder") + _pair_table(6),
+          "0b1710da40bf9b28cb3542946444c391f4c091d24336c21824571f8f083460c9"),
+    "B": (_encoder_table("q_encoder") + [("rank_emb", (5, 2))] + _pair_table(8),
+          "abfcaea2eb909da1d6347d3d246257eb70626f584c600c45c93f15c70e970cc8"),
+    "C": (_encoder_table("q_encoder") + _encoder_table("c_encoder") + [("rank_emb", (5, 2))]
+          + _pair_table(8),
+          "1f08bf4a66c98023abfcafb734a5479d6f8674455a783632afe9b2bdcfa7c9ab"),
+}
+
+
+@pytest.mark.parametrize("task", [None, "A", "B", "C"])
+def test_checkpoint_format_is_stable(tmp_path, vocab, task):
+    table, digest = CHECKPOINT_FORMAT[task]
+    kw = dict(m=3, d_w=4, d_feat=2, filter_width=2, seed=0)
+    model = MtlModel(vocab, **kw) if task is None else PairModel(vocab, task=task, **kw)
+    assert [(p.name, p.data.shape) for p in model.parameters()] == table
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_checkpoint_rejects_garbage(tmp_path, vocab):
