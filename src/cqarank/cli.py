@@ -31,17 +31,18 @@ from .dataset import (
     threads_from_corpus,
 )
 from .evaluation import (
+    blend_scores,
     build_rows,
     evaluate_scores,
     score_triples,
     tune_alpha,
-    weighted_combine,
     write_predictions,
 )
 from .model import SIZES, TASKS, CqaModel, apply_word_vectors, load_word_vectors
 from .synthetic import gradcheck_corpus
 from .text_pipeline import vocabulary_for
 from .training import (
+    STOPPING,
     CheckpointError,
     TrainConfig,
     joint_loss,
@@ -81,19 +82,24 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-# Training options default to the TrainConfig fields, model sizes to the
-# network's constructor.
-_TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "tasks"]
-_MODEL_SIZES = {k: inspect.signature(CqaModel).parameters[k].default for k in SIZES}
+def _defaults(fn, names) -> dict:
+    params = inspect.signature(fn).parameters
+    return {k: params[k].default for k in names}
+
+
+# The train options that are both a flag and a config key, with their
+# defaults: the TrainConfig fields, the network's sizes and the vocabulary
+# cutoff.  Each option's type is its default's type.
+_TRAIN_FIELDS = {f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "tasks"}
+_MODEL_SIZES = _defaults(CqaModel, SIZES)
+_VOCAB_OPTIONS = _defaults(vocabulary_for, ("min_count",))
+_TRAIN_OPTIONS = {**_TRAIN_FIELDS, **_MODEL_SIZES, **_VOCAB_OPTIONS}
 
 _CONFIG_KEYS = {
-    **{f.name: type(f.default) for f in _TRAIN_FIELDS},
+    **{k: type(v) for k, v in _TRAIN_OPTIONS.items()},
     "tasks": str,
-    **{k: type(v) for k, v in _MODEL_SIZES.items()},
-    "min_count": int,
     "model": str,
     "task": str,
-    "alpha": float,
 }
 
 
@@ -132,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extend", help="derive question-question triples from comment threads")
+    p.set_defaults(handler=cmd_extend)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--derived-only", action="store_true",
                    help="write only the derived triples instead of originals + derived")
 
     p = sub.add_parser("train", help="train a model")
+    p.set_defaults(handler=cmd_train)
     p.add_argument("--corpus", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--out-dir", required=True)
@@ -145,26 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["mtl", "pair"])
     p.add_argument("--task", choices=list(TASKS), help="task for the pair model")
     p.add_argument("--tasks", help="tasks to train, e.g. ABC or AC")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--dropout-input", dest="dropout_input", type=float)
-    p.add_argument("--dropout-hidden", dest="dropout_hidden", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--stopping", choices=["global", "per_task"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d-w", dest="d_w", type=int)
-    p.add_argument("--d-feat", dest="d_feat", type=int)
-    p.add_argument("--filter-width", dest="filter_width", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
+    for name, default in _TRAIN_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       choices=STOPPING if name == "stopping" else None)
     p.add_argument("--vectors", help="pretrained word vector file")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("evaluate", help="score a corpus and report MAP/MRR")
+    p.set_defaults(handler=cmd_evaluate)
     p.add_argument("--model", required=True, dest="model_path")
     p.add_argument("--corpus", required=True)
     p.add_argument("--tasks")
@@ -174,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid-search the blend weight and report the best")
 
     p = sub.add_parser("predict", help="write ranked predictions as TSV")
+    p.set_defaults(handler=cmd_predict)
     p.add_argument("--model", required=True, dest="model_path")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
@@ -181,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the model gradient")
+    p.set_defaults(handler=cmd_gradcheck)
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=8)
@@ -218,17 +216,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         tasks = _parse_tasks(tasks_spec) if tasks_spec else TASKS
 
-    train_conf = TrainConfig(
-        tasks=tasks,
-        **{f.name: merged_option(args, config_file, f.name, f.default) for f in _TRAIN_FIELDS},
-    )
+    def options(defaults: dict) -> dict:
+        return {k: merged_option(args, config_file, k, v) for k, v in defaults.items()}
+
+    train_conf = TrainConfig(tasks=tasks, **options(_TRAIN_FIELDS))
 
     train_data = load_corpus(args.corpus)
     dev_data = load_corpus(args.dev)
 
-    vocab = vocabulary_for(train_data, min_count=merged_option(args, config_file, "min_count", 1))
-    sizes = {k: merged_option(args, config_file, k, v) for k, v in _MODEL_SIZES.items()}
-    model = CqaModel(vocab, task=task if kind == "pair" else None, seed=train_conf.seed, **sizes)
+    vocab = vocabulary_for(train_data, **options(_VOCAB_OPTIONS))
+    model = CqaModel(vocab, task=task if kind == "pair" else None, seed=train_conf.seed,
+                     **options(_MODEL_SIZES))
 
     if args.vectors:
         vectors = load_word_vectors(args.vectors, vocab, model.d_w)
@@ -259,10 +257,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _combined(triples, scores, alpha):
-    return [weighted_combine(s, t.google_rank, alpha) for s, t in zip(scores, triples)]
-
-
 def _task_out_path(out: str, task: str, multi: bool) -> str:
     """Per-task file name when one --out path serves several tasks."""
     if not multi:
@@ -282,7 +276,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         task_scores = scores[t]
         suffix = ""
         if args.alpha is not None:
-            task_scores = _combined(data, task_scores, args.alpha)
+            task_scores = blend_scores(data, task_scores, args.alpha)
             suffix = f" alpha={args.alpha:.2f}"
         result = evaluate_scores(build_rows(data, task_scores, t))
         print(
@@ -311,7 +305,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise UsageError(f"checkpoint scores tasks {model.tasks}, not {task!r}")
     scores = score_triples(model, data)[task]
     if args.alpha is not None:
-        scores = _combined(data, scores, args.alpha)
+        scores = blend_scores(data, scores, args.alpha)
     write_predictions(args.out, data, scores, task)
     print(f"wrote {len(data)} predictions to {args.out}")
     return EXIT_OK
@@ -351,17 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        if args.command == "extend":
-            return cmd_extend(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

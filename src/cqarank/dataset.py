@@ -14,6 +14,7 @@ Corpus format is JSONL, one object per line:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -28,7 +29,8 @@ LABELS_B = ("perfect_match", "relevant", "irrelevant")
 
 
 class CorpusError(ValueError):
-    """A corpus file or record violates the JSONL schema."""
+    """A corpus file or record violates the JSONL schema, or a word-vector
+    file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -160,32 +162,28 @@ def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
     return triples
 
 
-def save_corpus(path: str, triples: Iterable[Triple]) -> None:
-    """Write a JSONL corpus atomically (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".corpus-", suffix=".tmp")
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open a temp file beside ``path`` (UTF-8 unless ``mode`` is binary);
+    it replaces ``path`` when the block completes and is removed when the
+    block raises, so ``path`` never holds a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for t in triples:
-                record = {
-                    "id": t.id,
-                    "group": t.group,
-                    "q_new_subject": t.q_new_subject,
-                    "q_new_body": t.q_new_body,
-                    "q_rel_subject": t.q_rel_subject,
-                    "q_rel_body": t.q_rel_body,
-                    "c_rel": t.c_rel,
-                    "google_rank": t.google_rank,
-                    "label_A": t.label_A,
-                    "label_B": t.label_B,
-                    "label_C": t.label_C,
-                }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def save_corpus(path: str, triples: Iterable[Triple]) -> None:
+    """Write a JSONL corpus atomically."""
+    with atomic_write(path) as fh:
+        for t in triples:
+            record = {name: getattr(t, name) for name, _, _ in _FIELDS}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,10 @@ average precisions they summarize are kept as fractions in [0, 1].
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .dataset import Triple, binarize
+from .dataset import Triple, atomic_write, binarize
 
 GroupedRow = tuple[str, str, float, int, int]  # group_key, doc_id, score, google_rank, relevance
 
@@ -161,6 +159,11 @@ def weighted_combine(score: float, google_rank: int, alpha: float) -> float:
     return alpha * score + (1.0 - alpha) * (1.0 / google_rank)
 
 
+def blend_scores(triples: Sequence[Triple], scores: Sequence[float], alpha: float) -> list[float]:
+    """:func:`weighted_combine` of each triple's model score and search rank."""
+    return [weighted_combine(s, t.google_rank, alpha) for s, t in zip(scores, triples)]
+
+
 def tune_alpha(
     model,
     triples: Sequence[Triple],
@@ -179,8 +182,7 @@ def tune_alpha(
     best_map = -1.0
     for step in range(101):
         alpha = step / 100.0
-        combined = [weighted_combine(s, t.google_rank, alpha) for s, t in zip(scores, triples)]
-        result = evaluate_scores(build_rows(triples, combined, task))
+        result = evaluate_scores(build_rows(triples, blend_scores(triples, scores, alpha), task))
         if result.map > best_map:
             best_alpha, best_map = alpha, result.map
     return best_alpha, best_map
@@ -188,19 +190,10 @@ def tune_alpha(
 
 def write_predictions(path: str, triples: Sequence[Triple], scores: Sequence[float], task: str) -> None:
     """Write one TSV row per candidate: query key, candidate id, final rank
-    within the query, score, and gold 0/1 relevance.  Atomic (temp file +
-    rename)."""
+    within the query, score, and gold 0/1 relevance.  Atomic."""
     groups = rank_rows(build_rows(triples, scores, task))
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".preds-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("group_key\tdoc_id\tfinal_rank\tscore\ttrue_label\n")
-            for key in sorted(groups):
-                for rank, row in enumerate(groups[key], start=1):
-                    fh.write(f"{row[0]}\t{row[1]}\t{rank}\t{row[2]:.6f}\t{row[4]}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write("group_key\tdoc_id\tfinal_rank\tscore\ttrue_label\n")
+        for key in sorted(groups):
+            for rank, row in enumerate(groups[key], start=1):
+                fh.write(f"{row[0]}\t{row[1]}\t{rank}\t{row[2]:.6f}\t{row[4]}\n")

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn_core as nn
-from .dataset import Triple
+from .dataset import CorpusError, Triple
 from .text_pipeline import (
     DEFAULT_MAX_LEN,
     PAD_ID,
@@ -85,15 +85,11 @@ class SentenceEncoder:
 
 
 def encode_sentence(encoder: SentenceEncoder, text: TokenizedText) -> nn.Tensor:
-    """Run the encoder over one tokenized text; empty input falls back to a
-    single PAD token so the convolution stays defined."""
-    if len(text) == 0:
-        ids, overlaps = (PAD_ID,), (0,)
-    else:
-        if text.ids is None or text.overlaps is None:
-            raise ValueError("encode_sentence: text needs ids and overlaps filled")
-        ids, overlaps = text.ids, text.overlaps
-    emb = nn.embedding_lookup(encoder.word_emb, encoder.feat_emb, ids, overlaps)
+    """Run the encoder over one featurized text (see :func:`compute_features`,
+    which turns an empty text into a single PAD token)."""
+    if text.ids is None or text.overlaps is None:
+        raise ValueError("encode_sentence: text needs ids and overlaps filled")
+    emb = nn.embedding_lookup(encoder.word_emb, encoder.feat_emb, text.ids, text.overlaps)
     fmap = nn.conv1d_wide(emb, encoder.filters, encoder.conv_bias)
     return nn.kmax_pool(fmap)
 
@@ -129,6 +125,7 @@ class Features:
 
 
 def _finish(text: TokenizedText, vocab: Vocabulary, others) -> TokenizedText:
+    # an empty text becomes one PAD token so the convolution stays defined
     if len(text) == 0:
         return TokenizedText((PAD_TOKEN,), (PAD_ID,), (0,))
     return vocab.encode(text).with_overlaps(overlap_indicators(text, others))
@@ -258,20 +255,22 @@ def PairModel(vocab: Vocabulary, task: str, **kwargs) -> CqaModel:
 
 def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.ndarray]:
     """Read a text vector file (one ``token v1 ... v_{d_w}`` line per word)
-    keeping only in-vocabulary tokens."""
+    keeping only in-vocabulary tokens.  A malformed file raises
+    :class:`CorpusError` naming the path."""
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != d_w:
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(values)} components, expected {d_w}"
-                )
-            if token in vocab:
-                vectors[token] = np.array([float(v) for v in values])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split(" ")
+                if len(parts) < 2:
+                    continue
+                token, values = parts[0], parts[1:]
+                if len(values) != d_w:
+                    raise ValueError(f"line {lineno} has {len(values)} components, expected {d_w}")
+                if token in vocab:
+                    vectors[token] = np.array([float(v) for v in values])
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise CorpusError(f"{path}: {exc}") from None
     return vectors
 
 

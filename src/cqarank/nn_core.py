@@ -109,6 +109,14 @@ def constant(data, dtype=None) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype))
 
 
+def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    """Add an input's gradient share into its buffer, which ``Tensor.backward``
+    has zero-filled for every node it walks; inputs needing no gradient are
+    not walked and are skipped."""
+    if t.requires_grad:
+        t.grad += grad
+
+
 # ---------------------------------------------------------------------------
 # layer operations
 # ---------------------------------------------------------------------------
@@ -182,8 +190,6 @@ def _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, n, w):
     bias.grad += grad.sum(axis=1)
     filters.grad += (grad @ win_mat).reshape(m, d, w)
     if x.requires_grad:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
         dcols = (filt_mat.T @ grad).reshape(d, w, out_len)
         dpadded = np.zeros((d, n + 2 * (w - 1)), dtype=grad.dtype)
         for k in range(w):
@@ -201,9 +207,8 @@ def kmax_pool(x: Tensor) -> Tensor:
     out = x.data[rows, argmax]
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (rows, argmax), grad)
+        if x.requires_grad:
+            np.add.at(x.grad, (rows, argmax), grad)
 
     return Tensor(out, (x,), backward_fn)
 
@@ -244,8 +249,6 @@ def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str = "iden
         weight.grad += np.outer(dz, x.data)
         bias.grad += dz
         if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
             x.grad += weight.data.T @ dz
 
     return Tensor(out, (x, weight, bias), backward_fn)
@@ -273,10 +276,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += grad[lo:hi]
+            _accumulate(t, grad[lo:hi])
 
     return Tensor(out, tuple(tensors), backward_fn)
 
@@ -305,10 +305,7 @@ def dropout(
     out = x.data * (mask * scale)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad += grad * (mask * scale)
+        _accumulate(x, grad * (mask * scale))
 
     return Tensor(out.astype(x.data.dtype, copy=False), (x,), backward_fn)
 
@@ -334,8 +331,6 @@ def bce_loss(p: Tensor, y: int) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         if p.requires_grad:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
             pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
             inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
             p.grad += grad * inside * (pc - y) / (pc * (1.0 - pc))
@@ -353,10 +348,7 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         for t in tensors:
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += grad
+            _accumulate(t, grad)
 
     return Tensor(out, tuple(tensors), backward_fn)
 
@@ -365,10 +357,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     out = x.data * factor
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad += grad * factor
+        _accumulate(x, grad * factor)
 
     return Tensor(out.astype(x.data.dtype, copy=False), (x,), backward_fn)
 

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import nn_core as nn
-from .dataset import BinaryLabels, Triple, binarize, make_batches
+from .dataset import BinaryLabels, Triple, atomic_write, binarize, make_batches
 from .evaluation import build_rows, evaluate_scores, score_features, task_relevance
 from .model import SIZES, TASKS, CqaModel
 from .text_pipeline import Vocabulary
@@ -30,6 +28,10 @@ from .text_pipeline import Vocabulary
 
 class CheckpointError(ValueError):
     """Raised for malformed checkpoint files or dimension mismatches."""
+
+
+# Early-stopping modes: watch the summed dev loss, or each task's dev loss.
+STOPPING = ("global", "per_task")
 
 
 @dataclass
@@ -42,13 +44,14 @@ class TrainConfig:
     dropout_input: float = 0.4
     dropout_hidden: float = 0.7
     patience: int = 10
-    stopping: str = "global"  # "global" | "per_task"
+    stopping: str = "global"  # one of STOPPING
     seed: int = 0
     tasks: tuple[str, ...] = TASKS
 
     def __post_init__(self):
-        if self.stopping not in ("global", "per_task"):
-            raise ValueError(f"stopping must be 'global' or 'per_task', got {self.stopping!r}")
+        if self.stopping not in STOPPING:
+            modes = " or ".join(map(repr, STOPPING))
+            raise ValueError(f"stopping must be {modes}, got {self.stopping!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -181,10 +184,8 @@ def train(
 
     optimizer = nn.RmsProp(model.parameters(), lr=config.lr, rho=config.rho, eps=config.eps)
     report = TrainReport()
-    if config.stopping == "global":
-        stoppers = {"joint": EarlyStopper(config.patience)}
-    else:
-        stoppers = {t: EarlyStopper(config.patience) for t in tasks}
+    watched = ["joint"] if config.stopping == "global" else tasks
+    stoppers = {key: EarlyStopper(config.patience) for key in watched}
 
     features = [model.featurize(t) for t in train_data]
     gold = [binarize(t) for t in train_data]
@@ -236,20 +237,17 @@ def train(
                 f"epoch {epoch}: loss_train={loss_train:.6f} loss_dev={dev.total:.6f} {maps}"
             )
 
-        if config.stopping == "global":
-            if stoppers["joint"].update(dev.total, epoch):
-                report.snapshots["joint"] = snapshot(model)
-        else:
-            for t in tasks:
-                if stoppers[t].update(dev.task_loss[t], epoch):
-                    report.snapshots[t] = snapshot(model)
+        dev_loss = {"joint": dev.total, **dev.task_loss}
+        for key, stopper in stoppers.items():
+            if stopper.update(dev_loss[key], epoch):
+                report.snapshots[key] = snapshot(model)
         if all(s.should_stop for s in stoppers.values()):
             report.stopped_early = True
             break
 
     report.stop_epoch = epoch
     report.best_epoch = {k: s.best_epoch for k, s in stoppers.items()}
-    if config.stopping == "global" and "joint" in report.snapshots:
+    if "joint" in report.snapshots:
         restore(model, report.snapshots["joint"])
     return report
 
@@ -259,23 +257,15 @@ _CSV_HEADER = "epoch,loss_train,loss_dev,lossA_dev,lossB_dev,lossC_dev,mapA_dev,
 
 def write_history_csv(path: str, history: Sequence[EpochStats]) -> None:
     """Per-epoch training curve; tasks the run did not train are written as
-    nan.  Atomic (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".history-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for row in history:
-                cells = [str(row.epoch)]
-                cells += [f"{row.loss_train:.6f}", f"{row.loss_dev:.6f}"]
-                cells += [f"{row.task_loss.get(t, math.nan):.6f}" for t in TASKS]
-                cells += [f"{row.task_map.get(t, math.nan):.6f}" for t in TASKS]
-                fh.write(",".join(cells) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    nan.  Atomic."""
+    with atomic_write(path) as fh:
+        fh.write(_CSV_HEADER + "\n")
+        for row in history:
+            cells = [str(row.epoch)]
+            cells += [f"{row.loss_train:.6f}", f"{row.loss_dev:.6f}"]
+            cells += [f"{row.task_loss.get(t, math.nan):.6f}" for t in TASKS]
+            cells += [f"{row.task_map.get(t, math.nan):.6f}" for t in TASKS]
+            fh.write(",".join(cells) + "\n")
 
 
 _MAGIC = b"CQRK0001"
@@ -321,15 +311,8 @@ def save_checkpoint(path: str, model, params: Optional[dict[str, np.ndarray]] = 
     }
     head = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = _MAGIC + len(head).to_bytes(8, "little") + head + b"".join(blobs)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(payload)
 
 
 def _read_array(payload: bytes, entry: dict) -> np.ndarray:
@@ -378,6 +361,9 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
         raise CheckpointError(f"{path}: index lacks {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid index: {exc}") from None
+    non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
+    if non_finite:
+        raise CheckpointError(f"{path}: non-finite values in {', '.join(non_finite)}")
     return meta, vocab, params
 
 

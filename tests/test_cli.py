@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cqarank.cli import main
@@ -224,6 +225,16 @@ def _set_header_length(ckpt, corpus):
     return ckpt, corpus
 
 
+def _nan_weight(ckpt, corpus):
+    data = bytearray(ckpt.read_bytes())
+    head_len = int.from_bytes(data[8:16], "little")
+    entries = json.loads(data[16 : 16 + head_len])["params"]
+    start = 16 + head_len + next(e["offset"] for e in entries if e["name"] == "joint.weight")
+    data[start : start + 4] = np.float32(np.nan).tobytes()
+    ckpt.write_bytes(bytes(data))
+    return ckpt, corpus
+
+
 def _non_utf8_corpus(ckpt, corpus):
     corpus.write_bytes(b'{"id": "\xff\xfe"}\n')
     return ckpt, corpus
@@ -246,6 +257,7 @@ MALFORMED = {
     "checkpoint_is_a_directory": lambda ckpt, corpus: (ckpt.parent, corpus),
     "corpus_is_a_directory": lambda ckpt, corpus: (ckpt, corpus.parent),
     "corpus_not_utf8": _non_utf8_corpus,
+    "non_finite_weight": _nan_weight,
 }
 
 
@@ -262,6 +274,25 @@ def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+VECTOR_FILES = {
+    "not_utf8": b"wifi \xff\xfe 1.0\n",
+    "wrong_component_count": b"wifi 1.0 2.0\n",
+    "non_numeric_component": b"wifi 1.0 x 3.0 4.0\n",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_FILES))
+def test_bad_vectors_file_exits_2_naming_the_path(tmp_path, corpus_path, capsys, case):
+    vectors = tmp_path / "vectors.txt"
+    if VECTOR_FILES[case] is not None:
+        vectors.write_bytes(VECTOR_FILES[case])
+    code = main(train_args(corpus_path, tmp_path / "run", "--vectors", str(vectors)))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(vectors) in err[0]
 
 
 def test_config_file_merging(tmp_path, corpus_path):
@@ -284,6 +315,9 @@ def test_config_file_merging(tmp_path, corpus_path):
 
     cfg.write_text("epohcs=1\n")
     assert main(args) == 1  # unknown config key
+
+    cfg.write_text("alpha=0.3\n")
+    assert main(args) == 1  # train has no blend weight
 
     cfg.write_text("epochs one\n")
     assert main(args) == 1  # not key=value

@@ -97,6 +97,21 @@ def test_load_save_round_trip(tmp_path):
     assert load_corpus(str(path)) == originals
 
 
+def test_save_corpus_failing_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(str(path), [make_triple(id="old")])
+    before = path.read_bytes()
+
+    def records():
+        yield make_triple(id="new")
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        save_corpus(str(path), records())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]  # no temp file left
+
+
 def test_load_corpus_skips_blank_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record()) + "\n\n" + json.dumps(record(id="r2")) + "\n")
