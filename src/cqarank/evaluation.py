@@ -11,6 +11,7 @@ average precisions they summarize are kept as fractions in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .dataset import Triple, atomic_write, binarize
@@ -103,13 +104,21 @@ def task_relevance(triple: Triple, task: str) -> int:
     return {"A": labels.yA, "B": labels.yB, "C": labels.yC}[task]
 
 
+# Triples scored per forward graph.
+SCORE_CHUNK = 32
+
+
 def score_features(model, features: Iterable) -> dict[str, list[float]]:
-    """Forward featurized triples through the model in inference mode;
-    returns one score list per task the model produces, in input order."""
+    """Forward featurized triples through the model in inference mode, one
+    graph per chunk of ``SCORE_CHUNK``; returns one score list per task the
+    model produces, in input order."""
     scores: dict[str, list[float]] = {t: [] for t in model.tasks}
-    for feats in features:
-        for task, tensor in model.predict(feats, training=False).items():
-            scores[task].append(float(tensor.data[0]))
+    pending = iter(features)
+    while chunk := list(islice(pending, SCORE_CHUNK)):
+        # keep only the values, so a chunk's graph is freed before the next
+        values = {t: p.data.tolist() for t, p in model.predict(chunk, training=False).items()}
+        for task, chunk_scores in values.items():
+            scores[task].extend(chunk_scores)
     return scores
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, groupby
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,14 +85,19 @@ class SentenceEncoder:
         return [self.word_emb, self.feat_emb, self.filters, self.conv_bias]
 
 
-def encode_sentence(encoder: SentenceEncoder, text: TokenizedText) -> nn.Tensor:
-    """Run the encoder over one featurized text (see :func:`compute_features`,
-    which turns an empty text into a single PAD token)."""
-    if text.ids is None or text.overlaps is None:
-        raise ValueError("encode_sentence: text needs ids and overlaps filled")
-    emb = nn.embedding_lookup(encoder.word_emb, encoder.feat_emb, text.ids, text.overlaps)
-    fmap = nn.conv1d_wide(emb, encoder.filters, encoder.conv_bias)
-    return nn.kmax_pool(fmap)
+def encode_texts(encoder: SentenceEncoder, texts: Sequence[TokenizedText]) -> nn.Tensor:
+    """Run the encoder over featurized texts (see :func:`compute_features`,
+    which turns an empty text into a single PAD token) packed side by side
+    into one run of columns; returns their encodings as the rows of a
+    (len(texts), m) matrix."""
+    if any(t.ids is None or t.overlaps is None for t in texts):
+        raise ValueError("encode_texts: texts need ids and overlaps filled")
+    lengths = np.array([len(t) for t in texts], dtype=np.intp)
+    ids = np.fromiter(chain.from_iterable(t.ids for t in texts), np.intp, lengths.sum())
+    overlaps = np.fromiter(chain.from_iterable(t.overlaps for t in texts), np.intp, lengths.sum())
+    emb = nn.embedding_lookup(encoder.word_emb, encoder.feat_emb, ids, overlaps)
+    fmap = nn.conv1d_wide(emb, encoder.filters, encoder.conv_bias, lengths)
+    return nn.kmax_pool(fmap, lengths + encoder.width - 1)
 
 
 class TaskHead:
@@ -109,9 +115,9 @@ class TaskHead:
     def parameters(self) -> list[nn.Parameter]:
         return [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
 
-    def forward(self, x, training, rng, dropout_hidden):
+    def forward(self, x, dropout_hidden, training, mask):
         h = nn.dense(x, self.hidden_w, self.hidden_b, "tanh")
-        h = nn.dropout(h, dropout_hidden, training, rng)
+        h = nn.dropout(h, dropout_hidden, training, mask=mask)
         return nn.dense(h, self.out_w, self.out_b, "sigmoid")
 
 
@@ -122,6 +128,22 @@ class Features:
 
     texts: tuple[TokenizedText, ...]
     rank_bin: int
+
+
+def _dropout_masks(rates, rows, dim, training, rng) -> list[Optional[np.ndarray]]:
+    """Keep-masks of the dropout layers whose rates are listed, None for a
+    layer that drops nothing.  One draw covers every row, row-major, so each
+    triple of a batch gets the numbers it would draw alone (input, trunk,
+    then each head), in batch order."""
+    on = [k for k, rate in enumerate(rates) if training and rate > 0]
+    masks: list[Optional[np.ndarray]] = [None] * len(rates)
+    if on:
+        if rng is None:
+            raise ValueError("dropout: training mode needs an rng")
+        noise = rng.random((rows, len(on), dim))
+        for j, k in enumerate(on):
+            masks[k] = noise[:, j] >= rates[k]
+    return masks
 
 
 def _finish(text: TokenizedText, vocab: Vocabulary, others) -> TokenizedText:
@@ -189,6 +211,11 @@ class CqaModel:
         self.q_encoder = encoder("q_encoder")
         self.c_encoder = encoder("c_encoder") if "c_rel" in self.inputs else None
         self.encoders = tuple(self.c_encoder if r == "c_rel" else self.q_encoder for r in self.inputs)
+        # runs of adjacent inputs that share an encoder, with their positions
+        self.encoder_runs = [
+            (enc, tuple(k for k, _ in run))
+            for enc, run in groupby(enumerate(self.encoders), key=lambda item: item[1])
+        ]
         uses_rank = task != "A"
         self.rank_emb = (
             nn.Parameter("rank_emb", _uniform(rng, (RANK_BINS, d_feat), self.dtype)) if uses_rank else None
@@ -225,22 +252,36 @@ class CqaModel:
 
     def predict(
         self,
-        features: Features,
+        features: Union[Features, Sequence[Features]],
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
         dropout_input: float = 0.4,
         dropout_hidden: float = 0.7,
     ) -> dict[str, nn.Tensor]:
-        """Score one featurized triple on every task the network has; dropout
-        applies only when ``training`` is set (rate ``dropout_input`` on the
-        shared layer's input, ``dropout_hidden`` after each tanh layer)."""
-        parts = [encode_sentence(e, text) for e, text in zip(self.encoders, features.texts)]
+        """Score a batch of featurized triples as one graph on every task the
+        network has: returns ``{task: Tensor of shape (len(batch),)}``.  One
+        ``Features`` is a batch of one.  Dropout applies only when
+        ``training`` is set (rate ``dropout_input`` on the shared layer's
+        input, ``dropout_hidden`` after each tanh layer)."""
+        batch = [features] if isinstance(features, Features) else list(features)
+        rows = len(batch)
+        parts = []
+        for encoder, positions in self.encoder_runs:
+            # a triple's texts sit side by side, so row i of the reshaped
+            # encodings holds triple i's texts for this encoder
+            texts = [f.texts[k] for f in batch for k in positions]
+            parts.append(nn.reshape(encode_texts(encoder, texts), (rows, -1)))
         if self.rank_emb is not None:
-            parts.append(nn.row_lookup(self.rank_emb, features.rank_bin))
-        h = nn.dropout(nn.concat(parts), dropout_input, training, rng)
+            parts.append(nn.row_lookup(self.rank_emb, [f.rank_bin for f in batch]))
+        rates = [dropout_input, dropout_hidden] + [dropout_hidden] * len(self.heads)
+        keep = _dropout_masks(rates, rows, self.joint_dim, training, rng)
+        h = nn.dropout(nn.concat(parts), dropout_input, training, mask=keep[0])
         h = nn.dense(h, self.trunk_w, self.trunk_b, "tanh")
-        h = nn.dropout(h, dropout_hidden, training, rng)
-        return {t: head.forward(h, training, rng, dropout_hidden) for t, head in self.heads.items()}
+        h = nn.dropout(h, dropout_hidden, training, mask=keep[1])
+        return {
+            t: nn.reshape(head.forward(h, dropout_hidden, training, mask), (rows,))
+            for (t, head), mask in zip(self.heads.items(), keep[2:])
+        }
 
 
 MtlModel = CqaModel  # task=None, the default, builds the joint network

@@ -3,9 +3,10 @@
 Every operation builds a node in a computation graph; ``Tensor.backward``
 walks the graph in reverse topological order and accumulates gradients into
 the participating leaves.  Parameters are persistent leaves whose gradient
-buffers survive across backward calls so per-example gradients accumulate
-over a mini-batch; everything runs in float32 by default and float64 when
-verifying gradients.
+buffers accumulate across backward calls until zeroed.  A minibatch is one
+graph: the ops take a batch of rows or a packed batch of texts, and a single
+vector or text is the batch of one.  Everything runs in float32 by default
+and float64 when verifying gradients.
 """
 
 from __future__ import annotations
@@ -119,7 +120,29 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # layer operations
+#
+# The encoder ops take a packed batch: the texts of a batch concatenated
+# along the column axis, with ``lengths`` giving each text's column count.
+# Without ``lengths`` the whole input is one text, the batch-of-one case.
 # ---------------------------------------------------------------------------
+
+
+def _segments(lengths, total: int, what: str) -> np.ndarray:
+    if lengths is None:
+        return np.array([total], dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1 or lengths.sum() != total:
+        raise ValueError(f"{what}: lengths must be positive and sum to the {total} input columns")
+    return lengths
+
+
+def _scatter_rows(table_grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """table_grad[index[k]] += rows[k] for every k, repeated indices summing:
+    a stable sort groups equal indices and one reduceat sums each group."""
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    table_grad[ordered[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
 def embedding_lookup(
@@ -147,18 +170,21 @@ def embedding_lookup(
     out = np.concatenate([word_table.data[ids].T, feat_table.data[overlaps].T], axis=0)
 
     def backward_fn(grad: np.ndarray) -> None:
-        np.add.at(word_table.grad, ids, grad[:d_w].T)
-        np.add.at(feat_table.grad, overlaps, grad[d_w:].T)
+        _scatter_rows(word_table.grad, ids, grad[:d_w].T)
+        _scatter_rows(feat_table.grad, overlaps, grad[d_w:].T)
 
     return Tensor(out, (word_table, feat_table), backward_fn)
 
 
-def conv1d_wide(x: Tensor, filters: Parameter, bias: Parameter) -> Tensor:
+def conv1d_wide(x: Tensor, filters: Parameter, bias: Parameter, lengths=None) -> Tensor:
     """Wide (zero-padded) 1-d convolution over the columns of a d x n input.
 
-    ``filters`` has shape (m, d, w); the output has shape (m, n + w - 1),
-    each column a filter response over a width-w window of the zero-padded
-    input, plus bias.
+    ``filters`` has shape (m, d, w).  A text of n columns gets n + w - 1
+    output columns, each a filter response over a width-w window of the
+    text zero-padded by w - 1 columns on both sides, plus bias.  The texts
+    of a packed input are laid out with w - 1 zero columns before each and
+    after the last, so text i owns the next n_i + w - 1 output columns and no
+    window reaches into a neighbour; all of them come from one im2col GEMM.
     """
     m, d, w = filters.data.shape
     if x.data.ndim != 2 or x.data.shape[0] != d:
@@ -168,49 +194,62 @@ def conv1d_wide(x: Tensor, filters: Parameter, bias: Parameter) -> Tensor:
     if bias.data.shape != (m,):
         raise ValueError("conv1d_wide: bias shape must be (m,)")
     n = x.data.shape[1]
-    out_len = n + w - 1
-    padded = np.zeros((d, n + 2 * (w - 1)), dtype=x.data.dtype)
-    padded[:, w - 1 : w - 1 + n] = x.data
-    # windows[t] = padded[:, t:t+w] flattened row-major, one per output column
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-    win_mat = np.ascontiguousarray(windows.transpose(1, 0, 2)).reshape(out_len, d * w)
-    filt_mat = filters.data.reshape(m, d * w)
-    out = win_mat @ filt_mat.T + bias.data
-    out = np.ascontiguousarray(out.T)
+    lengths = _segments(lengths, n, "conv1d_wide")
+    out_len = n + lengths.size * (w - 1)
+    # row r of `padded` is column r of the padded input; text i starts after
+    # (i + 1) gaps of w - 1 zero columns
+    cols = np.arange(n) + (w - 1) * (1 + np.repeat(np.arange(lengths.size), lengths))
+    padded = np.zeros((out_len + w - 1, d), dtype=x.data.dtype)
+    padded[cols] = x.data.T
+    # win_mat[t] = padded[t:t+w] flattened, one row per output column
+    win_mat = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), w * d)[::d]
+    )
+    filt_mat = filters.data.transpose(0, 2, 1).reshape(m, w * d)
+    out = filt_mat @ win_mat.T
+    out += bias.data[:, None]
 
     def backward_fn(grad: np.ndarray) -> None:
-        _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, n, w)
+        _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w)
 
     return Tensor(out, (x, filters, bias), backward_fn)
 
 
-def _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, n, w):
+def _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w):
     m, d, _ = filters.data.shape
-    out_len = n + w - 1
+    out_len = grad.shape[1]
     bias.grad += grad.sum(axis=1)
-    filters.grad += (grad @ win_mat).reshape(m, d, w)
+    filters.grad += (grad @ win_mat).reshape(m, w, d).transpose(0, 2, 1)
     if x.requires_grad:
-        dcols = (filt_mat.T @ grad).reshape(d, w, out_len)
-        dpadded = np.zeros((d, n + 2 * (w - 1)), dtype=grad.dtype)
+        dwin = (filt_mat.T @ grad).reshape(w, d, out_len)
+        dpadded = np.zeros((d, out_len + w - 1), dtype=grad.dtype)
         for k in range(w):
-            dpadded[:, k : k + out_len] += dcols[:, k, :]
-        x.grad += dpadded[:, w - 1 : w - 1 + n]
+            dpadded[:, k : k + out_len] += dwin[k]
+        x.grad += dpadded[:, cols]
 
 
-def kmax_pool(x: Tensor) -> Tensor:
-    """Max over columns of an m x L map (k-max pooling with k=1); ties route
-    the gradient to the first maximal column."""
+def kmax_pool(x: Tensor, lengths=None) -> Tensor:
+    """Max over the columns of an m x L map (k-max pooling with k=1); ties
+    route the gradient to the first maximal column.  A packed map pools each
+    text's columns on their own into one row of an (n_texts, m) output."""
     if x.data.ndim != 2 or x.data.shape[1] < 1:
         raise ValueError("kmax_pool: input must be a non-empty 2-d map")
-    rows = np.arange(x.data.shape[0])
-    argmax = np.argmax(x.data, axis=1)
-    out = x.data[rows, argmax]
+    m, n = x.data.shape
+    segments = _segments(lengths, n, "kmax_pool")
+    peak = np.maximum.reduceat(x.data, np.cumsum(segments) - segments, axis=1)
+    out = np.ascontiguousarray(peak.T)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            np.add.at(x.grad, (rows, argmax), grad)
+        if not x.requires_grad:
+            return
+        # maximal entries in row-major order; keep each (row, segment)'s first
+        rows, cols = np.divmod(np.flatnonzero(x.data == np.repeat(peak, segments, axis=1)), n)
+        segs = np.repeat(np.arange(segments.size), segments)[cols]
+        first = np.r_[True, (rows[1:] != rows[:-1]) | (segs[1:] != segs[:-1])]
+        rows, cols, segs = rows[first], cols[first], segs[first]
+        x.grad[rows, cols] += grad.reshape(-1, m)[segs, rows]
 
-    return Tensor(out, (x,), backward_fn)
+    return Tensor(out if lengths is not None else out[0], (x,), backward_fn)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -230,55 +269,69 @@ _ACTIVATIONS = {
 
 
 def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str = "identity") -> Tensor:
-    """activation(W @ x + b) for a vector input."""
+    """activation(W @ x + b) for a vector input, or for each row of a
+    (B, D) batch."""
     if activation not in _ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {activation!r}")
-    if x.data.ndim != 1:
-        raise ValueError("dense: input must be a vector")
-    if weight.data.ndim != 2 or weight.data.shape[1] != x.data.shape[0]:
+    if x.data.ndim not in (1, 2):
+        raise ValueError("dense: input must be a vector or a batch of row vectors")
+    if weight.data.ndim != 2 or weight.data.shape[1] != x.data.shape[-1]:
         raise ValueError(
-            f"dense: weight shape {weight.data.shape} does not accept input of length {x.data.shape[0]}"
+            f"dense: weight shape {weight.data.shape} does not accept input of length {x.data.shape[-1]}"
         )
     if bias.data.shape != (weight.data.shape[0],):
         raise ValueError("dense: bias shape does not match weight rows")
     act, act_grad = _ACTIVATIONS[activation]
-    out = act(weight.data @ x.data + bias.data)
+    out = act(x.data @ weight.data.T + bias.data)
 
     def backward_fn(grad: np.ndarray) -> None:
-        dz = grad * act_grad(out)
-        weight.grad += np.outer(dz, x.data)
-        bias.grad += dz
+        dz = (grad * act_grad(out)).reshape(-1, weight.data.shape[0])
+        weight.grad += dz.T @ x.data.reshape(dz.shape[0], -1)
+        bias.grad += dz.sum(axis=0)
         if x.requires_grad:
-            x.grad += weight.data.T @ dz
+            x.grad += (dz @ weight.data).reshape(x.data.shape)
 
     return Tensor(out, (x, weight, bias), backward_fn)
 
 
-def row_lookup(table: Parameter, index: int) -> Tensor:
-    """Select one row of an embedding table; the gradient scatters back."""
-    if not 0 <= index < table.data.shape[0]:
-        raise ValueError(f"row_lookup: index {index} out of range")
-    out = table.data[index].copy()
+def row_lookup(table: Parameter, index) -> Tensor:
+    """Select one row of an embedding table, or one row per entry of an index
+    vector; the gradient scatters back."""
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim > 1 or index.size < 1 or index.min() < 0 or index.max() >= table.data.shape[0]:
+        raise ValueError(f"row_lookup: index {index.tolist()} out of range")
+    out = np.take(table.data, index, axis=0)
 
     def backward_fn(grad: np.ndarray) -> None:
-        table.grad[index] += grad
+        _scatter_rows(table.grad, index.reshape(-1), grad.reshape(index.size, -1))
 
     return Tensor(out, (table,), backward_fn)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector."""
+    """Concatenate vectors into one vector, or batches of row vectors row by
+    row, along the last axis."""
     datas = [t.data for t in tensors]
-    if any(d.ndim != 1 for d in datas):
-        raise ValueError("concat: all inputs must be vectors")
-    out = np.concatenate(datas)
-    offsets = np.cumsum([0] + [d.shape[0] for d in datas])
+    if any(d.ndim not in (1, 2) for d in datas) or len({d.shape[:-1] for d in datas}) != 1:
+        raise ValueError("concat: inputs must all be vectors or all batches of as many rows")
+    out = np.concatenate(datas, axis=-1)
+    offsets = np.cumsum([0] + [d.shape[-1] for d in datas])
 
     def backward_fn(grad: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, grad[lo:hi])
+            _accumulate(t, grad[..., lo:hi])
 
     return Tensor(out, tuple(tensors), backward_fn)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in another shape."""
+    out = x.data.reshape(shape)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        _accumulate(x, grad.reshape(x.data.shape))
+
+    return Tensor(out, (x,), backward_fn)
 
 
 def dropout(
@@ -320,20 +373,23 @@ def clamped_bce(p: np.ndarray, y) -> np.ndarray:
     return -(y * np.log(pc) + (1 - y) * np.log1p(-pc))
 
 
-def bce_loss(p: Tensor, y: int) -> Tensor:
+def bce_loss(p: Tensor, y) -> Tensor:
     """Binary cross-entropy -[y ln p + (1-y) ln(1-p)] with p clamped to
-    [1e-7, 1 - 1e-7] before the logs."""
-    if y not in (0, 1):
-        raise ValueError(f"bce_loss: label must be 0 or 1, got {y!r}")
-    if p.data.size != 1:
-        raise ValueError("bce_loss: probability must be a single value")
-    out = clamped_bce(p.data, y)
+    [1e-7, 1 - 1e-7] before the logs, summed over a vector of probabilities
+    and their 0/1 labels (or one probability and its label)."""
+    labels = np.asarray(y)
+    if labels.shape != p.data.shape and not (labels.ndim == 0 and p.data.size == 1):
+        raise ValueError(f"bce_loss: need one label per probability, got {y!r} for shape {p.data.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"bce_loss: labels must be 0 or 1, got {y!r}")
+    labels = labels.astype(p.data.dtype)
+    out = clamped_bce(p.data, labels).sum().reshape(1)
 
     def backward_fn(grad: np.ndarray) -> None:
         if p.requires_grad:
             pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
             inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
-            p.grad += grad * inside * (pc - y) / (pc * (1.0 - pc))
+            p.grad += grad * inside * (pc - labels) / (pc * (1.0 - pc))
 
     return Tensor(out, (p,), backward_fn)
 

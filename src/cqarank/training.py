@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,9 +65,15 @@ class TrainConfig:
             raise ValueError("at least one task required")
 
 
-def joint_loss(preds: dict[str, nn.Tensor], labels: BinaryLabels, tasks: Sequence[str]) -> nn.Tensor:
-    """Sum of the per-task cross-entropies for the active tasks."""
-    gold = {"A": labels.yA, "B": labels.yB, "C": labels.yC}
+def joint_loss(
+    preds: dict[str, nn.Tensor],
+    labels: Union[BinaryLabels, Sequence[BinaryLabels]],
+    tasks: Sequence[str],
+) -> nn.Tensor:
+    """Sum of the per-task cross-entropies for the active tasks over a batch
+    of predictions and its labels; one ``BinaryLabels`` is a batch of one."""
+    batch = [labels] if isinstance(labels, BinaryLabels) else labels
+    gold = {"A": [y.yA for y in batch], "B": [y.yB for y in batch], "C": [y.yC for y in batch]}
     return nn.add_n([nn.bce_loss(preds[t], gold[t]) for t in tasks])
 
 
@@ -198,17 +204,14 @@ def train(
         loss_total = 0.0
         for batch_no, batch in enumerate(order):
             optimizer.zero_grads()
-            losses = []
-            for idx in batch:
-                preds = model.predict(
-                    features[idx],
-                    training=True,
-                    rng=drop_rng,
-                    dropout_input=config.dropout_input,
-                    dropout_hidden=config.dropout_hidden,
-                )
-                losses.append(joint_loss(preds, gold[idx], tasks))
-            batch_loss = nn.scale(nn.add_n(losses), 1.0 / len(batch))
+            preds = model.predict(
+                [features[i] for i in batch],
+                training=True,
+                rng=drop_rng,
+                dropout_input=config.dropout_input,
+                dropout_hidden=config.dropout_hidden,
+            )
+            batch_loss = nn.scale(joint_loss(preds, [gold[i] for i in batch], tasks), 1.0 / len(batch))
             value = float(batch_loss.data[0])
             if not math.isfinite(value):
                 raise nn.NumericError(
@@ -217,6 +220,7 @@ def train(
             batch_loss.backward()
             optimizer.step()
             loss_total += value * len(batch)
+            del preds, batch_loss  # free this batch's graph before the next is built
         loss_train = loss_total / len(train_data)
 
         dev = _dev_pass(model, dev_set, tasks)
@@ -327,6 +331,24 @@ def _read_array(payload: bytes, entry: dict) -> np.ndarray:
     return np.frombuffer(payload, dtype, count=math.prod(shape), offset=offset).reshape(shape).copy()
 
 
+def _check_sizes(meta: dict, vocab_size: int, params: dict[str, np.ndarray]) -> None:
+    """The meta sizes and the vocabulary agree with the stored question
+    encoder (every network has one), so a model built from them is no larger
+    than the arrays in the file."""
+    expected = {
+        "q_encoder.word_emb": (vocab_size, meta["d_w"]),
+        "q_encoder.filters": (meta["m"], meta["d_w"] + meta["d_feat"], meta["filter_width"]),
+    }
+    for name, shape in expected.items():
+        if name not in params:
+            raise ValueError(f"no array {name!r}")
+        if params[name].shape != shape:
+            raise ValueError(
+                f"array {name!r} has shape {list(params[name].shape)}, but the meta sizes "
+                f"and the {vocab_size}-token vocabulary give {list(shape)}"
+            )
+
+
 def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]]:
     """Parse and validate a checkpoint: its meta, vocabulary and arrays."""
     with open(path, "rb") as fh:
@@ -357,6 +379,7 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
             raise ValueError(f"meta dtype {meta['dtype']!r} is not a float type")
         vocab = Vocabulary(tokens)
         params = {entry["name"]: _read_array(payload, entry) for entry in entries}
+        _check_sizes(meta, len(vocab), params)
     except KeyError as exc:
         raise CheckpointError(f"{path}: index lacks {exc}") from None
     except (TypeError, ValueError) as exc:

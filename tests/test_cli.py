@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cqarank
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus
 from cqarank.model import MtlModel
@@ -246,6 +248,7 @@ MALFORMED = {
     "unknown_kind": _edit_index(lambda ix: ix["meta"].update(kind="tree")),
     "meta_dtype_garbage": _edit_index(lambda ix: ix["meta"].update(dtype="garbage")),
     "meta_size_not_int": _edit_index(lambda ix: ix["meta"].update(m="4")),
+    "meta_sizes_not_the_arrays": _edit_index(lambda ix: ix["meta"].update(m=10**6)),
     "entry_dtype_garbage": _edit_index(lambda ix: ix["params"][0].update(dtype="garbage")),
     "entry_without_offset": _edit_index(lambda ix: ix["params"][0].pop("offset")),
     "shape_does_not_match_nbytes": _edit_index(lambda ix: ix["params"][0].update(shape=[3, 5])),
@@ -333,10 +336,14 @@ def test_identical_runs_produce_identical_artifacts(tmp_path, corpus_path):
 
 
 def test_console_script_entry_point():
+    # the child sees the same cqarank as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cqarank.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cqarank.cli", "gradcheck", "--probes", "10", "--m", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqarank.nn_core as nn
-from cqarank.dataset import binarize
+from cqarank.dataset import LABELS_AC, LABELS_B, Triple, binarize
 from cqarank.model import (
+    INPUTS,
     MtlModel,
     PairModel,
     apply_word_vectors,
@@ -12,6 +15,7 @@ from cqarank.model import (
     rank_bin,
 )
 from cqarank.synthetic import gradcheck_corpus, vocabulary_for
+from cqarank.text_pipeline import Vocabulary
 from cqarank.training import joint_loss
 
 
@@ -246,3 +250,85 @@ def test_word_vectors_dimension_mismatch(tmp_path, vocab):
     path.write_text("wifi 1.0 2.0\n")
     with pytest.raises(ValueError, match="components"):
         load_word_vectors(str(path), vocab, 8)
+
+
+# ---------------------------------------------------------------------------
+# one graph per batch against batch-of-one passes
+# ---------------------------------------------------------------------------
+
+PROPERTY_MAX_LEN = 7
+WORDS = [f"w{i}" for i in range(12)]
+PROPERTY_VOCAB = Vocabulary(WORDS[:9])  # w9..w11 map to UNK
+
+
+@st.composite
+def batches(draw, roles):
+    """1-9 triples over a small word list.  In one of them the network's
+    first input text is empty and its second longer than
+    ``PROPERTY_MAX_LEN``."""
+    size = draw(st.integers(1, 9))
+    special = draw(st.integers(0, size - 1))
+
+    def words(n_min=0, n_max=PROPERTY_MAX_LEN + 3):
+        return " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=n_min, max_size=n_max)))
+
+    triples = []
+    for i in range(size):
+        texts = {role: (words(0, 2), words()) for role in ("q_new", "q_rel")}
+        texts["c_rel"] = (None, words())
+        if i == special:
+            texts[roles[0]] = (None, "")
+            texts[roles[1]] = (None, words(PROPERTY_MAX_LEN + 1))
+        triples.append(
+            Triple(
+                id=f"t{i}", group="g",
+                q_new_subject=texts["q_new"][0], q_new_body=texts["q_new"][1],
+                q_rel_subject=texts["q_rel"][0], q_rel_body=texts["q_rel"][1],
+                c_rel=texts["c_rel"][1],
+                google_rank=draw(st.integers(1, 40)),
+                label_A=draw(st.sampled_from(LABELS_AC)),
+                label_B=draw(st.sampled_from(LABELS_B)),
+                label_C=draw(st.sampled_from(LABELS_AC)),
+            )
+        )
+    return triples
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    task=st.sampled_from([None, "A", "B", "C"]),
+    width=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_batched_predict_and_gradients_match_batch_of_one_passes(task, width, seed, data):
+    triples = data.draw(batches(INPUTS[task]))
+    model = MtlModel(
+        PROPERTY_VOCAB, task=task, m=3, d_w=4, d_feat=2, filter_width=width,
+        max_len=PROPERTY_MAX_LEN, seed=seed, dtype=np.float64,
+    )
+    features = [model.featurize(t) for t in triples]
+    texts = [text for f in features for text in f.texts]
+    assert any(text.tokens == ("<pad>",) for text in texts)
+    assert any(len(text) == PROPERTY_MAX_LEN for text in texts)
+    labels = [binarize(t) for t in triples]
+
+    model.zero_grads()
+    batched = model.predict(features, training=True, rng=np.random.default_rng(seed))
+    joint_loss(batched, labels, model.tasks).backward()
+    batched_grads = [p.grad.copy() for p in model.parameters()]
+
+    model.zero_grads()
+    rng = np.random.default_rng(seed)
+    singles = []
+    for f, y in zip(features, labels):
+        preds = model.predict(f, training=True, rng=rng)
+        joint_loss(preds, y, model.tasks).backward()
+        singles.append(preds)
+
+    for t in model.tasks:
+        assert batched[t].shape == (len(triples),)
+        want = np.concatenate([s[t].data for s in singles])
+        np.testing.assert_allclose(batched[t].data, want, rtol=0, atol=1e-10)
+    for p, got in zip(model.parameters(), batched_grads):
+        np.testing.assert_allclose(got, p.grad, rtol=0, atol=1e-10, err_msg=p.name)

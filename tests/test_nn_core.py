@@ -57,6 +57,16 @@ def param(name, arr):
     return nn.Parameter(name, np.asarray(arr, dtype=np.float64))
 
 
+def random_lengths(rng, count):
+    """Segment lengths of a packed batch; length 1 is the PAD-only text."""
+    return [1] + [int(n) for n in rng.integers(1, 9, size=count - 1)]
+
+
+def segments(arr, lengths):
+    """Split the columns of ``arr`` into consecutive runs of ``lengths``."""
+    return np.split(arr, np.cumsum(lengths)[:-1], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # forward oracles over random shapes
 # ---------------------------------------------------------------------------
@@ -74,6 +84,30 @@ def test_conv1d_wide_matches_naive_loops():
         assert got.shape == (m, n + w - 1)
         want = naive_conv1d_wide(x.data, filters.data, bias.data)
         assert np.max(np.abs(got.data - want)) < 1e-6
+    # packed batches: each text owns its n_i + w - 1 output columns
+    for _ in range(20):
+        m, d, w = rng.integers(1, 7), rng.integers(1, 9), rng.integers(1, 6)
+        lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
+        x = param("x", rng.normal(size=(d, sum(lengths))))
+        filters = param("f", rng.normal(size=(m, d, w)))
+        bias = param("b", rng.normal(size=m))
+        got = nn.conv1d_wide(x, filters, bias, lengths)
+        want = [naive_conv1d_wide(part, filters.data, bias.data) for part in segments(x.data, lengths)]
+        assert got.shape == (m, sum(lengths) + len(lengths) * (w - 1))
+        assert np.max(np.abs(got.data - np.concatenate(want, axis=1))) < 1e-6
+        # backward: the packed gradients equal the sums of per-text passes
+        upstream = rng.normal(size=got.shape)
+        got.backward_fn(upstream)
+        packed = [x.grad.copy(), filters.grad.copy(), bias.grad.copy()]
+        for p in (x, filters, bias):
+            p.zero_grad()
+        outs = [n + w - 1 for n in lengths]
+        for part, g, lo in zip(segments(x.data, lengths), segments(upstream, outs), np.cumsum(lengths) - lengths):
+            piece = param("piece", part)
+            nn.conv1d_wide(piece, filters, bias).backward_fn(g)
+            x.grad[:, lo : lo + part.shape[1]] += piece.grad
+        for got_grad, p in zip(packed, (x, filters, bias)):
+            assert np.max(np.abs(got_grad - p.grad)) < 1e-10
 
 
 def test_conv1d_wide_shape_validation():
@@ -83,6 +117,11 @@ def test_conv1d_wide_shape_validation():
         nn.conv1d_wide(param("x", np.zeros((4, 5))), filters, bias)  # depth mismatch
     with pytest.raises(ValueError):
         nn.conv1d_wide(param("x", np.zeros((3, 5))), filters, param("b", np.zeros(3)))
+    for lengths in ([2, 2], [5, 0], [6, -1]):  # must be positive and cover the 5 columns
+        with pytest.raises(ValueError):
+            nn.conv1d_wide(param("x", np.zeros((3, 5))), filters, bias, lengths)
+        with pytest.raises(ValueError):
+            nn.kmax_pool(param("x", np.zeros((3, 5))), lengths)
 
 
 def test_dense_matches_naive_loops():
@@ -96,6 +135,12 @@ def test_dense_matches_naive_loops():
             got = nn.dense(x, weight, bias, act)
             want = naive_dense(x.data, weight.data, bias.data, act)
             assert np.max(np.abs(got.data - want)) < 1e-6
+            # a (B, D) batch: one output row per input row
+            rows = param("rows", rng.normal(size=(int(rng.integers(1, 6)), j)))
+            got = nn.dense(rows, weight, bias, act)
+            want = np.stack([naive_dense(r, weight.data, bias.data, act) for r in rows.data])
+            assert got.shape == want.shape
+            assert np.max(np.abs(got.data - want)) < 1e-6
 
 
 def test_kmax_pool_matches_naive_loops():
@@ -106,6 +151,15 @@ def test_kmax_pool_matches_naive_loops():
         got = nn.kmax_pool(x)
         assert got.shape == (m,)
         assert np.max(np.abs(got.data - naive_kmax(x.data))) < 1e-6
+    # a packed map pools each segment into its own row
+    for _ in range(20):
+        m = rng.integers(1, 9)
+        lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
+        x = param("x", rng.normal(size=(m, sum(lengths))))
+        got = nn.kmax_pool(x, lengths)
+        want = np.stack([naive_kmax(part) for part in segments(x.data, lengths)])
+        assert got.shape == (len(lengths), m)
+        assert np.max(np.abs(got.data - want)) < 1e-6
 
 
 def test_kmax_pool_gradient_goes_to_first_max():
@@ -114,6 +168,13 @@ def test_kmax_pool_gradient_goes_to_first_max():
     out = nn.dense(pooled, param("w", np.ones((1, 2))), param("b", np.zeros(1)))
     out.backward()
     assert x.grad.tolist() == [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    # in a packed map each segment routes to its own first maximal column,
+    # also when a tie spans the boundary between two segments
+    x = param("x", [[1.0, 3.0, 3.0, 3.0, 0.0, 5.0], [2.0, 2.0, 1.0, 2.0, 2.0, 2.0]])
+    pooled = nn.kmax_pool(x, [2, 3, 1])
+    np.testing.assert_array_equal(pooled.data, [[3.0, 2.0], [3.0, 2.0], [5.0, 2.0]])
+    pooled.backward_fn(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
+    assert x.grad.tolist() == [[0.0, 1.0, 2.0, 0.0, 0.0, 3.0], [10.0, 0.0, 0.0, 20.0, 0.0, 30.0]]
 
 
 def test_embedding_lookup_forward_and_scatter():
@@ -129,6 +190,21 @@ def test_embedding_lookup_forward_and_scatter():
     np.testing.assert_array_equal(words.grad[2], [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(words.grad[0], [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(feats.grad[1], [2.0, 2.0])
+    # a packed batch repeats ids within and across its texts; the scatter
+    # matches an np.add.at reference
+    rng = np.random.default_rng(45)
+    words = param("w", rng.normal(size=(7, 3)))
+    feats = param("f", rng.normal(size=(2, 2)))
+    ids = np.concatenate([rng.integers(0, 7, size=n) for n in random_lengths(rng, 5)])
+    overlaps = rng.integers(0, 2, size=ids.size)
+    out = nn.embedding_lookup(words, feats, ids, overlaps)
+    upstream = rng.normal(size=out.shape)
+    out.backward_fn(upstream)
+    want_words, want_feats = np.zeros_like(words.data), np.zeros_like(feats.data)
+    np.add.at(want_words, ids, upstream[:3].T)
+    np.add.at(want_feats, overlaps, upstream[3:].T)
+    np.testing.assert_allclose(words.grad, want_words, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(feats.grad, want_feats, rtol=0, atol=1e-12)
 
 
 def test_embedding_lookup_validates_ranges():
@@ -203,6 +279,10 @@ def test_bce_loss_frozen_values():
     assert math.isclose(half.data[0], 0.6931471805599453, rel_tol=1e-12)
     low = nn.bce_loss(param("p", np.array([0.2])), 0)
     assert math.isclose(low.data[0], 0.2231435513142097, rel_tol=1e-12)
+    # a label vector sums the per-probability losses
+    both = nn.bce_loss(param("p", np.array([0.5, 0.2])), [1, 0])
+    assert both.shape == (1,)
+    assert math.isclose(both.data[0], 0.6931471805599453 + 0.2231435513142097, rel_tol=1e-12)
 
 
 def test_bce_loss_clamps_extremes():
@@ -212,6 +292,10 @@ def test_bce_loss_clamps_extremes():
         assert loss.data[0] == pytest.approx(-math.log(1e-7), rel=1e-6)
     with pytest.raises(ValueError):
         nn.bce_loss(param("p", np.array([0.5])), 2)
+    with pytest.raises(ValueError):
+        nn.bce_loss(param("p", np.array([0.5, 0.5])), [1, 2])
+    with pytest.raises(ValueError):
+        nn.bce_loss(param("p", np.array([0.5, 0.5])), 1)  # one label per probability
 
 
 def test_bce_loss_gradient_value():
@@ -220,6 +304,10 @@ def test_bce_loss_gradient_value():
     loss.backward()
     # d/dp of -ln p at 0.8
     assert p.grad[0] == pytest.approx(-1.0 / 0.8, rel=1e-9)
+    # with a label vector, d/dp of -ln p and of -ln(1 - p)
+    p = param("p", np.array([0.8, 0.8]))
+    nn.bce_loss(p, [1, 0]).backward()
+    np.testing.assert_allclose(p.grad, [-1.0 / 0.8, 1.0 / 0.2], rtol=1e-9)
 
 
 def test_rmsprop_frozen_scalar_step():

@@ -6,8 +6,8 @@ import pytest
 
 import cqarank.nn_core as nn
 import cqarank.training as training
-from cqarank.dataset import BinaryLabels
-from cqarank.model import MtlModel, PairModel
+from cqarank.dataset import BinaryLabels, binarize, make_batches
+from cqarank.model import TASKS, MtlModel, PairModel
 from cqarank.synthetic import gradcheck_corpus, vocabulary_for
 from cqarank.training import (
     CheckpointError,
@@ -194,6 +194,29 @@ def test_train_is_deterministic_for_a_seed(corpus, vocab):
     assert results[0][1] == results[1][1]
     for name in results[0][0]:
         np.testing.assert_array_equal(results[0][0][name], results[1][0][name])
+
+
+def test_batched_training_matches_the_per_example_loop(corpus, vocab):
+    # float64, dropout on: one graph per batch gives the parameters of one
+    # graph per triple, summed and averaged per batch
+    config = TrainConfig(epochs=1, batch_size=3, seed=3)
+    model = small_model(vocab, seed=2, dtype=np.float64)
+    train(model, corpus, corpus, config)
+
+    oracle = small_model(vocab, seed=2, dtype=np.float64)
+    opt = nn.RmsProp(oracle.parameters(), lr=config.lr, rho=config.rho, eps=config.eps)
+    features = [oracle.featurize(t) for t in corpus]
+    drop_rng = np.random.default_rng([config.seed, 1, 1])
+    for batch in make_batches(list(range(len(corpus))), config.batch_size, seed=[config.seed, 1, 0]):
+        opt.zero_grads()
+        losses = [
+            joint_loss(oracle.predict(features[i], training=True, rng=drop_rng), binarize(corpus[i]), TASKS)
+            for i in batch
+        ]
+        nn.scale(nn.add_n(losses), 1.0 / len(batch)).backward()
+        opt.step()
+    for p, q in zip(model.parameters(), oracle.parameters()):
+        np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-10, err_msg=p.name)
 
 
 def test_train_rejects_mismatched_tasks_and_empty_data(corpus, vocab):
