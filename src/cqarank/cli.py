@@ -31,7 +31,7 @@ from .dataset import (
     threads_from_corpus,
 )
 from .evaluation import (
-    blend_scores,
+    blend_rows,
     build_rows,
     evaluate_scores,
     score_triples,
@@ -224,9 +224,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_data = load_corpus(args.corpus)
     dev_data = load_corpus(args.dev)
 
-    vocab = vocabulary_for(train_data, **options(_VOCAB_OPTIONS))
-    model = CqaModel(vocab, task=task if kind == "pair" else None, seed=train_conf.seed,
-                     **options(_MODEL_SIZES))
+    sizes = options(_MODEL_SIZES)
+    vocab = vocabulary_for(train_data, max_len=sizes["max_len"], **options(_VOCAB_OPTIONS))
+    model = CqaModel(vocab, task=task if kind == "pair" else None, seed=train_conf.seed, **sizes)
 
     if args.vectors:
         vectors = load_word_vectors(args.vectors, vocab, model.d_w)
@@ -265,30 +265,38 @@ def _task_out_path(out: str, task: str, multi: bool) -> str:
     return f"{root}.{task}{ext}" if ext else f"{out}.{task}"
 
 
+def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
+    """Each task's rows from one scoring pass, once every task is known to be
+    one the checkpoint scores: the model's rows, and the final rows (blended
+    with the search rank when ``alpha`` is given)."""
+    for t in tasks:
+        if t not in model.tasks:
+            raise UsageError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
+    scores = score_triples(model, data)
+    rows = {t: build_rows(data, scores[t], t) for t in tasks}
+    if alpha is None:
+        return rows, rows
+    return rows, {t: blend_rows(r, alpha) for t, r in rows.items()}
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.model_path)
     data = load_corpus(args.corpus)
     tasks = _parse_tasks(args.tasks) if args.tasks else tuple(model.tasks)
-    scores = score_triples(model, data)
+    model_rows, rows = _task_rows(model, data, tasks, args.alpha)
+    suffix = "" if args.alpha is None else f" alpha={args.alpha:.2f}"
     for t in tasks:
-        if t not in scores:
-            raise UsageError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
-        task_scores = scores[t]
-        suffix = ""
-        if args.alpha is not None:
-            task_scores = blend_scores(data, task_scores, args.alpha)
-            suffix = f" alpha={args.alpha:.2f}"
-        result = evaluate_scores(build_rows(data, task_scores, t))
+        result = evaluate_scores(rows[t])
         print(
             f"task {t}: MAP={result.map:.2f} MRR={result.mrr:.2f} "
             f"queries={result.query_count} skipped={result.skipped}{suffix}"
         )
         if args.tune_alpha:
-            alpha, best = tune_alpha(model, data, t, scores=scores[t])
+            alpha, best = tune_alpha(model_rows[t])
             print(f"task {t}: best alpha={alpha:.2f} MAP={best:.2f}")
         if args.out:
             path = _task_out_path(args.out, t, len(tasks) > 1)
-            write_predictions(path, data, task_scores, t)
+            write_predictions(path, rows[t])
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -301,12 +309,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if len(model.tasks) != 1:
             raise UsageError("--task is required for a multi-task checkpoint")
         task = model.tasks[0]
-    if task not in model.tasks:
-        raise UsageError(f"checkpoint scores tasks {model.tasks}, not {task!r}")
-    scores = score_triples(model, data)[task]
-    if args.alpha is not None:
-        scores = blend_scores(data, scores, args.alpha)
-    write_predictions(args.out, data, scores, task)
+    _, rows = _task_rows(model, data, (task,), args.alpha)
+    write_predictions(args.out, rows[task])
     print(f"wrote {len(data)} predictions to {args.out}")
     return EXIT_OK
 

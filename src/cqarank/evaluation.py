@@ -168,39 +168,29 @@ def weighted_combine(score: float, google_rank: int, alpha: float) -> float:
     return alpha * score + (1.0 - alpha) * (1.0 / google_rank)
 
 
-def blend_scores(triples: Sequence[Triple], scores: Sequence[float], alpha: float) -> list[float]:
-    """:func:`weighted_combine` of each triple's model score and search rank."""
-    return [weighted_combine(s, t.google_rank, alpha) for s, t in zip(scores, triples)]
+def blend_rows(rows: Sequence[GroupedRow], alpha: float) -> list[GroupedRow]:
+    """The rows with each model score replaced by its :func:`weighted_combine`
+    with the row's search rank."""
+    return [(key, doc, weighted_combine(s, rank, alpha), rank, rel) for key, doc, s, rank, rel in rows]
 
 
-def tune_alpha(
-    model,
-    triples: Sequence[Triple],
-    task: str,
-    scores: Optional[Sequence[float]] = None,
-) -> tuple[float, float]:
+def tune_alpha(rows: Sequence[GroupedRow]) -> tuple[float, float]:
     """Grid-search alpha over 0.00..1.00 in steps of 0.01, maximizing MAP of
-    the combined score on the given triples; ties go to the smallest alpha.
-
-    ``scores`` may carry precomputed model scores for the task (aligned with
-    ``triples``) to avoid re-running the forward pass.
-    """
-    if scores is None:
-        scores = score_triples(model, triples)[task]
+    the blended rows; ties go to the smallest alpha."""
     best_alpha = 0.0
     best_map = -1.0
     for step in range(101):
         alpha = step / 100.0
-        result = evaluate_scores(build_rows(triples, blend_scores(triples, scores, alpha), task))
+        result = evaluate_scores(blend_rows(rows, alpha))
         if result.map > best_map:
             best_alpha, best_map = alpha, result.map
     return best_alpha, best_map
 
 
-def write_predictions(path: str, triples: Sequence[Triple], scores: Sequence[float], task: str) -> None:
+def write_predictions(path: str, rows: Sequence[GroupedRow]) -> None:
     """Write one TSV row per candidate: query key, candidate id, final rank
     within the query, score, and gold 0/1 relevance.  Atomic."""
-    groups = rank_rows(build_rows(triples, scores, task))
+    groups = rank_rows(rows)
     with atomic_write(path) as fh:
         fh.write("group_key\tdoc_id\tfinal_rank\tscore\ttrue_label\n")
         for key in sorted(groups):

@@ -115,9 +115,9 @@ class TaskHead:
     def parameters(self) -> list[nn.Parameter]:
         return [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
 
-    def forward(self, x, dropout_hidden, training, mask):
+    def forward(self, x, dropout_hidden, mask):
         h = nn.dense(x, self.hidden_w, self.hidden_b, "tanh")
-        h = nn.dropout(h, dropout_hidden, training, mask=mask)
+        h = nn.dropout(h, dropout_hidden, mask)
         return nn.dense(h, self.out_w, self.out_b, "sigmoid")
 
 
@@ -275,11 +275,11 @@ class CqaModel:
             parts.append(nn.row_lookup(self.rank_emb, [f.rank_bin for f in batch]))
         rates = [dropout_input, dropout_hidden] + [dropout_hidden] * len(self.heads)
         keep = _dropout_masks(rates, rows, self.joint_dim, training, rng)
-        h = nn.dropout(nn.concat(parts), dropout_input, training, mask=keep[0])
+        h = nn.dropout(nn.concat(parts), dropout_input, keep[0])
         h = nn.dense(h, self.trunk_w, self.trunk_b, "tanh")
-        h = nn.dropout(h, dropout_hidden, training, mask=keep[1])
+        h = nn.dropout(h, dropout_hidden, keep[1])
         return {
-            t: nn.reshape(head.forward(h, dropout_hidden, training, mask), (rows,))
+            t: nn.reshape(head.forward(h, dropout_hidden, mask), (rows,))
             for (t, head), mask in zip(self.heads.items(), keep[2:])
         }
 

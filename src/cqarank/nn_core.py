@@ -334,26 +334,14 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor(out, (x,), backward_fn)
 
 
-def dropout(
-    x: Tensor,
-    rate: float,
-    training: bool,
-    rng: Optional[np.random.Generator] = None,
-    mask: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Inverted dropout: zero components with probability ``rate`` and scale
-    survivors by 1/(1-rate) during training; identity at inference.
-
-    ``mask`` pins the kept-component pattern, used when checking gradients.
-    """
+def dropout(x: Tensor, rate: float, mask: Optional[np.ndarray]) -> Tensor:
+    """Inverted dropout: zero the components ``mask`` drops and scale the
+    survivors by 1/(1-rate); a ``mask`` of None (inference, or a rate of 0)
+    returns ``x``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
     if mask is None:
-        if rng is None:
-            raise ValueError("dropout: training mode needs an rng (or a fixed mask)")
-        mask = rng.random(x.data.shape) >= rate
+        return x
     scale = 1.0 / (1.0 - rate)
     out = x.data * (mask * scale)
 

@@ -146,10 +146,13 @@ def build_vocabulary(corpus: Iterable[TokenizedText], min_count: int = 1) -> Voc
     return Vocabulary(kept)
 
 
-def vocabulary_for(triples: Iterable[Triple], min_count: int = 1) -> Vocabulary:
-    """Vocabulary over every text of every triple in a corpus."""
+def vocabulary_for(
+    triples: Iterable[Triple], min_count: int = 1, max_len: int = DEFAULT_MAX_LEN
+) -> Vocabulary:
+    """Vocabulary over every text of every triple in a corpus, each text cut
+    to the ``max_len`` tokens the network reads."""
     return build_vocabulary(
-        (text for t in triples for text in triple_texts(t).values()), min_count=min_count
+        (text for t in triples for text in triple_texts(t, max_len).values()), min_count=min_count
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import BinaryLabels, Triple, atomic_write, binarize, make_batches
-from .evaluation import build_rows, evaluate_scores, score_features, task_relevance
+from .evaluation import build_rows, evaluate_scores, score_features
 from .model import SIZES, TASKS, CqaModel
 from .text_pipeline import Vocabulary
 
@@ -161,10 +161,11 @@ def _dev_pass(model, dev: tuple[Sequence[Triple], Sequence], tasks: Sequence[str
     task_loss = {}
     task_map = {}
     for t in tasks:
-        gold = np.array([task_relevance(x, t) for x in triples], dtype=np.float64)
+        rows = build_rows(triples, scores[t], t)
+        gold = np.array([r[4] for r in rows], dtype=np.float64)
         task_loss[t] = float(np.mean(nn.clamped_bce(np.array(scores[t], dtype=np.float64), gold)))
         try:
-            task_map[t] = evaluate_scores(build_rows(triples, scores[t], t)).map
+            task_map[t] = evaluate_scores(rows).map
         except ValueError:
             task_map[t] = math.nan
     return DevStats(total=sum(task_loss.values()), task_loss=task_loss, task_map=task_map)

@@ -9,9 +9,11 @@ import pytest
 import cqarank
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus
+from cqarank.evaluation import blend_rows, build_rows, evaluate_scores, score_triples
 from cqarank.model import MtlModel
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, vocabulary_for
-from cqarank.training import save_checkpoint
+from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, triple_texts
+from cqarank.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -21,11 +23,21 @@ def corpus_path(tmp_path):
     return str(path)
 
 
-def train_args(corpus_path, out_dir, *extra):
+@pytest.fixture()
+def conjunction_split(tmp_path):
+    """conjunction_corpus(12, seed=0) saved as train (first 32) and dev (the rest)."""
+    data = conjunction_corpus(12, seed=0)
+    train_path, dev_path = tmp_path / "train.jsonl", tmp_path / "dev.jsonl"
+    save_corpus(str(train_path), data[:32])
+    save_corpus(str(dev_path), data[32:])
+    return str(train_path), str(dev_path)
+
+
+def train_args(corpus_path, out_dir, *extra, dev_path=None):
     return [
         "train",
         "--corpus", corpus_path,
-        "--dev", corpus_path,
+        "--dev", dev_path or corpus_path,
         "--out-dir", str(out_dir),
         "--epochs", "2",
         "--m", "4",
@@ -151,6 +163,50 @@ def test_predict_without_labels(tmp_path, corpus_path):
                  "--corpus", str(unlabeled), "--out", str(preds)]) == 1
 
 
+def test_evaluate_checks_every_task_before_writing(tmp_path, conjunction_split, capsys):
+    train_path, dev_path = conjunction_split
+    out_dir = tmp_path / "run"
+    assert main(train_args(train_path, out_dir, "--model", "pair", "--task", "C", dev_path=dev_path)) == 0
+    capsys.readouterr()
+    code = main(["evaluate", "--model", str(out_dir / "model.ckpt"), "--corpus", dev_path,
+                 "--tasks", "CA", "--out", str(tmp_path / "ev.tsv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: checkpoint scores tasks ('C',), not 'A'"]
+    assert not list(tmp_path.glob("ev*.tsv"))
+
+
+def test_predict_and_evaluate_write_the_same_rows(tmp_path, conjunction_split, capsys):
+    train_path, dev_path = conjunction_split
+    out_dir = tmp_path / "run"
+    assert main(train_args(train_path, out_dir, dev_path=dev_path)) == 0
+    ckpt = str(out_dir / "model.ckpt")
+    predicted, evaluated = tmp_path / "predict.tsv", tmp_path / "evaluate.tsv"
+    assert main(["predict", "--model", ckpt, "--corpus", dev_path, "--task", "C",
+                 "--alpha", "0.3", "--out", str(predicted)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", ckpt, "--corpus", dev_path, "--tasks", "C",
+                 "--alpha", "0.3", "--tune-alpha", "--out", str(evaluated)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert predicted.read_bytes() == evaluated.read_bytes()
+    # the tuned alpha is the first of the 101 grid points with the best MAP
+    data = load_corpus(dev_path)
+    rows = build_rows(data, score_triples(load_checkpoint(ckpt), data)["C"], "C")
+    maps = [evaluate_scores(blend_rows(rows, step / 100.0)).map for step in range(101)]
+    best = max(maps)
+    assert f"task C: best alpha={maps.index(best) / 100.0:.2f} MAP={best:.2f}" in out
+
+
+def test_max_len_bounds_the_vocabulary(tmp_path, conjunction_split):
+    train_path, dev_path = conjunction_split
+    out_dir = tmp_path / "run"
+    assert main(train_args(train_path, out_dir, "--max-len", "3", dev_path=dev_path)) == 0
+    vocab = load_checkpoint(str(out_dir / "model.ckpt")).vocab
+    texts = [text for t in load_corpus(train_path) for text in triple_texts(t, 3).values()]
+    assert set(vocab.tokens) - {PAD_TOKEN, UNK_TOKEN} == {tok for text in texts for tok in text.tokens}
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--probes", "30", "--m", "4"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -189,15 +245,12 @@ def test_exit_codes(tmp_path, corpus_path):
 
 
 @pytest.mark.parametrize("stopping", ["global", "per_task"])
-def test_train_stops_on_non_finite_dev_loss(tmp_path, capsys, stopping):
+def test_train_stops_on_non_finite_dev_loss(tmp_path, conjunction_split, capsys, stopping):
     # a huge learning rate turns the weights non-finite in the first update;
     # the training loss was taken before it, so only the dev loss shows it
-    data = conjunction_corpus(12, seed=0)
-    train_path, dev_path = tmp_path / "train.jsonl", tmp_path / "dev.jsonl"
-    save_corpus(str(train_path), data[:32])
-    save_corpus(str(dev_path), data[32:])
+    train_path, dev_path = conjunction_split
     out_dir = tmp_path / "run"
-    code = main(["train", "--corpus", str(train_path), "--dev", str(dev_path),
+    code = main(["train", "--corpus", train_path, "--dev", dev_path,
                  "--out-dir", str(out_dir), "--epochs", "1", "--m", "8", "--lr", "1e30",
                  "--stopping", stopping])
     assert code == 3

@@ -170,9 +170,10 @@ def test_tune_alpha_prefers_smallest_on_ties():
     # same ordering, so the grid search must return alpha = 0
     data = overfit_corpus()
     scores = [1.0 / t.google_rank for t in data]
-    alpha, best = tune_alpha(None, data, "C", scores=scores)
+    rows = build_rows(data, scores, "C")
+    alpha, best = tune_alpha(rows)
     assert alpha == 0.0
-    assert best == pytest.approx(evaluate_scores(build_rows(data, scores, "C")).map)
+    assert best == pytest.approx(evaluate_scores(rows).map)
 
 
 def test_tune_alpha_finds_the_better_signal():
@@ -182,7 +183,7 @@ def test_tune_alpha_finds_the_better_signal():
 
     data = [dataclasses.replace(t, google_rank=100 - t.google_rank) for t in overfit_corpus()]
     scores = [0.9 if task_relevance(t, "C") else 0.1 for t in data]
-    alpha, best = tune_alpha(None, data, "C", scores=scores)
+    alpha, best = tune_alpha(build_rows(data, scores, "C"))
     assert best == 100.0
     assert alpha > 0.0
     assert round(alpha * 100) == pytest.approx(alpha * 100)
@@ -190,21 +191,11 @@ def test_tune_alpha_finds_the_better_signal():
     assert best > prior_only
 
 
-def test_tune_alpha_scores_with_the_model_when_none_are_given():
-    data = overfit_corpus()
-    vocab = vocabulary_for(data)
-    model = MtlModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
-    from cqarank.evaluation import score_triples
-
-    precomputed = score_triples(model, data)["C"]
-    assert tune_alpha(model, data, "C") == tune_alpha(model, data, "C", scores=precomputed)
-
-
 def test_write_predictions(tmp_path):
     data = gradcheck_corpus()
     scores = [0.9, 0.4, 0.7, 0.2, 0.5]
     path = tmp_path / "preds.tsv"
-    write_predictions(str(path), data, scores, "C")
+    write_predictions(str(path), build_rows(data, scores, "C"))
     lines = path.read_text().splitlines()
     assert lines[0] == "group_key\tdoc_id\tfinal_rank\tscore\ttrue_label"
     assert len(lines) == 1 + len(data)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cqarank.nn_core as nn
+from cqarank.model import _dropout_masks
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +241,16 @@ def test_row_lookup_and_concat():
 
 def test_dropout_is_identity_outside_training():
     x = param("x", np.ones(8))
-    assert nn.dropout(x, 0.5, training=False) is x
-    assert nn.dropout(x, 0.0, training=True) is x
+    assert nn.dropout(x, 0.5, None) is x
+    # inference and a zero rate draw no mask
+    assert _dropout_masks([0.5, 0.0], 1, 8, False, None) == [None, None]
+    assert _dropout_masks([0.5, 0.0], 1, 8, True, np.random.default_rng(0))[1] is None
 
 
 def test_dropout_scales_survivors():
     x = param("x", np.ones(10_000))
-    rng = np.random.default_rng(5)
-    out = nn.dropout(x, 0.4, training=True, rng=rng)
+    (mask,) = _dropout_masks([0.4], 1, 10_000, True, np.random.default_rng(5))
+    out = nn.dropout(x, 0.4, mask[0])
     values = set(np.round(np.unique(out.data), 12))
     assert values <= {0.0, round(1 / 0.6, 12)}
     # survivor fraction concentrates near 1 - rate
@@ -259,14 +262,16 @@ def test_dropout_scales_survivors():
 def test_dropout_fixed_mask_and_validation():
     x = param("x", np.array([1.0, 2.0, 3.0, 4.0]))
     mask = np.array([True, False, True, False])
-    out = nn.dropout(x, 0.5, training=True, mask=mask)
+    out = nn.dropout(x, 0.5, mask)
     np.testing.assert_allclose(out.data, [2.0, 0.0, 6.0, 0.0])
     with pytest.raises(ValueError):
-        nn.dropout(x, 1.0, training=True, mask=mask)
+        nn.dropout(x, 1.0, mask)
     with pytest.raises(ValueError):
-        nn.dropout(x, -0.1, training=True, mask=mask)
+        nn.dropout(x, -0.1, mask)
     with pytest.raises(ValueError):
-        nn.dropout(x, 0.5, training=True)  # no rng, no mask
+        nn.dropout(x, -0.1, None)  # the rate is checked even when nothing drops
+    with pytest.raises(ValueError, match="needs an rng"):
+        _dropout_masks([0.5], 1, 4, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ def test_grad_check_dropout_with_fixed_mask():
     mask = np.array([True, False, True, True, False, True])
 
     def loss():
-        dropped = nn.dropout(x, 0.4, training=True, mask=mask)
+        dropped = nn.dropout(x, 0.4, mask)
         return nn.bce_loss(nn.dense(dropped, weight, out_b, "sigmoid"), 1)
 
     err = nn.grad_check(loss, [x, weight, out_b], probe_count=30, rng=np.random.default_rng(4))
