@@ -284,9 +284,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = load_corpus(args.corpus)
     tasks = _parse_tasks(args.tasks) if args.tasks else tuple(model.tasks)
     model_rows, rows = _task_rows(model, data, tasks, args.alpha)
-    suffix = "" if args.alpha is None else f" alpha={args.alpha:.2f}"
     for t in tasks:
-        result = evaluate_scores(rows[t])
+        if not any(row[4] for row in rows[t]):
+            raise CorpusError(f"{args.corpus}: task {t} has no query with a relevant candidate")
+    results = [evaluate_scores(rows[t]) for t in tasks]
+    suffix = "" if args.alpha is None else f" alpha={args.alpha:.2f}"
+    for t, result in zip(tasks, results):
         print(
             f"task {t}: MAP={result.map:.2f} MRR={result.mrr:.2f} "
             f"queries={result.query_count} skipped={result.skipped}{suffix}"

@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -126,6 +127,8 @@ def _parse_record(obj: dict, lineno: int, require_labels: bool) -> Triple:
                 raise CorpusError(f"line {lineno}: field {name!r} must be an integer")
         elif not isinstance(val, typ):
             raise CorpusError(f"line {lineno}: field {name!r} must be a string")
+        elif re.search("[\ud800-\udfff]", val):  # a JSON escape that no UTF-8 file can hold
+            raise CorpusError(f"line {lineno}: field {name!r} holds a lone surrogate, which UTF-8 cannot encode")
         values[name] = val
     try:
         return Triple(**values)

@@ -104,18 +104,17 @@ def task_relevance(triple: Triple, task: str) -> int:
     return {"A": labels.yA, "B": labels.yB, "C": labels.yC}[task]
 
 
-# Triples scored per forward graph.
+# Triples scored per forward pass.
 SCORE_CHUNK = 32
 
 
 def score_features(model, features: Iterable) -> dict[str, list[float]]:
     """Forward featurized triples through the model in inference mode, one
-    graph per chunk of ``SCORE_CHUNK``; returns one score list per task the
+    pass per chunk of ``SCORE_CHUNK``; returns one score list per task the
     model produces, in input order."""
     scores: dict[str, list[float]] = {t: [] for t in model.tasks}
     pending = iter(features)
     while chunk := list(islice(pending, SCORE_CHUNK)):
-        # keep only the values, so a chunk's graph is freed before the next
         values = {t: p.data.tolist() for t, p in model.predict(chunk, training=False).items()}
         for task, chunk_scores in values.items():
             scores[task].extend(chunk_scores)

@@ -258,7 +258,7 @@ class CqaModel:
         dropout_input: float = 0.4,
         dropout_hidden: float = 0.7,
     ) -> dict[str, nn.Tensor]:
-        """Score a batch of featurized triples as one graph on every task the
+        """Score a batch of featurized triples in one pass on every task the
         network has: returns ``{task: Tensor of shape (len(batch),)}``.  One
         ``Features`` is a batch of one.  Dropout applies only when
         ``training`` is set (rate ``dropout_input`` on the shared layer's

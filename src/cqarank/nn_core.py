@@ -1,16 +1,18 @@
 """Minimal reverse-mode gradient engine over dense numpy arrays.
 
-Every operation builds a node in a computation graph; ``Tensor.backward``
-walks the graph in reverse topological order and accumulates gradients into
-the participating leaves.  Parameters are persistent leaves whose gradient
-buffers accumulate across backward calls until zeroed.  A minibatch is one
-graph: the ops take a batch of rows or a packed batch of texts, and a single
-vector or text is the batch of one.  Everything runs in float32 by default
-and float64 when verifying gradients.
+Only training needs gradients, so only ``with recording():`` builds a graph:
+each operation run inside it appends its output to a tape in creation order,
+a topological order, which ``Tensor.backward`` walks in reverse.  Outside a
+recording an operation returns a plain value.  Parameters are persistent
+leaves whose gradient buffers accumulate across backward calls until zeroed.
+The ops take a batch of rows or a packed batch of texts; a single vector or
+text is the batch of one.  Everything runs in float32 by default and float64
+when verifying gradients.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,72 +23,72 @@ class NumericError(ArithmeticError):
 
 
 class Tensor:
-    """A node in the computation graph wrapping an ndarray value.
+    """An ndarray value.  A recorded op's output also has a ``backward_fn``:
+    called with the output gradient, it adds each input's share into that
+    input's ``grad`` in place."""
 
-    ``parents`` are the input nodes and ``backward_fn``, when called with the
-    output gradient, adds each input's share into ``parent.grad`` in place.
-    """
+    __slots__ = ("data", "grad", "backward_fn")
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "requires_grad")
-
-    def __init__(
-        self,
-        data: np.ndarray,
-        parents: tuple["Tensor", ...] = (),
-        backward_fn: Optional[Callable[[np.ndarray], None]] = None,
-        requires_grad: bool = False,
-    ):
+    def __init__(self, data: np.ndarray, backward_fn: Optional[Callable[[np.ndarray], None]] = None):
         self.data = data
         self.grad: Optional[np.ndarray] = None
-        self.parents = parents
         self.backward_fn = backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+        """Accumulate d(self)/d(parameter) into every parameter's ``grad``.
 
-        ``self`` must hold a single value (a loss).
+        ``self`` must hold a single value (a loss) computed inside the open
+        recording.  The ops recorded up to it are differentiated once: they
+        leave the tape and drop their backward functions as they are walked.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a single-element loss tensor")
         order = _toposort(self)
-        for node in order:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+        del _tape[: len(order)]
         self.grad = self.grad + np.ones_like(self.data)
         for node in reversed(order):
-            if node.backward_fn is not None:
-                node.backward_fn(node.grad)
+            node.backward_fn(node.grad)
+            node.backward_fn = None
+
+
+# The ops recorded by the innermost open recording, or None outside one.
+_tape: Optional[list[Tensor]] = None
+
+
+@contextlib.contextmanager
+def recording():
+    """Record the ops run inside the block for ``backward``."""
+    global _tape
+    outer, _tape = _tape, []
+    try:
+        yield
+    finally:
+        _tape = outer
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    # Iterative post-order DFS restricted to the differentiable subgraph.
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+    # the tape up to the loss: creation order is a topological order
+    if _tape is None or root not in _tape:
+        raise ValueError("backward() needs a loss computed inside nn.recording() and not yet differentiated")
+    return _tape[: _tape.index(root) + 1]
+
+
+def _record(out: np.ndarray, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output; when recording, it also has ``backward_fn``, a zeroed
+    gradient buffer and a place on the tape."""
+    if _tape is None:
+        return Tensor(out)
+    node = Tensor(out, backward_fn)
+    node.grad = np.zeros_like(out)
+    _tape.append(node)
+    return node
 
 
 class Parameter(Tensor):
@@ -95,7 +97,7 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, name: str, data: np.ndarray):
-        super().__init__(np.ascontiguousarray(data), requires_grad=True)
+        super().__init__(np.ascontiguousarray(data))
         self.name = name
         self.grad = np.zeros_like(self.data)
 
@@ -106,15 +108,10 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype))
-
-
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    """Add an input's gradient share into its buffer, which ``Tensor.backward``
-    has zero-filled for every node it walks; inputs needing no gradient are
-    not walked and are skipped."""
-    if t.requires_grad:
+    """Add an input's gradient share into its buffer: a parameter or recorded
+    op has one, and any other tensor, a constant, has none and is skipped."""
+    if t.grad is not None:
         t.grad += grad
 
 
@@ -173,7 +170,7 @@ def embedding_lookup(
         _scatter_rows(word_table.grad, ids, grad[:d_w].T)
         _scatter_rows(feat_table.grad, overlaps, grad[d_w:].T)
 
-    return Tensor(out, (word_table, feat_table), backward_fn)
+    return _record(out, backward_fn)
 
 
 def conv1d_wide(x: Tensor, filters: Parameter, bias: Parameter, lengths=None) -> Tensor:
@@ -212,7 +209,7 @@ def conv1d_wide(x: Tensor, filters: Parameter, bias: Parameter, lengths=None) ->
     def backward_fn(grad: np.ndarray) -> None:
         _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w)
 
-    return Tensor(out, (x, filters, bias), backward_fn)
+    return _record(out, backward_fn)
 
 
 def _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w):
@@ -220,7 +217,7 @@ def _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w):
     out_len = grad.shape[1]
     bias.grad += grad.sum(axis=1)
     filters.grad += (grad @ win_mat).reshape(m, w, d).transpose(0, 2, 1)
-    if x.requires_grad:
+    if x.grad is not None:
         dwin = (filt_mat.T @ grad).reshape(w, d, out_len)
         dpadded = np.zeros((d, out_len + w - 1), dtype=grad.dtype)
         for k in range(w):
@@ -240,7 +237,7 @@ def kmax_pool(x: Tensor, lengths=None) -> Tensor:
     out = np.ascontiguousarray(peak.T)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if not x.requires_grad:
+        if x.grad is None:
             return
         # maximal entries in row-major order; keep each (row, segment)'s first
         rows, cols = np.divmod(np.flatnonzero(x.data == np.repeat(peak, segments, axis=1)), n)
@@ -249,7 +246,7 @@ def kmax_pool(x: Tensor, lengths=None) -> Tensor:
         rows, cols, segs = rows[first], cols[first], segs[first]
         x.grad[rows, cols] += grad.reshape(-1, m)[segs, rows]
 
-    return Tensor(out if lengths is not None else out[0], (x,), backward_fn)
+    return _record(out if lengths is not None else out[0], backward_fn)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -288,10 +285,10 @@ def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str = "iden
         dz = (grad * act_grad(out)).reshape(-1, weight.data.shape[0])
         weight.grad += dz.T @ x.data.reshape(dz.shape[0], -1)
         bias.grad += dz.sum(axis=0)
-        if x.requires_grad:
+        if x.grad is not None:
             x.grad += (dz @ weight.data).reshape(x.data.shape)
 
-    return Tensor(out, (x, weight, bias), backward_fn)
+    return _record(out, backward_fn)
 
 
 def row_lookup(table: Parameter, index) -> Tensor:
@@ -305,7 +302,7 @@ def row_lookup(table: Parameter, index) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         _scatter_rows(table.grad, index.reshape(-1), grad.reshape(index.size, -1))
 
-    return Tensor(out, (table,), backward_fn)
+    return _record(out, backward_fn)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -321,7 +318,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             _accumulate(t, grad[..., lo:hi])
 
-    return Tensor(out, tuple(tensors), backward_fn)
+    return _record(out, backward_fn)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -331,7 +328,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         _accumulate(x, grad.reshape(x.data.shape))
 
-    return Tensor(out, (x,), backward_fn)
+    return _record(out, backward_fn)
 
 
 def dropout(x: Tensor, rate: float, mask: Optional[np.ndarray]) -> Tensor:
@@ -348,7 +345,7 @@ def dropout(x: Tensor, rate: float, mask: Optional[np.ndarray]) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         _accumulate(x, grad * (mask * scale))
 
-    return Tensor(out.astype(x.data.dtype, copy=False), (x,), backward_fn)
+    return _record(out.astype(x.data.dtype, copy=False), backward_fn)
 
 
 BCE_CLAMP = 1e-7
@@ -374,16 +371,16 @@ def bce_loss(p: Tensor, y) -> Tensor:
     out = clamped_bce(p.data, labels).sum().reshape(1)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if p.requires_grad:
+        if p.grad is not None:
             pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
             inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
             p.grad += grad * inside * (pc - labels) / (pc * (1.0 - pc))
 
-    return Tensor(out, (p,), backward_fn)
+    return _record(out, backward_fn)
 
 
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    """Elementwise sum of same-shaped tensors as a single graph node."""
+    """Elementwise sum of same-shaped tensors as a single op."""
     if not tensors:
         raise ValueError("add_n: need at least one tensor")
     out = tensors[0].data.copy()
@@ -394,7 +391,7 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
         for t in tensors:
             _accumulate(t, grad)
 
-    return Tensor(out, tuple(tensors), backward_fn)
+    return _record(out, backward_fn)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -403,7 +400,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         _accumulate(x, grad * factor)
 
-    return Tensor(out.astype(x.data.dtype, copy=False), (x,), backward_fn)
+    return _record(out.astype(x.data.dtype, copy=False), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +465,11 @@ def grad_check(
 
     for p in params:
         p.zero_grad()
-    loss = loss_fn()
-    if not np.isfinite(loss.data).all():
-        raise NumericError("grad_check: non-finite loss")
-    loss.backward()
+    with recording():
+        loss = loss_fn()
+        if not np.isfinite(loss.data).all():
+            raise NumericError("grad_check: non-finite loss")
+        loss.backward()
     analytic = [p.grad.copy() for p in params]
 
     max_rel = 0.0

@@ -122,9 +122,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     @property
     def tokens(self) -> tuple[str, ...]:
         """All tokens in id order, reserved entries included."""

@@ -205,23 +205,23 @@ def train(
         loss_total = 0.0
         for batch_no, batch in enumerate(order):
             optimizer.zero_grads()
-            preds = model.predict(
-                [features[i] for i in batch],
-                training=True,
-                rng=drop_rng,
-                dropout_input=config.dropout_input,
-                dropout_hidden=config.dropout_hidden,
-            )
-            batch_loss = nn.scale(joint_loss(preds, [gold[i] for i in batch], tasks), 1.0 / len(batch))
-            value = float(batch_loss.data[0])
-            if not math.isfinite(value):
-                raise nn.NumericError(
-                    f"non-finite training loss {value} in epoch {epoch}, batch {batch_no}"
+            with nn.recording():
+                preds = model.predict(
+                    [features[i] for i in batch],
+                    training=True,
+                    rng=drop_rng,
+                    dropout_input=config.dropout_input,
+                    dropout_hidden=config.dropout_hidden,
                 )
-            batch_loss.backward()
+                batch_loss = nn.scale(joint_loss(preds, [gold[i] for i in batch], tasks), 1.0 / len(batch))
+                value = float(batch_loss.data[0])
+                if not math.isfinite(value):
+                    raise nn.NumericError(
+                        f"non-finite training loss {value} in epoch {epoch}, batch {batch_no}"
+                    )
+                batch_loss.backward()
             optimizer.step()
             loss_total += value * len(batch)
-            del preds, batch_loss  # free this batch's graph before the next is built
         loss_train = loss_total / len(train_data)
 
         dev = _dev_pass(model, dev_set, tasks)
@@ -383,7 +383,7 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
         _check_sizes(meta, len(vocab), params)
     except KeyError as exc:
         raise CheckpointError(f"{path}: index lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SyntaxError) as exc:  # np.dtype(",f4") raises SyntaxError
         raise CheckpointError(f"{path}: invalid index: {exc}") from None
     non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
     if non_finite:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -177,6 +178,22 @@ def test_evaluate_checks_every_task_before_writing(tmp_path, conjunction_split, 
     assert not list(tmp_path.glob("ev*.tsv"))
 
 
+def test_evaluate_checks_every_task_has_a_positive_before_writing(tmp_path, conjunction_split, capsys):
+    train_path, dev_path = conjunction_split
+    assert main(train_args(train_path, tmp_path / "run", dev_path=dev_path)) == 0
+    no_positive = tmp_path / "no_positive_c.jsonl"
+    save_corpus(str(no_positive), [dataclasses.replace(t, label_C="bad") for t in load_corpus(dev_path)])
+    capsys.readouterr()
+    out = tmp_path / "pred.tsv"
+    code = main(["evaluate", "--model", str(tmp_path / "run" / "model.ckpt"), "--corpus", str(no_positive),
+                 "--tasks", "ABC", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {no_positive}: task C has no query with a relevant candidate"]
+    assert list(tmp_path.glob("pred*")) == []
+
+
 def test_predict_and_evaluate_write_the_same_rows(tmp_path, conjunction_split, capsys):
     train_path, dev_path = conjunction_split
     out_dir = tmp_path / "run"
@@ -244,6 +261,22 @@ def test_exit_codes(tmp_path, corpus_path):
     assert main(["frobnicate"]) == 1
 
 
+def test_extend_rejects_a_lone_surrogate(tmp_path, capsys):
+    # JSON can escape a surrogate that no UTF-8 output file could hold
+    bad = tmp_path / "bad.jsonl"
+    save_corpus(str(bad), gradcheck_corpus()[:2])
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    bad.write_text(lines[0] + "\n" + lines[1].replace('"c_rel": "', '"c_rel": "\\ud800') + "\n")
+    out = tmp_path / "o.jsonl"
+    assert main(["extend", "--corpus", str(bad), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: line 2: field 'c_rel' holds a lone surrogate, which UTF-8 cannot encode"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stopping", ["global", "per_task"])
 def test_train_stops_on_non_finite_dev_loss(tmp_path, conjunction_split, capsys, stopping):
     # a huge learning rate turns the weights non-finite in the first update;
@@ -303,6 +336,7 @@ MALFORMED = {
     "meta_size_not_int": _edit_index(lambda ix: ix["meta"].update(m="4")),
     "meta_sizes_not_the_arrays": _edit_index(lambda ix: ix["meta"].update(m=10**6)),
     "entry_dtype_garbage": _edit_index(lambda ix: ix["params"][0].update(dtype="garbage")),
+    "entry_dtype_comma": _edit_index(lambda ix: ix["params"][0].update(dtype=",f4")),
     "entry_without_offset": _edit_index(lambda ix: ix["params"][0].pop("offset")),
     "shape_does_not_match_nbytes": _edit_index(lambda ix: ix["params"][0].update(shape=[3, 5])),
     "negative_offset": _edit_index(lambda ix: ix["params"][0].update(offset=-8)),

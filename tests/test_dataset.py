@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqarank.dataset import (
+    LABELS_AC,
+    LABELS_B,
     CorpusError,
     Triple,
     binarize,
@@ -97,6 +101,39 @@ def test_load_save_round_trip(tmp_path):
     assert load_corpus(str(path)) == originals
 
 
+# any text a UTF-8 file can hold: every code point but the surrogates
+texts = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@st.composite
+def corpora(draw):
+    ids = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    return [
+        Triple(
+            id=i,
+            group=draw(texts),
+            q_new_subject=draw(st.none() | texts),
+            q_new_body=draw(texts),
+            q_rel_subject=draw(st.none() | texts),
+            q_rel_body=draw(texts),
+            c_rel=draw(texts),
+            google_rank=draw(st.integers(1, 10**6)),
+            label_A=draw(st.sampled_from(LABELS_AC)),
+            label_B=draw(st.sampled_from(LABELS_B)),
+            label_C=draw(st.sampled_from(LABELS_AC)),
+        )
+        for i in ids
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=corpora())
+def test_any_text_survives_save_and_load(tmp_path_factory, triples):
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    save_corpus(str(path), triples)
+    assert load_corpus(str(path)) == triples
+
+
 def test_save_corpus_failing_midway_keeps_the_old_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus(str(path), [make_triple(id="old")])
@@ -135,6 +172,8 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         record(q_new_body=None),
         record(c_rel=7),
         {"id": "x"},
+        record(c_rel="caf\udce9"),  # a lone surrogate: JSON can escape it, UTF-8 cannot hold it
+        record(id="\ud800"),
     ],
 )
 def test_load_corpus_rejects_bad_records(tmp_path, bad):

@@ -148,10 +148,11 @@ def test_mtl_question_encoder_is_shared(corpus, vocab):
 def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab):
     model = small_mtl(vocab, dtype=np.float64)
     feats = model.featurize(corpus[0])
-    preds = model.predict(feats)
-    loss = joint_loss(preds, binarize(corpus[0]), ("A", "B", "C"))
-    model.zero_grads()
-    loss.backward()
+    with nn.recording():
+        preds = model.predict(feats)
+        loss = joint_loss(preds, binarize(corpus[0]), ("A", "B", "C"))
+        model.zero_grads()
+        loss.backward()
     assert np.abs(model.q_encoder.filters.grad).sum() > 0
     assert np.abs(model.c_encoder.filters.grad).sum() > 0
 
@@ -171,6 +172,25 @@ def test_pair_model_predict_scores_only_its_task(corpus, vocab):
     preds = model.predict(model.featurize(corpus[0]))
     assert set(preds) == {"C"}
     assert 0.0 < preds["C"].data[0] < 1.0
+
+
+def test_inference_builds_no_graph(corpus, vocab):
+    model = small_mtl(vocab, dtype=np.float64)
+    batch = [model.featurize(t) for t in corpus[:3]]
+    labels = [binarize(t) for t in corpus[:3]]
+    preds = model.predict(batch, training=False)
+    assert all(p.backward_fn is None for p in preds.values())
+    loss = joint_loss(preds, labels, model.tasks)
+    assert loss.backward_fn is None
+    with pytest.raises(ValueError, match=r"^backward\(\) needs a loss computed inside nn.recording\(\) and not yet differentiated$"):
+        loss.backward()
+    # backward differentiates a recorded graph once and frees it
+    with nn.recording():
+        loss = joint_loss(model.predict(batch, training=False), labels, model.tasks)
+        loss.backward()
+        assert loss.backward_fn is None
+        with pytest.raises(ValueError, match="inside nn.recording"):
+            loss.backward()
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +334,19 @@ def test_batched_predict_and_gradients_match_batch_of_one_passes(task, width, se
     labels = [binarize(t) for t in triples]
 
     model.zero_grads()
-    batched = model.predict(features, training=True, rng=np.random.default_rng(seed))
-    joint_loss(batched, labels, model.tasks).backward()
+    with nn.recording():
+        batched = model.predict(features, training=True, rng=np.random.default_rng(seed))
+        joint_loss(batched, labels, model.tasks).backward()
     batched_grads = [p.grad.copy() for p in model.parameters()]
 
     model.zero_grads()
     rng = np.random.default_rng(seed)
     singles = []
-    for f, y in zip(features, labels):
-        preds = model.predict(f, training=True, rng=rng)
-        joint_loss(preds, y, model.tasks).backward()
-        singles.append(preds)
+    with nn.recording():  # each backward differentiates only its own pass
+        for f, y in zip(features, labels):
+            preds = model.predict(f, training=True, rng=rng)
+            joint_loss(preds, y, model.tasks).backward()
+            singles.append(preds)
 
     for t in model.tasks:
         assert batched[t].shape == (len(triples),)

@@ -92,21 +92,22 @@ def test_conv1d_wide_matches_naive_loops():
         x = param("x", rng.normal(size=(d, sum(lengths))))
         filters = param("f", rng.normal(size=(m, d, w)))
         bias = param("b", rng.normal(size=m))
-        got = nn.conv1d_wide(x, filters, bias, lengths)
-        want = [naive_conv1d_wide(part, filters.data, bias.data) for part in segments(x.data, lengths)]
-        assert got.shape == (m, sum(lengths) + len(lengths) * (w - 1))
-        assert np.max(np.abs(got.data - np.concatenate(want, axis=1))) < 1e-6
-        # backward: the packed gradients equal the sums of per-text passes
-        upstream = rng.normal(size=got.shape)
-        got.backward_fn(upstream)
-        packed = [x.grad.copy(), filters.grad.copy(), bias.grad.copy()]
-        for p in (x, filters, bias):
-            p.zero_grad()
-        outs = [n + w - 1 for n in lengths]
-        for part, g, lo in zip(segments(x.data, lengths), segments(upstream, outs), np.cumsum(lengths) - lengths):
-            piece = param("piece", part)
-            nn.conv1d_wide(piece, filters, bias).backward_fn(g)
-            x.grad[:, lo : lo + part.shape[1]] += piece.grad
+        with nn.recording():
+            got = nn.conv1d_wide(x, filters, bias, lengths)
+            want = [naive_conv1d_wide(part, filters.data, bias.data) for part in segments(x.data, lengths)]
+            assert got.shape == (m, sum(lengths) + len(lengths) * (w - 1))
+            assert np.max(np.abs(got.data - np.concatenate(want, axis=1))) < 1e-6
+            # backward: the packed gradients equal the sums of per-text passes
+            upstream = rng.normal(size=got.shape)
+            got.backward_fn(upstream)
+            packed = [x.grad.copy(), filters.grad.copy(), bias.grad.copy()]
+            for p in (x, filters, bias):
+                p.zero_grad()
+            outs = [n + w - 1 for n in lengths]
+            for part, g, lo in zip(segments(x.data, lengths), segments(upstream, outs), np.cumsum(lengths) - lengths):
+                piece = param("piece", part)
+                nn.conv1d_wide(piece, filters, bias).backward_fn(g)
+                x.grad[:, lo : lo + part.shape[1]] += piece.grad
         for got_grad, p in zip(packed, (x, filters, bias)):
             assert np.max(np.abs(got_grad - p.grad)) < 1e-10
 
@@ -165,29 +166,32 @@ def test_kmax_pool_matches_naive_loops():
 
 def test_kmax_pool_gradient_goes_to_first_max():
     x = param("x", [[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 1.0, 2.0]])
-    pooled = nn.kmax_pool(x)
-    out = nn.dense(pooled, param("w", np.ones((1, 2))), param("b", np.zeros(1)))
-    out.backward()
+    with nn.recording():
+        pooled = nn.kmax_pool(x)
+        out = nn.dense(pooled, param("w", np.ones((1, 2))), param("b", np.zeros(1)))
+        out.backward()
     assert x.grad.tolist() == [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
     # in a packed map each segment routes to its own first maximal column,
     # also when a tie spans the boundary between two segments
     x = param("x", [[1.0, 3.0, 3.0, 3.0, 0.0, 5.0], [2.0, 2.0, 1.0, 2.0, 2.0, 2.0]])
-    pooled = nn.kmax_pool(x, [2, 3, 1])
+    with nn.recording():
+        pooled = nn.kmax_pool(x, [2, 3, 1])
+        pooled.backward_fn(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
     np.testing.assert_array_equal(pooled.data, [[3.0, 2.0], [3.0, 2.0], [5.0, 2.0]])
-    pooled.backward_fn(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
     assert x.grad.tolist() == [[0.0, 1.0, 2.0, 0.0, 0.0, 3.0], [10.0, 0.0, 0.0, 20.0, 0.0, 30.0]]
 
 
 def test_embedding_lookup_forward_and_scatter():
     words = param("w", np.arange(12.0).reshape(4, 3))
     feats = param("f", np.array([[10.0, 20.0], [30.0, 40.0]]))
-    out = nn.embedding_lookup(words, feats, ids=[2, 0, 2], overlaps=[1, 0, 1])
+    with nn.recording():
+        out = nn.embedding_lookup(words, feats, ids=[2, 0, 2], overlaps=[1, 0, 1])
+        # repeated ids must accumulate their gradients
+        out.backward_fn(np.ones_like(out.data))
     assert out.shape == (5, 3)
     np.testing.assert_array_equal(out.data[:3, 0], words.data[2])
     np.testing.assert_array_equal(out.data[:3, 1], words.data[0])
     np.testing.assert_array_equal(out.data[3:, 0], feats.data[1])
-    # repeated ids must accumulate their gradients
-    out.backward_fn(np.ones_like(out.data))
     np.testing.assert_array_equal(words.grad[2], [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(words.grad[0], [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(feats.grad[1], [2.0, 2.0])
@@ -198,9 +202,10 @@ def test_embedding_lookup_forward_and_scatter():
     feats = param("f", rng.normal(size=(2, 2)))
     ids = np.concatenate([rng.integers(0, 7, size=n) for n in random_lengths(rng, 5)])
     overlaps = rng.integers(0, 2, size=ids.size)
-    out = nn.embedding_lookup(words, feats, ids, overlaps)
-    upstream = rng.normal(size=out.shape)
-    out.backward_fn(upstream)
+    with nn.recording():
+        out = nn.embedding_lookup(words, feats, ids, overlaps)
+        upstream = rng.normal(size=out.shape)
+        out.backward_fn(upstream)
     want_words, want_feats = np.zeros_like(words.data), np.zeros_like(feats.data)
     np.add.at(want_words, ids, upstream[:3].T)
     np.add.at(want_feats, overlaps, upstream[3:].T)
@@ -223,14 +228,15 @@ def test_embedding_lookup_validates_ranges():
 
 def test_row_lookup_and_concat():
     table = param("t", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    row = nn.row_lookup(table, 1)
-    np.testing.assert_array_equal(row.data, [3.0, 4.0])
     with pytest.raises(ValueError):
         nn.row_lookup(table, 2)
-    joined = nn.concat([row, nn.constant(np.array([9.0]))])
-    np.testing.assert_array_equal(joined.data, [3.0, 4.0, 9.0])
-    out = nn.dense(joined, param("w", np.array([[1.0, 2.0, 5.0]])), param("b2", np.zeros(1)))
-    out.backward()
+    with nn.recording():
+        row = nn.row_lookup(table, 1)
+        np.testing.assert_array_equal(row.data, [3.0, 4.0])
+        joined = nn.concat([row, nn.Tensor(np.array([9.0]))])
+        np.testing.assert_array_equal(joined.data, [3.0, 4.0, 9.0])
+        out = nn.dense(joined, param("w", np.array([[1.0, 2.0, 5.0]])), param("b2", np.zeros(1)))
+        out.backward()
     np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [1.0, 2.0]])
 
 
@@ -305,13 +311,15 @@ def test_bce_loss_clamps_extremes():
 
 def test_bce_loss_gradient_value():
     p = param("p", np.array([0.8]))
-    loss = nn.bce_loss(p, 1)
-    loss.backward()
+    with nn.recording():
+        loss = nn.bce_loss(p, 1)
+        loss.backward()
     # d/dp of -ln p at 0.8
     assert p.grad[0] == pytest.approx(-1.0 / 0.8, rel=1e-9)
     # with a label vector, d/dp of -ln p and of -ln(1 - p)
     p = param("p", np.array([0.8, 0.8]))
-    nn.bce_loss(p, [1, 0]).backward()
+    with nn.recording():
+        nn.bce_loss(p, [1, 0]).backward()
     np.testing.assert_allclose(p.grad, [-1.0 / 0.8, 1.0 / 0.2], rtol=1e-9)
 
 
@@ -348,24 +356,26 @@ def test_rmsprop_optimizer_matches_manual_updates():
 
 def test_backward_requires_scalar():
     x = param("x", np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
+    with nn.recording(), pytest.raises(ValueError, match="single-element"):
         nn.concat([x]).backward()
 
 
 def test_fanout_accumulates_gradients():
     x = param("x", np.array([2.0]))
-    total = nn.add_n([x, x, x])
-    total.backward()
+    with nn.recording():
+        total = nn.add_n([x, x, x])
+        total.backward()
     assert x.grad[0] == 3.0
 
 
 def test_scale_and_add_n():
     a = param("a", np.array([1.0, 2.0]))
     b = param("b", np.array([10.0, 20.0]))
-    out = nn.scale(nn.add_n([a, b]), 0.5)
-    np.testing.assert_allclose(out.data, [5.5, 11.0])
-    total = nn.dense(out, param("w", np.ones((1, 2))), param("b2", np.zeros(1)))
-    total.backward()
+    with nn.recording():
+        out = nn.scale(nn.add_n([a, b]), 0.5)
+        np.testing.assert_allclose(out.data, [5.5, 11.0])
+        total = nn.dense(out, param("w", np.ones((1, 2))), param("b2", np.zeros(1)))
+        total.backward()
     np.testing.assert_allclose(a.grad, [0.5, 0.5])
     np.testing.assert_allclose(b.grad, [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqarank.text_pipeline import (
     PAD_ID,
@@ -35,6 +37,14 @@ def test_tokenize_keeps_interior_punctuation():
 def test_tokenize_lone_punctuation_survives():
     assert tokenize("! ?") == ["!", "?"]
     assert tokenize("--") == ["-", "-"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_tokenize_yields_bare_tokens_and_is_idempotent(text):
+    tokens = tokenize(text)
+    assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
+    assert tokenize(" ".join(tokens)) == tokens
 
 
 def test_preprocess_subject_comes_first():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqarank.nn_core as nn
 import cqarank.training as training
@@ -47,7 +49,7 @@ def small_model(vocab, **kw):
 
 
 def test_joint_loss_sums_active_tasks():
-    preds = {t: nn.constant(np.array([0.5])) for t in ("A", "B", "C")}
+    preds = {t: nn.Tensor(np.array([0.5])) for t in ("A", "B", "C")}
     labels = BinaryLabels(1, 1, 1)
     total = joint_loss(preds, labels, ("A", "B", "C"))
     assert total.data[0] == pytest.approx(2.0794415416798357, rel=1e-12)
@@ -57,8 +59,9 @@ def test_joint_loss_sums_active_tasks():
 
 def test_joint_loss_masks_gradients_of_inactive_tasks():
     params = {t: nn.Parameter(t, np.array([0.4])) for t in ("A", "B", "C")}
-    loss = joint_loss(params, BinaryLabels(1, 0, 1), ("A", "C"))
-    loss.backward()
+    with nn.recording():
+        loss = joint_loss(params, BinaryLabels(1, 0, 1), ("A", "C"))
+        loss.backward()
     assert params["A"].grad[0] != 0.0
     assert params["C"].grad[0] != 0.0
     assert params["B"].grad[0] == 0.0
@@ -209,11 +212,12 @@ def test_batched_training_matches_the_per_example_loop(corpus, vocab):
     drop_rng = np.random.default_rng([config.seed, 1, 1])
     for batch in make_batches(list(range(len(corpus))), config.batch_size, seed=[config.seed, 1, 0]):
         opt.zero_grads()
-        losses = [
-            joint_loss(oracle.predict(features[i], training=True, rng=drop_rng), binarize(corpus[i]), TASKS)
-            for i in batch
-        ]
-        nn.scale(nn.add_n(losses), 1.0 / len(batch)).backward()
+        with nn.recording():
+            losses = [
+                joint_loss(oracle.predict(features[i], training=True, rng=drop_rng), binarize(corpus[i]), TASKS)
+                for i in batch
+            ]
+            nn.scale(nn.add_n(losses), 1.0 / len(batch)).backward()
         opt.step()
     for p, q in zip(model.parameters(), oracle.parameters()):
         np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-10, err_msg=p.name)
@@ -232,7 +236,7 @@ def test_train_rejects_mismatched_tasks_and_empty_data(corpus, vocab):
 
 def test_train_raises_on_non_finite_loss(corpus, vocab, monkeypatch):
     def bad_loss(preds, labels, tasks):
-        return nn.constant(np.array([math.inf]))
+        return nn.Tensor(np.array([math.inf]))
 
     monkeypatch.setattr(training, "joint_loss", bad_loss)
     model = small_model(vocab)
@@ -363,6 +367,32 @@ def test_checkpoint_rejects_garbage(tmp_path, vocab):
     truncated.write_bytes(data[: len(data) - 50])
     with pytest.raises(CheckpointError):
         load_checkpoint(str(truncated))
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory, vocab):
+    """The bytes of a small joint and a small pair checkpoint, and a path to
+    write damaged copies to."""
+    root = tmp_path_factory.mktemp("damaged")
+    blobs = {}
+    for kind, model in (("mtl", small_model(vocab)), ("pair", PairModel(vocab, task="C", m=4, d_w=4, d_feat=2))):
+        save_checkpoint(str(root / "model.ckpt"), model)
+        blobs[kind] = (root / "model.ckpt").read_bytes()
+    return blobs, root / "damaged.ckpt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["mtl", "pair"]), data=st.data())
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_checkpoints, kind, data):
+    blobs, path = saved_checkpoints
+    blob = blobs[kind]
+    pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+    byte = data.draw(st.none() | st.integers(0, 255), label="byte")  # None truncates at pos
+    path.write_bytes(blob[:pos] if byte is None else blob[:pos] + bytes([byte]) + blob[pos + 1 :])
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass
 
 
 # ---------------------------------------------------------------------------
