@@ -44,6 +44,7 @@ from .text_pipeline import vocabulary_for
 from .training import (
     STOPPING,
     CheckpointError,
+    EpochStats,
     TrainConfig,
     joint_loss,
     load_checkpoint,
@@ -200,6 +201,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_epoch(stats: EpochStats) -> None:
+    maps = " ".join(f"map{t}={v:.2f}" for t, v in stats.task_map.items())
+    print(f"epoch {stats.epoch}: loss_train={stats.loss_train:.6f} loss_dev={stats.loss_dev:.6f} {maps}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config_file = read_config_file(args.config) if args.config else {}
     _check_config_keys(config_file)
@@ -234,11 +240,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"loaded pretrained vectors for {n} tokens")
 
-    log = None if args.quiet else print
     # a diverging run overflows before its loss turns non-finite; train()
     # reports that loss as one error line instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        report = train(model, train_data, dev_data, train_conf, log=log)
+        report = train(model, train_data, dev_data, train_conf, log=None if args.quiet else _print_epoch)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_history_csv(os.path.join(args.out_dir, "history.csv"), report.history)

@@ -208,14 +208,21 @@ class Thread:
 
 def threads_from_corpus(triples: Sequence[Triple]) -> list[Thread]:
     """Collect the distinct question-comment threads of a triplet corpus,
-    first-appearance order, one entry per distinct (question, comment) pair."""
+    first-appearance order, one entry per distinct (question, comment) pair.
+    Each comment takes the id of its first triple plus ``_ed``; an id that a
+    triple of the corpus already has raises :class:`CorpusError`."""
+    ids = {t.id for t in triples}
     by_key: dict[str, dict] = {}
     for t in triples:
         key = t.q_rel_key
         entry = by_key.setdefault(
             key, {"subject": t.q_rel_subject, "body": t.q_rel_body, "comments": {}}
         )
-        entry["comments"].setdefault(t.c_rel, ThreadComment(f"{t.id}_ed", t.c_rel, t.label_A))
+        if t.c_rel not in entry["comments"]:
+            derived_id = f"{t.id}_ed"
+            if derived_id in ids:
+                raise CorpusError(f"derived id {derived_id!r} is already the id of a triple")
+            entry["comments"][t.c_rel] = ThreadComment(derived_id, t.c_rel, t.label_A)
     return [
         Thread(key, e["subject"], e["body"], tuple(e["comments"].values()))
         for key, e in by_key.items()

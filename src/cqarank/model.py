@@ -19,15 +19,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import CorpusError, Triple
-from .text_pipeline import (
-    DEFAULT_MAX_LEN,
-    PAD_ID,
-    PAD_TOKEN,
-    TokenizedText,
-    Vocabulary,
-    overlap_indicators,
-    triple_texts,
-)
+from .text_pipeline import DEFAULT_MAX_LEN, PAD_ID, Vocabulary, overlap_indicators, triple_texts
 
 TASKS = ("A", "B", "C")
 
@@ -71,33 +63,31 @@ class SentenceEncoder:
     collapse a token sequence into a vector of fixed length m."""
 
     def __init__(self, name, vocab_size, d_w, d_feat, m, width, rng, dtype):
-        self.d_w = d_w
-        self.d_feat = d_feat
-        self.m = m
-        self.width = width
-        d = d_w + d_feat
         self.word_emb = nn.Parameter(f"{name}.word_emb", _uniform(rng, (vocab_size, d_w), dtype))
         self.feat_emb = nn.Parameter(f"{name}.feat_emb", _uniform(rng, (2, d_feat), dtype))
-        self.filters = nn.Parameter(f"{name}.filters", _uniform(rng, (m, d, width), dtype))
+        self.filters = nn.Parameter(f"{name}.filters", _uniform(rng, (m, d_w + d_feat, width), dtype))
         self.conv_bias = nn.Parameter(f"{name}.conv_bias", np.zeros(m, dtype=dtype))
 
     def parameters(self) -> list[nn.Parameter]:
         return [self.word_emb, self.feat_emb, self.filters, self.conv_bias]
 
 
-def encode_texts(encoder: SentenceEncoder, texts: Sequence[TokenizedText]) -> nn.Tensor:
-    """Run the encoder over featurized texts (see :func:`compute_features`,
-    which turns an empty text into a single PAD token) packed side by side
-    into one run of columns; returns their encodings as the rows of a
-    (len(texts), m) matrix."""
-    if any(t.ids is None or t.overlaps is None for t in texts):
-        raise ValueError("encode_texts: texts need ids and overlaps filled")
-    lengths = np.array([len(t) for t in texts], dtype=np.intp)
-    ids = np.fromiter(chain.from_iterable(t.ids for t in texts), np.intp, lengths.sum())
-    overlaps = np.fromiter(chain.from_iterable(t.overlaps for t in texts), np.intp, lengths.sum())
-    emb = nn.embedding_lookup(encoder.word_emb, encoder.feat_emb, ids, overlaps)
+def encode_texts(
+    encoder: SentenceEncoder, ids: Sequence[Sequence[int]], overlaps: Sequence[Sequence[int]]
+) -> nn.Tensor:
+    """Run the encoder over texts, given as their id and overlap tuples (see
+    :func:`compute_features`), packed side by side into one run of columns;
+    returns their encodings as the rows of a (len(ids), m) matrix."""
+    lengths = np.array([len(t) for t in ids], dtype=np.intp)
+    emb = nn.embedding_lookup(
+        encoder.word_emb,
+        encoder.feat_emb,
+        np.fromiter(chain.from_iterable(ids), np.intp),
+        np.fromiter(chain.from_iterable(overlaps), np.intp),
+    )
     fmap = nn.conv1d_wide(emb, encoder.filters, encoder.conv_bias, lengths)
-    return nn.kmax_pool(fmap, lengths + encoder.width - 1)
+    width = encoder.filters.data.shape[2]
+    return nn.kmax_pool(fmap, lengths + width - 1)
 
 
 class TaskHead:
@@ -123,10 +113,12 @@ class TaskHead:
 
 @dataclass(frozen=True)
 class Features:
-    """A triple ready for a network: the network's input texts in its order,
-    each with ids and overlap indicators, plus the discretized search rank."""
+    """A triple ready for a network: for each text the network reads, in its
+    input order, the vocabulary ids and the overlap indicators, plus the
+    discretized search rank."""
 
-    texts: tuple[TokenizedText, ...]
+    ids: tuple[tuple[int, ...], ...]
+    overlaps: tuple[tuple[int, ...], ...]
     rank_bin: int
 
 
@@ -146,28 +138,26 @@ def _dropout_masks(rates, rows, dim, training, rng) -> list[Optional[np.ndarray]
     return masks
 
 
-def _finish(text: TokenizedText, vocab: Vocabulary, others) -> TokenizedText:
-    # an empty text becomes one PAD token so the convolution stays defined
-    if len(text) == 0:
-        return TokenizedText((PAD_TOKEN,), (PAD_ID,), (0,))
-    return vocab.encode(text).with_overlaps(overlap_indicators(text, others))
-
-
 def compute_features(
     triple: Triple, vocab: Vocabulary, task: Optional[str] = None, max_len: int = DEFAULT_MAX_LEN
 ) -> Features:
     """Tokenize the texts the network for ``task`` reads (all three for the
-    joint network, ``task=None``).  Each text's overlap indicators are taken
-    against the union of the network's other texts, so every sentence is
-    encoded once; for a pair that union is just the other text."""
+    joint network, ``task=None``) and map them to ids.  Each text's overlap
+    indicators are taken against the union of the network's other texts, so
+    every sentence is encoded once; for a pair that union is just the other
+    text.  An empty text becomes one PAD id with overlap 0, so the
+    convolution stays defined."""
     by_role = triple_texts(triple, max_len)
     texts = [by_role[role] for role in _inputs_of(task)]
-    return Features(
-        texts=tuple(
-            _finish(text, vocab, texts[:k] + texts[k + 1 :]) for k, text in enumerate(texts)
-        ),
-        rank_bin=rank_bin(triple.google_rank),
-    )
+    ids, overlaps = [], []
+    for k, text in enumerate(texts):
+        if len(text) == 0:
+            ids.append((PAD_ID,))
+            overlaps.append((0,))
+        else:
+            ids.append(vocab.encode(text))
+            overlaps.append(overlap_indicators(text, texts[:k] + texts[k + 1 :]))
+    return Features(tuple(ids), tuple(overlaps), rank_bin(triple.google_rank))
 
 
 class CqaModel:
@@ -269,8 +259,9 @@ class CqaModel:
         for encoder, positions in self.encoder_runs:
             # a triple's texts sit side by side, so row i of the reshaped
             # encodings holds triple i's texts for this encoder
-            texts = [f.texts[k] for f in batch for k in positions]
-            parts.append(nn.reshape(encode_texts(encoder, texts), (rows, -1)))
+            ids = [f.ids[k] for f in batch for k in positions]
+            overlaps = [f.overlaps[k] for f in batch for k in positions]
+            parts.append(nn.reshape(encode_texts(encoder, ids, overlaps), (rows, -1)))
         if self.rank_emb is not None:
             parts.append(nn.row_lookup(self.rank_emb, [f.rank_bin for f in batch]))
         rates = [dropout_input, dropout_hidden] + [dropout_hidden] * len(self.heads)

@@ -1,8 +1,9 @@
 """Text preprocessing: tokenization, vocabulary, and word-overlap indicators.
 
 Questions and comments enter as raw (subject, body) strings and leave as
-bounded lowercase token sequences with vocabulary ids and per-token binary
-overlap indicators relative to the paired text(s).
+bounded lowercase token sequences.  A text's vocabulary ids depend on the text
+alone; its per-token binary overlap indicators depend on the text(s) it is
+paired with.  ``model.compute_features`` turns both into network input.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .dataset import Triple
 
@@ -24,31 +25,12 @@ DEFAULT_MAX_LEN = 100
 
 @dataclass(frozen=True)
 class TokenizedText:
-    """A preprocessed token sequence.
-
-    ``ids`` and ``overlaps`` start out unfilled (None) and are attached by
-    ``Vocabulary.encode`` and ``overlap_indicators`` respectively; when
-    present they have the same length as ``tokens``.
-    """
+    """A preprocessed token sequence."""
 
     tokens: tuple[str, ...]
-    ids: Optional[tuple[int, ...]] = None
-    overlaps: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.ids is not None and len(self.ids) != len(self.tokens):
-            raise ValueError("ids length does not match token count")
-        if self.overlaps is not None and len(self.overlaps) != len(self.tokens):
-            raise ValueError("overlaps length does not match token count")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def with_ids(self, ids: Sequence[int]) -> "TokenizedText":
-        return TokenizedText(self.tokens, tuple(ids), self.overlaps)
-
-    def with_overlaps(self, overlaps: Sequence[int]) -> "TokenizedText":
-        return TokenizedText(self.tokens, self.ids, tuple(overlaps))
 
 
 def _is_punct(ch: str) -> bool:
@@ -127,8 +109,9 @@ class Vocabulary:
         """All tokens in id order, reserved entries included."""
         return tuple(self._id_to_token)
 
-    def encode(self, text: TokenizedText) -> TokenizedText:
-        return text.with_ids(self.id_of(t) for t in text.tokens)
+    def encode(self, text: TokenizedText) -> tuple[int, ...]:
+        """The id of each token of ``text``; out-of-vocabulary tokens get UNK."""
+        return tuple(self.id_of(t) for t in text.tokens)
 
 
 def build_vocabulary(corpus: Iterable[TokenizedText], min_count: int = 1) -> Vocabulary:

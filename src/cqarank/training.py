@@ -133,7 +133,10 @@ def snapshot(model) -> dict[str, np.ndarray]:
 
 
 def restore(model, snap: dict[str, np.ndarray]) -> None:
-    """Load a snapshot back into the model in place."""
+    """Load a snapshot of exactly the model's parameters back into it in place."""
+    extra = sorted(set(snap) - {p.name for p in model.parameters()})
+    if extra:
+        raise CheckpointError(f"arrays {', '.join(extra)} are not parameters of the network")
     for p in model.parameters():
         if p.name not in snap:
             raise CheckpointError(f"snapshot missing parameter {p.name!r}")
@@ -152,16 +155,18 @@ class DevStats:
     task_map: dict[str, float]
 
 
-def _dev_pass(model, dev: tuple[Sequence[Triple], Sequence], tasks: Sequence[str]) -> DevStats:
-    """One inference pass over the dev set, given as its triples and their
-    features: mean per-task loss, their sum over active tasks, and per-task
-    MAP percentage (nan when no dev group has a positive)."""
-    triples, features = dev
+def _dev_pass(model, dev: tuple[Sequence, dict], tasks: Sequence[str]) -> DevStats:
+    """One inference pass over the dev set, given as its features and each
+    task's ranking rows, whose scores it replaces: mean per-task loss, their
+    sum over active tasks, and per-task MAP percentage (nan when no dev group
+    has a positive)."""
+    features, task_rows = dev
     scores = score_features(model, features)
     task_loss = {}
     task_map = {}
     for t in tasks:
-        rows = build_rows(triples, scores[t], t)
+        rows = [(key, doc, s, rank, rel)
+                for (key, doc, _, rank, rel), s in zip(task_rows[t], scores[t])]
         gold = np.array([r[4] for r in rows], dtype=np.float64)
         task_loss[t] = float(np.mean(nn.clamped_bce(np.array(scores[t], dtype=np.float64), gold)))
         try:
@@ -176,11 +181,12 @@ def train(
     train_data: Sequence[Triple],
     dev_data: Sequence[Triple],
     config: TrainConfig,
-    log: Optional[Callable[[str], None]] = None,
+    log: Optional[Callable[[EpochStats], None]] = None,
 ) -> TrainReport:
-    """Fit the model with rmsprop and early stopping; on return the model
-    holds the best joint snapshot (global mode) or the last epoch's weights
-    (per-task mode, with the per-task snapshots in the report)."""
+    """Fit the model with rmsprop and early stopping, passing each epoch's
+    record to ``log``; on return the model holds the best joint snapshot
+    (global mode) or the last epoch's weights (per-task mode, with the
+    per-task snapshots in the report)."""
     tasks = [t for t in config.tasks if t in model.tasks]
     if not tasks:
         raise ValueError(f"model scores {model.tasks}, none of the configured tasks {config.tasks}")
@@ -196,7 +202,9 @@ def train(
 
     features = [model.featurize(t) for t in train_data]
     gold = [binarize(t) for t in train_data]
-    dev_set = (dev_data, [model.featurize(t) for t in dev_data])
+    # the dev rows' query keys and labels are fixed; each dev pass fills in the scores
+    dev_rows = {t: build_rows(dev_data, [0.0] * len(dev_data), t) for t in tasks}
+    dev_set = ([model.featurize(t) for t in dev_data], dev_rows)
 
     epoch = 0
     for epoch in range(1, config.epochs + 1):
@@ -227,20 +235,16 @@ def train(
         dev = _dev_pass(model, dev_set, tasks)
         if not math.isfinite(dev.total):
             raise nn.NumericError(f"non-finite dev loss {dev.total} in epoch {epoch}")
-        report.history.append(
-            EpochStats(
-                epoch=epoch,
-                loss_train=loss_train,
-                loss_dev=dev.total,
-                task_loss=dict(dev.task_loss),
-                task_map=dict(dev.task_map),
-            )
+        stats = EpochStats(
+            epoch=epoch,
+            loss_train=loss_train,
+            loss_dev=dev.total,
+            task_loss=dict(dev.task_loss),
+            task_map=dict(dev.task_map),
         )
+        report.history.append(stats)
         if log is not None:
-            maps = " ".join(f"map{t}={dev.task_map[t]:.2f}" for t in tasks)
-            log(
-                f"epoch {epoch}: loss_train={loss_train:.6f} loss_dev={dev.total:.6f} {maps}"
-            )
+            log(stats)
 
         dev_loss = {"joint": dev.total, **dev.task_loss}
         for key, stopper in stoppers.items():
@@ -393,7 +397,8 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
 
 def load_checkpoint(path: str) -> CqaModel:
     """Rebuild the model (architecture, vocabulary, weights) from a file
-    written by :func:`save_checkpoint`."""
+    written by :func:`save_checkpoint`.  The stored arrays must be exactly
+    the parameters of the network the meta describes."""
     meta, vocab, params = _read_checkpoint(path)
     model = CqaModel(
         vocab,
@@ -401,5 +406,8 @@ def load_checkpoint(path: str) -> CqaModel:
         dtype=np.dtype(meta["dtype"]),
         **{key: meta[key] for key in SIZES},
     )
-    restore(model, params)
+    try:
+        restore(model, params)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return model

@@ -11,7 +11,7 @@ import cqarank
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus
 from cqarank.evaluation import blend_rows, build_rows, evaluate_scores, score_triples
-from cqarank.model import MtlModel
+from cqarank.model import MtlModel, PairModel
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, vocabulary_for
 from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, triple_texts
 from cqarank.training import load_checkpoint, save_checkpoint
@@ -68,6 +68,20 @@ def test_extend_command(tmp_path, corpus_path, capsys):
                  "--derived-only"]) == 0
     assert len(load_corpus(str(only))) == 5
     assert "wrote 5 triples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("derived_only", [False, True])
+def test_extend_refuses_a_derived_id_the_corpus_already_has(tmp_path, capsys, derived_only):
+    data = gradcheck_corpus()
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(str(corpus), data + [dataclasses.replace(data[0], id="g0_ed")])
+    out = tmp_path / "extended.jsonl"
+    args = ["extend", "--corpus", str(corpus), "--out", str(out)]
+    assert main(args + ["--derived-only"] * derived_only) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: derived id 'g0_ed' is already the id of a triple"]
+    assert not out.exists()
 
 
 def test_train_writes_model_and_history(tmp_path, corpus_path):
@@ -323,6 +337,12 @@ def _nan_weight(ckpt, corpus):
     return ckpt, corpus
 
 
+def _pair_c_labelled_task_b(ckpt, corpus):
+    # a task-B network has no comment encoder, so the c_encoder arrays are extra
+    save_checkpoint(str(ckpt), PairModel(vocabulary_for(gradcheck_corpus()), "C", m=4, d_w=4, d_feat=2))
+    return _edit_index(lambda ix: ix["meta"].update(task="B"))(ckpt, corpus)
+
+
 def _non_utf8_corpus(ckpt, corpus):
     corpus.write_bytes(b'{"id": "\xff\xfe"}\n')
     return ckpt, corpus
@@ -348,6 +368,7 @@ MALFORMED = {
     "corpus_is_a_directory": lambda ckpt, corpus: (ckpt, corpus.parent),
     "corpus_not_utf8": _non_utf8_corpus,
     "non_finite_weight": _nan_weight,
+    "arrays_not_the_meta_network": _pair_c_labelled_task_b,
 }
 
 

@@ -15,7 +15,7 @@ from cqarank.model import (
     rank_bin,
 )
 from cqarank.synthetic import gradcheck_corpus, vocabulary_for
-from cqarank.text_pipeline import Vocabulary
+from cqarank.text_pipeline import PAD_ID, Vocabulary, triple_texts
 from cqarank.training import joint_loss
 
 
@@ -71,15 +71,16 @@ def test_rank_bin_total_and_monotone():
 
 def test_triple_features_use_union_overlaps(corpus, vocab):
     feats = compute_features(corpus[0], vocab)
+    texts = triple_texts(corpus[0])
     # "wifi" occurs in all three texts, so it overlaps from every side
-    for text in feats.texts:
-        assert text.ids is not None and text.overlaps is not None
-        idx = text.tokens.index("wifi")
-        assert text.overlaps[idx] == 1
+    for k, role in enumerate(INPUTS[None]):
+        assert len(feats.ids[k]) == len(feats.overlaps[k]) == len(texts[role])
+        idx = texts[role].tokens.index("wifi")
+        assert feats.overlaps[k][idx] == 1
     # "pizza" appears only in q_rel of corpus[1]
     feats = compute_features(corpus[1], vocab)
-    idx = feats.texts[1].tokens.index("pizza")
-    assert feats.texts[1].overlaps[idx] == 0
+    idx = triple_texts(corpus[1])["q_rel"].tokens.index("pizza")
+    assert feats.overlaps[1][idx] == 0
     assert feats.rank_bin == rank_bin(corpus[1].google_rank)
 
 
@@ -88,10 +89,13 @@ def test_pair_features_select_task_texts(corpus, vocab):
     a = compute_features(t, vocab, "A")
     b = compute_features(t, vocab, "B")
     c = compute_features(t, vocab, "C")
-    assert a.texts[0].tokens[:2] == ("wifi", "drops")  # q_rel subject first
-    assert b.texts[0].tokens[:2] == ("upgrade", "breaks")  # q_new
-    assert b.texts[1].tokens[:2] == ("wifi", "drops")  # q_rel
-    assert c.texts[1].tokens == a.texts[1].tokens  # both use the comment
+    def ids(*tokens):
+        return tuple(vocab.id_of(tok) for tok in tokens)
+
+    assert a.ids[0][:2] == ids("wifi", "drops")  # q_rel subject first
+    assert b.ids[0][:2] == ids("upgrade", "breaks")  # q_new
+    assert b.ids[1][:2] == ids("wifi", "drops")  # q_rel
+    assert c.ids[1] == a.ids[1]  # both use the comment
     with pytest.raises(ValueError):
         compute_features(t, vocab, "D")
 
@@ -100,8 +104,8 @@ def test_pair_overlaps_are_pairwise_not_union(corpus, vocab):
     t = corpus[1]  # pizza question, comment about a place on fifth street
     b = compute_features(t, vocab, "B")
     # "pizza" is not in q_new, so in the (q_new, q_rel) pair it has no overlap
-    idx = b.texts[1].tokens.index("pizza")
-    assert b.texts[1].overlaps[idx] == 0
+    idx = triple_texts(t)["q_rel"].tokens.index("pizza")
+    assert b.overlaps[1][idx] == 0
 
 
 def test_empty_text_falls_back_to_pad(vocab):
@@ -113,8 +117,8 @@ def test_empty_text_falls_back_to_pad(vocab):
         label_A="good", label_B="relevant", label_C="good",
     )
     feats = compute_features(t, vocab)
-    assert feats.texts[0].tokens == ("<pad>",)
-    assert feats.texts[0].ids == (0,)
+    assert feats.ids[0] == (PAD_ID,) == (0,)
+    assert feats.overlaps[0] == (0,)
     model = small_mtl(vocab)
     preds = model.predict(feats)
     for tensor in preds.values():
@@ -328,9 +332,9 @@ def test_batched_predict_and_gradients_match_batch_of_one_passes(task, width, se
         max_len=PROPERTY_MAX_LEN, seed=seed, dtype=np.float64,
     )
     features = [model.featurize(t) for t in triples]
-    texts = [text for f in features for text in f.texts]
-    assert any(text.tokens == ("<pad>",) for text in texts)
-    assert any(len(text) == PROPERTY_MAX_LEN for text in texts)
+    ids = [text_ids for f in features for text_ids in f.ids]
+    assert any(text_ids == (PAD_ID,) for text_ids in ids)
+    assert any(len(text_ids) == PROPERTY_MAX_LEN for text_ids in ids)
     labels = [binarize(t) for t in triples]
 
     model.zero_grads()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqarank.evaluation as evaluation
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import BinaryLabels, binarize, make_batches
@@ -177,14 +178,30 @@ def test_train_runs_end_to_end(corpus, vocab):
     model = small_model(vocab)
     config = TrainConfig(epochs=2, batch_size=2, patience=10, seed=0,
                          dropout_input=0.2, dropout_hidden=0.2)
-    lines = []
-    report = train(model, corpus, corpus, config, log=lines.append)
+    records = []
+    report = train(model, corpus, corpus, config, log=records.append)
     assert len(report.history) == 2
     assert report.stop_epoch == 2
     assert all(math.isfinite(row.loss_train) for row in report.history)
     assert all(math.isfinite(row.loss_dev) for row in report.history)
-    assert len(lines) == 2
-    assert lines[0].startswith("epoch 1:")
+    assert records == report.history
+    assert [r.epoch for r in records] == [1, 2]
+    assert all(list(r.task_map) == list(TASKS) for r in records)
+
+
+def test_dev_rows_are_built_once_per_run(corpus, vocab, monkeypatch):
+    calls = []
+    real_key = evaluation.task_group_key
+
+    def counting_key(triple, task):
+        calls.append((triple.id, task))
+        return real_key(triple, task)
+
+    monkeypatch.setattr(evaluation, "task_group_key", counting_key)
+    config = TrainConfig(epochs=3, batch_size=2, patience=10, seed=0)
+    report = train(small_model(vocab), corpus, corpus, config)
+    assert report.stop_epoch == 3
+    assert sorted(calls) == sorted((t.id, task) for t in corpus for task in TASKS)
 
 
 def test_train_is_deterministic_for_a_seed(corpus, vocab):
@@ -268,6 +285,10 @@ def test_restore_rejects_missing_or_mismatched_shapes(vocab):
     partial.pop("joint.weight")
     with pytest.raises(CheckpointError):
         restore(small, partial)
+    # a pair-C snapshot holds the comment encoder a pair-B network lacks
+    pair_c = snapshot(PairModel(vocab, "C", m=4, d_w=4, d_feat=2))
+    with pytest.raises(CheckpointError, match="c_encoder.word_emb"):
+        restore(PairModel(vocab, "B", m=4, d_w=4, d_feat=2), pair_c)
 
 
 def test_checkpoint_round_trip(tmp_path, corpus, vocab):
