@@ -218,8 +218,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if kind == "pair":
         if task is None:
             raise UsageError("the pair model needs --task")
+        if tasks_spec is not None:
+            raise UsageError("--tasks is for the mtl model; the pair model trains its --task")
         tasks = (task,)
     else:
+        if task is not None:
+            raise UsageError("--task is for the pair model; the mtl model trains --tasks")
         tasks = _parse_tasks(tasks_spec) if tasks_spec else TASKS
 
     def options(defaults: dict) -> dict:

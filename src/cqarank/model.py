@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,28 +48,53 @@ def rank_bin(google_rank: int) -> int:
     return bisect.bisect_right(_RANK_BIN_EDGES, google_rank)
 
 
-def _uniform(rng: np.random.Generator, shape, dtype) -> np.ndarray:
-    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
-
-
 def _inputs_of(task: Optional[str]) -> tuple[str, ...]:
     if task not in INPUTS:
         raise ValueError(f"unknown task {task!r}")
     return INPUTS[task]
 
 
+def parameter_table(vocab_size: int, task: Optional[str], **sizes: int) -> dict[str, tuple[int, ...]]:
+    """The network's parameters, ``{name: shape}`` in draw order, for a
+    vocabulary size, a task (None: the joint network) and the SIZES.  Each
+    encoder's and head's four parameters sit together, in the order of the
+    holder's fields.  The table is the checkpoint format.  Raises ValueError
+    unless every size is a positive int."""
+    for key in SIZES:
+        if type(sizes[key]) is not int or sizes[key] < 1:
+            raise ValueError(f"{key} must be a positive integer, got {sizes[key]!r}")
+    inputs = _inputs_of(task)
+    m, d_w, d_feat = sizes["m"], sizes["d_w"], sizes["d_feat"]
+    encoder = {"word_emb": (vocab_size, d_w), "feat_emb": (2, d_feat),
+               "filters": (m, d_w + d_feat, sizes["filter_width"]), "conv_bias": (m,)}
+    table = {}
+    for name in ("q_encoder", "c_encoder") if "c_rel" in inputs else ("q_encoder",):
+        table |= {f"{name}.{part}": shape for part, shape in encoder.items()}
+    uses_rank = task != "A"
+    if uses_rank:
+        table["rank_emb"] = (RANK_BINS, d_feat)
+    dim = len(inputs) * m + (d_feat if uses_rank else 0)
+    if task is None:
+        trunk = "joint"
+        heads = [[f"head_{t}.{n}" for n in ("hidden_w", "hidden_b", "out_w", "out_b")] for t in TASKS]
+    else:
+        trunk = "hidden1"
+        heads = [["hidden2.weight", "hidden2.bias", "out.weight", "out.bias"]]
+    table |= {f"{trunk}.weight": (dim, dim), f"{trunk}.bias": (dim,)}
+    for hidden_w, hidden_b, out_w, out_b in heads:
+        table |= {hidden_w: (dim, dim), hidden_b: (dim,), out_w: (1, dim), out_b: (1,)}
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class SentenceEncoder:
     """Word + overlap-feature embeddings, a wide convolution, and max pooling
     collapse a token sequence into a vector of fixed length m."""
 
-    def __init__(self, name, vocab_size, d_w, d_feat, m, width, rng, dtype):
-        self.word_emb = nn.Parameter(f"{name}.word_emb", _uniform(rng, (vocab_size, d_w), dtype))
-        self.feat_emb = nn.Parameter(f"{name}.feat_emb", _uniform(rng, (2, d_feat), dtype))
-        self.filters = nn.Parameter(f"{name}.filters", _uniform(rng, (m, d_w + d_feat, width), dtype))
-        self.conv_bias = nn.Parameter(f"{name}.conv_bias", np.zeros(m, dtype=dtype))
-
-    def parameters(self) -> list[nn.Parameter]:
-        return [self.word_emb, self.feat_emb, self.filters, self.conv_bias]
+    word_emb: nn.Parameter
+    feat_emb: nn.Parameter
+    filters: nn.Parameter
+    conv_bias: nn.Parameter
 
 
 def encode_texts(
@@ -90,20 +115,15 @@ def encode_texts(
     return nn.kmax_pool(fmap, lengths + width - 1)
 
 
+@dataclass(frozen=True, eq=False)
 class TaskHead:
     """Per-task scorer: one tanh layer sized like its input, then a sigmoid
-    unit producing the relevance probability.  ``names`` are the parameter
-    names of the hidden weight and bias and the output weight and bias."""
+    unit producing the relevance probability."""
 
-    def __init__(self, names, in_dim, rng, dtype):
-        hidden_w, hidden_b, out_w, out_b = names
-        self.hidden_w = nn.Parameter(hidden_w, _uniform(rng, (in_dim, in_dim), dtype))
-        self.hidden_b = nn.Parameter(hidden_b, np.zeros(in_dim, dtype=dtype))
-        self.out_w = nn.Parameter(out_w, _uniform(rng, (1, in_dim), dtype))
-        self.out_b = nn.Parameter(out_b, np.zeros(1, dtype=dtype))
-
-    def parameters(self) -> list[nn.Parameter]:
-        return [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
+    hidden_w: nn.Parameter
+    hidden_b: nn.Parameter
+    out_w: nn.Parameter
+    out_b: nn.Parameter
 
     def forward(self, x, dropout_hidden, mask):
         h = nn.dense(x, self.hidden_w, self.hidden_b, "tanh")
@@ -166,8 +186,9 @@ class CqaModel:
     layer, and one task head per scored task.
 
     ``task=None`` builds the joint three-task network; a task letter builds
-    that task's individual pair network.  Parameter names and the order of
-    the initial draws are part of the checkpoint format.
+    that task's individual pair network.  Its parameters are those of
+    :func:`parameter_table`, made in table order: a bias (1-d) starts at
+    zero, and every other parameter is drawn uniform in +-INIT_SCALE.
     """
 
     def __init__(
@@ -182,56 +203,41 @@ class CqaModel:
         seed: int = 0,
         dtype=np.float32,
     ):
-        self.inputs = _inputs_of(task)
+        sizes = dict(m=m, d_w=d_w, d_feat=d_feat, filter_width=filter_width, max_len=max_len)
+        table = parameter_table(len(vocab), task, **sizes)
+        vars(self).update(sizes)  # self.m, self.d_w, ... as SIZES names them
+        self.inputs = INPUTS[task]
         self.vocab = vocab
         self.task = task
         self.kind = "mtl" if task is None else "pair"
         self.tasks = TASKS if task is None else (task,)
-        self.m = m
-        self.d_w = d_w
-        self.d_feat = d_feat
-        self.filter_width = filter_width
-        self.max_len = max_len
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-
-        def encoder(name):
-            return SentenceEncoder(name, len(vocab), d_w, d_feat, m, filter_width, rng, self.dtype)
-
-        self.q_encoder = encoder("q_encoder")
-        self.c_encoder = encoder("c_encoder") if "c_rel" in self.inputs else None
+        self._parameters = [
+            nn.Parameter(
+                name,
+                np.zeros(shape, self.dtype) if len(shape) == 1
+                else rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(self.dtype),
+            )
+            for name, shape in table.items()
+        ]
+        made = iter(self._parameters)
+        self.q_encoder = SentenceEncoder(*islice(made, 4))
+        self.c_encoder = SentenceEncoder(*islice(made, 4)) if "c_rel" in self.inputs else None
+        self.rank_emb = next(made) if "rank_emb" in table else None
+        self.trunk_w, self.trunk_b = islice(made, 2)
+        self.heads = {t: TaskHead(*islice(made, 4)) for t in self.tasks}
+        self.joint_dim = self.trunk_b.data.shape[0]
         self.encoders = tuple(self.c_encoder if r == "c_rel" else self.q_encoder for r in self.inputs)
         # runs of adjacent inputs that share an encoder, with their positions
         self.encoder_runs = [
             (enc, tuple(k for k, _ in run))
             for enc, run in groupby(enumerate(self.encoders), key=lambda item: item[1])
         ]
-        uses_rank = task != "A"
-        self.rank_emb = (
-            nn.Parameter("rank_emb", _uniform(rng, (RANK_BINS, d_feat), self.dtype)) if uses_rank else None
-        )
-        self.joint_dim = dim = len(self.inputs) * m + (d_feat if uses_rank else 0)
-        if task is None:
-            trunk = "joint"
-            heads = {t: [f"head_{t}.{n}" for n in ("hidden_w", "hidden_b", "out_w", "out_b")] for t in TASKS}
-        else:
-            trunk = "hidden1"
-            heads = {task: ["hidden2.weight", "hidden2.bias", "out.weight", "out.bias"]}
-        self.trunk_w = nn.Parameter(f"{trunk}.weight", _uniform(rng, (dim, dim), self.dtype))
-        self.trunk_b = nn.Parameter(f"{trunk}.bias", np.zeros(dim, dtype=self.dtype))
-        self.heads = {t: TaskHead(names, dim, rng, self.dtype) for t, names in heads.items()}
-
-    def unique_encoders(self) -> list[SentenceEncoder]:
-        return [e for e in (self.q_encoder, self.c_encoder) if e is not None]
 
     def parameters(self) -> list[nn.Parameter]:
-        params = [p for e in self.unique_encoders() for p in e.parameters()]
-        if self.rank_emb is not None:
-            params.append(self.rank_emb)
-        params += [self.trunk_w, self.trunk_b]
-        for head in self.heads.values():
-            params += head.parameters()
-        return params
+        """Every parameter, in table order."""
+        return list(self._parameters)
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -310,12 +316,13 @@ def apply_word_vectors(model: CqaModel, vectors: dict[str, np.ndarray]) -> int:
     """Overwrite word-embedding rows with pretrained vectors; tokens absent
     from ``vectors`` keep their random initialization.  Returns the number of
     rows replaced per table."""
+    tables = [p.data for p in model.parameters() if p.name.endswith(".word_emb")]
     replaced = 0
     for token, vec in vectors.items():
         if token not in model.vocab:
             continue
         idx = model.vocab.id_of(token)
-        for enc in model.unique_encoders():
-            enc.word_emb.data[idx] = vec.astype(model.dtype)
+        for table in tables:
+            table[idx] = vec.astype(model.dtype)
         replaced += 1
     return replaced

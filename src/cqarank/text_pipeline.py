@@ -110,18 +110,22 @@ class Vocabulary:
         return tuple(self._id_to_token)
 
     def encode(self, text: TokenizedText) -> tuple[int, ...]:
-        """The id of each token of ``text``; out-of-vocabulary tokens get UNK."""
-        return tuple(self.id_of(t) for t in text.tokens)
+        """The id of each token of ``text``; out-of-vocabulary tokens get UNK,
+        and so does a token spelled like the PAD entry."""
+        ids = self._token_to_id
+        return tuple(UNK_ID if t == PAD_TOKEN else ids.get(t, UNK_ID) for t in text.tokens)
 
 
 def build_vocabulary(corpus: Iterable[TokenizedText], min_count: int = 1) -> Vocabulary:
     """Vocabulary of tokens occurring >= min_count times, ids assigned by
-    descending frequency then lexicographic order."""
+    descending frequency then lexicographic order.  A text token spelled like
+    a reserved entry (``<pad>``, ``<unk>``) is not counted."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(text.tokens)
+    del counts[PAD_TOKEN], counts[UNK_TOKEN]  # a Counter ignores absent keys
     kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import nn_core as nn
 from .dataset import BinaryLabels, Triple, atomic_write, binarize, make_batches
 from .evaluation import build_rows, evaluate_scores, score_features
-from .model import SIZES, TASKS, CqaModel
+from .model import SIZES, TASKS, CqaModel, parameter_table
 from .text_pipeline import Vocabulary
 
 
@@ -49,15 +49,17 @@ class TrainConfig:
     tasks: tuple[str, ...] = TASKS
 
     def __post_init__(self):
-        if self.stopping not in STOPPING:
-            modes = " or ".join(map(repr, STOPPING))
-            raise ValueError(f"stopping must be {modes}, got {self.stopping!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name, ok, rule in (
+            ("stopping", self.stopping in STOPPING, " or ".join(map(repr, STOPPING))),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("lr", 0 < self.lr < math.inf, "positive and finite"),
+            ("rho", 0 <= self.rho < 1, "in [0, 1)"),
+            ("eps", self.eps > 0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         unknown = set(self.tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks: {sorted(unknown)}")
@@ -124,27 +126,27 @@ class TrainReport:
 
 def snapshot(model) -> dict[str, np.ndarray]:
     """Copy every parameter array, keyed by parameter name."""
-    snap = {}
-    for p in model.parameters():
-        if p.name in snap:
-            raise ValueError(f"duplicate parameter name {p.name!r}")
-        snap[p.name] = p.data.copy()
-    return snap
+    return {p.name: p.data.copy() for p in model.parameters()}
+
+
+def _mismatch(arrays: dict[str, np.ndarray], table: dict[str, tuple[int, ...]]) -> str:
+    """What keeps ``arrays`` from being exactly the parameters of ``table``
+    in their shapes; empty when nothing does."""
+    problems = {
+        "extra arrays": sorted(set(arrays) - set(table)),
+        "missing parameters": [name for name in table if name not in arrays],
+        "wrong shapes": [f"{name} is {list(arrays[name].shape)}, not {list(shape)}"
+                          for name, shape in table.items() if name in arrays and arrays[name].shape != shape],
+    }
+    return "; ".join(f"{what}: {', '.join(names)}" for what, names in problems.items() if names)
 
 
 def restore(model, snap: dict[str, np.ndarray]) -> None:
     """Load a snapshot of exactly the model's parameters back into it in place."""
-    extra = sorted(set(snap) - {p.name for p in model.parameters()})
-    if extra:
-        raise CheckpointError(f"arrays {', '.join(extra)} are not parameters of the network")
+    problem = _mismatch(snap, {p.name: p.data.shape for p in model.parameters()})
+    if problem:
+        raise CheckpointError(problem)
     for p in model.parameters():
-        if p.name not in snap:
-            raise CheckpointError(f"snapshot missing parameter {p.name!r}")
-        if snap[p.name].shape != p.data.shape:
-            raise CheckpointError(
-                f"parameter {p.name!r}: snapshot shape {snap[p.name].shape} "
-                f"!= model shape {p.data.shape}"
-            )
         np.copyto(p.data, snap[p.name])
 
 
@@ -336,26 +338,10 @@ def _read_array(payload: bytes, entry: dict) -> np.ndarray:
     return np.frombuffer(payload, dtype, count=math.prod(shape), offset=offset).reshape(shape).copy()
 
 
-def _check_sizes(meta: dict, vocab_size: int, params: dict[str, np.ndarray]) -> None:
-    """The meta sizes and the vocabulary agree with the stored question
-    encoder (every network has one), so a model built from them is no larger
-    than the arrays in the file."""
-    expected = {
-        "q_encoder.word_emb": (vocab_size, meta["d_w"]),
-        "q_encoder.filters": (meta["m"], meta["d_w"] + meta["d_feat"], meta["filter_width"]),
-    }
-    for name, shape in expected.items():
-        if name not in params:
-            raise ValueError(f"no array {name!r}")
-        if params[name].shape != shape:
-            raise ValueError(
-                f"array {name!r} has shape {list(params[name].shape)}, but the meta sizes "
-                f"and the {vocab_size}-token vocabulary give {list(shape)}"
-            )
-
-
 def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]]:
-    """Parse and validate a checkpoint: its meta, vocabulary and arrays."""
+    """Parse and validate a checkpoint: the keyword arguments that rebuild
+    its network, its vocabulary, and its arrays, which must be exactly the
+    network's parameter table."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -377,37 +363,32 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
             raise ValueError(f"unknown model kind {meta['kind']!r}")
         if meta["kind"] == "pair" and meta["task"] not in TASKS:
             raise ValueError(f"unknown pair task {meta['task']!r}")
-        for key in SIZES:
-            if type(meta[key]) is not int or meta[key] < 1:
-                raise ValueError(f"meta {key} must be a positive integer, got {meta[key]!r}")
         if np.dtype(meta["dtype"]).kind != "f":
             raise ValueError(f"meta dtype {meta['dtype']!r} is not a float type")
         vocab = Vocabulary(tokens)
+        spec = {"task": meta["task"] if meta["kind"] == "pair" else None, **{k: meta[k] for k in SIZES}}
+        table = parameter_table(len(vocab), **spec)
         params = {entry["name"]: _read_array(payload, entry) for entry in entries}
-        _check_sizes(meta, len(vocab), params)
     except KeyError as exc:
         raise CheckpointError(f"{path}: index lacks {exc}") from None
     except (TypeError, ValueError, SyntaxError) as exc:  # np.dtype(",f4") raises SyntaxError
         raise CheckpointError(f"{path}: invalid index: {exc}") from None
+    problem = _mismatch(params, table)
+    if problem:
+        raise CheckpointError(f"{path}: {problem}")
     non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
     if non_finite:
         raise CheckpointError(f"{path}: non-finite values in {', '.join(non_finite)}")
-    return meta, vocab, params
+    return {**spec, "dtype": np.dtype(meta["dtype"])}, vocab, params
 
 
 def load_checkpoint(path: str) -> CqaModel:
     """Rebuild the model (architecture, vocabulary, weights) from a file
-    written by :func:`save_checkpoint`.  The stored arrays must be exactly
-    the parameters of the network the meta describes."""
-    meta, vocab, params = _read_checkpoint(path)
-    model = CqaModel(
-        vocab,
-        task=meta["task"] if meta["kind"] == "pair" else None,
-        dtype=np.dtype(meta["dtype"]),
-        **{key: meta[key] for key in SIZES},
-    )
-    try:
-        restore(model, params)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+    written by :func:`save_checkpoint`.  The file is checked against the
+    parameter table of the network its meta describes before any network is
+    built: an extra array, a missing parameter or a shape that differs raises
+    :class:`CheckpointError` naming the file and the arrays."""
+    spec, vocab, params = _read_checkpoint(path)
+    model = CqaModel(vocab, **spec)
+    restore(model, params)
     return model

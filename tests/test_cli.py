@@ -369,6 +369,7 @@ MALFORMED = {
     "corpus_not_utf8": _non_utf8_corpus,
     "non_finite_weight": _nan_weight,
     "arrays_not_the_meta_network": _pair_c_labelled_task_b,
+    "params_entry_removed": _edit_index(lambda ix: ix["params"].pop(3)),
 }
 
 
@@ -404,6 +405,52 @@ def test_bad_vectors_file_exits_2_naming_the_path(tmp_path, corpus_path, capsys,
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(vectors) in err[0]
+
+
+# train options that exit 1 with one error line and write nothing: sizes that
+# are not positive, optimizer values rmsprop cannot use, and a --task or
+# --tasks the chosen model does not read (from a flag or from --config)
+BAD_TRAIN_OPTIONS = {
+    "m_zero": (["--m", "0"], None),
+    "d_w_zero": (["--d-w", "0"], None),
+    "negative_lr": (["--lr", "-1"], None),
+    "rho_above_one": (["--rho", "1.5"], None),
+    "zero_eps": (["--eps", "0"], None),
+    "mtl_with_task": (["--model", "mtl", "--task", "C"], None),
+    "pair_with_tasks": (["--model", "pair", "--task", "C", "--tasks", "AB"], None),
+    "mtl_with_task_in_config": (["--model", "mtl"], "task=C\n"),
+    "pair_with_tasks_in_config": (["--task", "C"], "model=pair\ntasks=AB\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAIN_OPTIONS))
+def test_bad_train_options_exit_1_with_one_error_line(tmp_path, corpus_path, capsys, case):
+    flags, config = BAD_TRAIN_OPTIONS[case]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = [*flags, "--config", str(tmp_path / "run.cfg")]
+    out_dir = tmp_path / "run"
+    assert main(train_args(corpus_path, out_dir, *flags)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--rho", "1.5"], ["--eps", "0"]])
+def test_optimizer_values_are_refused_before_the_corpus_is_read(tmp_path, flags):
+    # a missing corpus would exit 2 if it were read first
+    assert main(train_args(str(tmp_path / "missing.jsonl"), tmp_path / "run", *flags)) == 1
+
+
+@pytest.mark.parametrize("token", [PAD_TOKEN, UNK_TOKEN])
+def test_train_reads_a_reserved_token_in_a_text_as_unknown(tmp_path, token):
+    data = gradcheck_corpus()
+    data[0] = dataclasses.replace(data[0], c_rel=f"{data[0].c_rel} {token}")
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(str(path), data)
+    assert main(train_args(str(path), tmp_path / "run")) == 0
+    vocab = load_checkpoint(str(tmp_path / "run" / "model.ckpt")).vocab
+    assert vocab.tokens[:2] == (PAD_TOKEN, UNK_TOKEN) and vocab.tokens.count(token) == 1
 
 
 def test_config_file_merging(tmp_path, corpus_path):

@@ -97,6 +97,16 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary([PAD_TOKEN])
 
 
+def test_reserved_tokens_in_a_text_read_as_unknown():
+    # only an empty text reads as PAD; a text token spelled "<pad>" is not counted
+    text = preprocess(None, "a <pad> <unk> b a")
+    assert text.tokens == ("a", PAD_TOKEN, UNK_TOKEN, "b", "a")
+    assert Vocabulary(["a"]).encode(text) == (2, UNK_ID, UNK_ID, UNK_ID, 2)
+    vocab = build_vocabulary([text])
+    assert vocab.tokens == (PAD_TOKEN, UNK_TOKEN, "a", "b")
+    assert vocab.encode(text) == (2, UNK_ID, UNK_ID, 3, 2)
+
+
 def test_vocabulary_tokens_round_trip():
     vocab = Vocabulary(["x", "y", "z"])
     rebuilt = Vocabulary(vocab.tokens[2:])

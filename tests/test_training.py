@@ -10,7 +10,7 @@ import cqarank.evaluation as evaluation
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import BinaryLabels, binarize, make_batches
-from cqarank.model import TASKS, MtlModel, PairModel
+from cqarank.model import TASKS, MtlModel, PairModel, parameter_table
 from cqarank.synthetic import gradcheck_corpus, vocabulary_for
 from cqarank.training import (
     CheckpointError,
@@ -86,6 +86,11 @@ def test_train_config_validation():
         TrainConfig(tasks=())
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    # rmsprop needs a positive finite step, a decay in [0, 1) and a positive eps
+    for bad in (dict(lr=-1.0), dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan),
+                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_early_stopper_counts_non_improvements():
@@ -370,9 +375,21 @@ def test_checkpoint_format_is_stable(tmp_path, vocab, task):
     kw = dict(m=3, d_w=4, d_feat=2, filter_width=2, seed=0)
     model = MtlModel(vocab, **kw) if task is None else PairModel(vocab, task=task, **kw)
     assert [(p.name, p.data.shape) for p in model.parameters()] == table
+    sizes = dict(m=3, d_w=4, d_feat=2, filter_width=2, max_len=100)
+    assert list(parameter_table(len(vocab), task, **sizes).items()) == table
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), model)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_parameter_table_rejects_sizes_that_are_not_positive_ints(vocab):
+    sizes = dict(m=3, d_w=4, d_feat=2, filter_width=2, max_len=100)
+    for key in sizes:
+        for bad in (0, -1, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
+                parameter_table(len(vocab), None, **{**sizes, key: bad})
+            with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
+                MtlModel(vocab, **{**sizes, key: bad})
 
 
 def test_checkpoint_rejects_garbage(tmp_path, vocab):
