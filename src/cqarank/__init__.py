@@ -4,7 +4,6 @@ comment-to-new-question) trained jointly over shared convolutional sentence
 encoders."""
 
 from .dataset import (
-    BinaryLabels,
     CorpusError,
     Triple,
     binarize,
@@ -40,7 +39,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryLabels",
     "CheckpointError",
     "CorpusError",
     "CqaModel",

@@ -22,8 +22,10 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import (
+    TASKS,
     CorpusError,
     binarize,
+    check_tasks,
     extend_dataset,
     load_corpus,
     positive_rates,
@@ -38,7 +40,7 @@ from .evaluation import (
     tune_alpha,
     write_predictions,
 )
-from .model import SIZES, TASKS, CqaModel, apply_word_vectors, load_word_vectors
+from .model import SIZES, CqaModel, apply_word_vectors, load_word_vectors
 from .synthetic import gradcheck_corpus
 from .text_pipeline import vocabulary_for
 from .training import (
@@ -125,13 +127,14 @@ def _check_config_keys(config: dict[str, str]) -> None:
 
 
 def _parse_tasks(spec: str) -> tuple[str, ...]:
-    tasks = tuple(spec.replace(",", "").upper())
-    for t in tasks:
-        if t not in TASKS:
-            raise UsageError(f"unknown task {t!r} (expected letters from {''.join(TASKS)})")
-    if not tasks:
-        raise UsageError("empty task list")
-    return tasks
+    return check_tasks(spec.replace(",", "").upper())
+
+
+def _load_labelled(path: str) -> list:
+    """A labelled corpus that holds at least one triple."""
+    if not (data := load_corpus(path)):
+        raise CorpusError(f"{path}: no triples")
+    return data
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,14 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    data = load_corpus(args.corpus)
+    data = _load_labelled(args.corpus)
     threads = threads_from_corpus(data)
     derived = extend_dataset(threads)
     out = derived if args.derived_only else list(data) + derived
     save_corpus(args.out, out)
-    rates = positive_rates(out)
     print(f"original={len(data)} extended={len(derived)} total={len(data) + len(derived)}")
-    print(f"positive rates: A={rates[0]:.2f}% B={rates[1]:.2f}% C={rates[2]:.2f}%")
+    print("positive rates:", " ".join(f"{t}={r:.2f}%" for t, r in zip(TASKS, positive_rates(out))))
     print(f"wrote {len(out)} triples to {args.out}")
     return EXIT_OK
 
@@ -231,8 +233,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     train_conf = TrainConfig(tasks=tasks, **options(_TRAIN_FIELDS))
 
-    train_data = load_corpus(args.corpus)
-    dev_data = load_corpus(args.dev)
+    train_data = _load_labelled(args.corpus)
+    dev_data = _load_labelled(args.dev)
 
     sizes = options(_MODEL_SIZES)
     vocab = vocabulary_for(train_data, max_len=sizes["max_len"], **options(_VOCAB_OPTIONS))

@@ -1,15 +1,15 @@
-"""Triplet corpus handling: JSONL ingestion, label binarization, the
-positive-match training-set extension, and shuffled mini-batching.
+"""Triplet corpus handling: the task table, JSONL ingestion, label
+binarization, the positive-match training-set extension, and shuffled
+mini-batching.
 
-Corpus format is JSONL, one object per line:
+Corpus format is JSONL, one object per line, each ``label_<task>`` one of
+``LABELS[task]``:
 
     {"id": str, "group": str,
      "q_new_subject": str|null, "q_new_body": str,
      "q_rel_subject": str|null, "q_rel_body": str,
      "c_rel": str, "google_rank": int,
-     "label_A": "good"|"potentially_useful"|"bad",
-     "label_B": "perfect_match"|"relevant"|"irrelevant",
-     "label_C": "good"|"potentially_useful"|"bad"}
+     "label_A": str, "label_B": str, "label_C": str}
 """
 
 from __future__ import annotations
@@ -25,8 +25,26 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-LABELS_AC = ("good", "potentially_useful", "bad")
-LABELS_B = ("perfect_match", "relevant", "irrelevant")
+# The task table: A ranks a thread's comments for its question, B related
+# questions for a new question, C comments for the new question.  LABELS holds
+# the values of each ``label_<task>``, the last being the default of a corpus
+# read without labels; RELEVANT holds those that count as relevant.
+TASKS = ("A", "B", "C")
+LABELS = {
+    "A": ("good", "potentially_useful", "bad"),
+    "B": ("perfect_match", "relevant", "irrelevant"),
+    "C": ("good", "potentially_useful", "bad"),
+}
+RELEVANT = {"A": ("good",), "B": ("perfect_match", "relevant"), "C": ("good",)}
+
+
+def check_tasks(tasks: Sequence[str]) -> tuple[str, ...]:
+    """A task list as a tuple; raises ValueError unless it names at least one
+    task, only known ones, and none twice."""
+    tasks = tuple(tasks)
+    if not tasks or not set(tasks) <= set(TASKS) or len(set(tasks)) < len(tasks):
+        raise ValueError(f"tasks must be one or more of {', '.join(TASKS)}, none twice, got {list(tasks)}")
+    return tasks
 
 
 class CorpusError(ValueError):
@@ -54,12 +72,10 @@ class Triple:
     def __post_init__(self):
         if self.google_rank < 1:
             raise CorpusError(f"triple {self.id!r}: google_rank must be >= 1")
-        if self.label_A not in LABELS_AC:
-            raise CorpusError(f"triple {self.id!r}: bad label_A {self.label_A!r}")
-        if self.label_B not in LABELS_B:
-            raise CorpusError(f"triple {self.id!r}: bad label_B {self.label_B!r}")
-        if self.label_C not in LABELS_AC:
-            raise CorpusError(f"triple {self.id!r}: bad label_C {self.label_C!r}")
+        for task in TASKS:
+            label = getattr(self, f"label_{task}")
+            if label not in LABELS[task]:
+                raise CorpusError(f"triple {self.id!r}: bad label_{task} {label!r}")
 
     @property
     def q_rel_key(self) -> str:
@@ -73,22 +89,14 @@ class Triple:
         return f"{self.group}#{h.hexdigest()[:10]}"
 
 
-@dataclass(frozen=True)
-class BinaryLabels:
-    yA: int
-    yB: int
-    yC: int
+def task_relevance(triple: Triple, task: str) -> int:
+    """1 when the triple's ``label_<task>`` is RELEVANT for ``task``, else 0."""
+    return int(getattr(triple, f"label_{task}") in RELEVANT[task])
 
 
-def binarize(t: Triple) -> BinaryLabels:
-    """Collapse the three-way annotations to the binary relevance targets:
-    only `good` comments and `perfect_match`/`relevant` questions count as
-    positive."""
-    return BinaryLabels(
-        yA=1 if t.label_A == "good" else 0,
-        yB=1 if t.label_B in ("perfect_match", "relevant") else 0,
-        yC=1 if t.label_C == "good" else 0,
-    )
+def binarize(t: Triple) -> dict[str, int]:
+    """The binary relevance target of every task, ``{task: 0 or 1}``."""
+    return {task: task_relevance(t, task) for task in TASKS}
 
 
 _FIELDS = (
@@ -100,12 +108,10 @@ _FIELDS = (
     ("q_rel_body", str, False),
     ("c_rel", str, False),
     ("google_rank", int, False),
-    ("label_A", str, False),
-    ("label_B", str, False),
-    ("label_C", str, False),
+    *((f"label_{task}", str, False) for task in TASKS),
 )
 
-_LABEL_DEFAULTS = {"label_A": "bad", "label_B": "irrelevant", "label_C": "bad"}
+_LABEL_DEFAULTS = {f"label_{task}": LABELS[task][-1] for task in TASKS}
 
 
 def _parse_record(obj: dict, lineno: int, require_labels: bool) -> Triple:
@@ -139,8 +145,9 @@ def _parse_record(obj: dict, lineno: int, require_labels: bool) -> Triple:
 def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
     """Read a JSONL corpus, preserving file order.
 
-    With ``require_labels=False`` absent/null labels default to the negative
-    class, which supports scoring unannotated candidates.
+    With ``require_labels=False`` an absent or null label takes its task's
+    last LABELS value, which is not relevant; this supports scoring
+    unannotated candidates.
     """
     triples: list[Triple] = []
     seen_ids: set[str] = set()
@@ -169,11 +176,15 @@ def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
 def atomic_write(path: str, mode: str = "w"):
     """Open a temp file beside ``path`` (UTF-8 unless ``mode`` is binary);
     it replaces ``path`` when the block completes and is removed when the
-    block raises, so ``path`` never holds a partial file."""
+    block raises, so ``path`` never holds a partial file.  ``path`` gets the
+    permissions ``open(path, "w")`` would give it under the umask."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
+        umask = os.umask(0o022)  # the only way to read the umask is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -265,14 +276,8 @@ def make_batches(data: Sequence, batch_size: int, seed) -> list[list]:
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
 
 
-def positive_rates(data: Sequence[Triple]) -> tuple[float, float, float]:
-    """Percentage of positive examples per task."""
+def positive_rates(data: Sequence[Triple]) -> tuple[float, ...]:
+    """Percentage of positive examples per task, in TASKS order."""
     if not data:
         raise ValueError("positive_rates: empty dataset")
-    labels = [binarize(t) for t in data]
-    n = len(labels)
-    return (
-        100.0 * sum(l.yA for l in labels) / n,
-        100.0 * sum(l.yB for l in labels) / n,
-        100.0 * sum(l.yC for l in labels) / n,
-    )
+    return tuple(100.0 * sum(task_relevance(t, task) for t in data) / len(data) for task in TASKS)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from .dataset import Triple, atomic_write, binarize
+from .dataset import Triple, atomic_write, task_relevance
 
 GroupedRow = tuple[str, str, float, int, int]  # group_key, doc_id, score, google_rank, relevance
 
@@ -97,11 +97,6 @@ def task_group_key(triple: Triple, task: str) -> str:
     if task in ("B", "C"):
         return triple.group
     raise ValueError(f"unknown task {task!r}")
-
-
-def task_relevance(triple: Triple, task: str) -> int:
-    labels = binarize(triple)
-    return {"A": labels.yA, "B": labels.yB, "C": labels.yC}[task]
 
 
 # Triples scored per forward pass.

@@ -18,10 +18,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import nn_core as nn
-from .dataset import CorpusError, Triple
+from .dataset import TASKS, CorpusError, Triple
 from .text_pipeline import DEFAULT_MAX_LEN, PAD_ID, Vocabulary, overlap_indicators, triple_texts
-
-TASKS = ("A", "B", "C")
 
 # The texts each network reads, keyed by task (None: the joint network).
 INPUTS = {

@@ -454,6 +454,8 @@ def grad_check(
     """
     if probe_count < 1:
         raise ValueError("probes must be >= 1")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     params = list(params)
     if not params:
         raise ValueError("grad_check: empty parameter list")

@@ -20,9 +20,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import nn_core as nn
-from .dataset import BinaryLabels, Triple, atomic_write, binarize, make_batches
+from .dataset import TASKS, Triple, atomic_write, binarize, check_tasks, make_batches
 from .evaluation import build_rows, evaluate_scores, score_features
-from .model import SIZES, TASKS, CqaModel, parameter_table
+from .model import SIZES, CqaModel, parameter_table
 from .text_pipeline import Vocabulary
 
 
@@ -57,26 +57,25 @@ class TrainConfig:
             ("lr", 0 < self.lr < math.inf, "positive and finite"),
             ("rho", 0 <= self.rho < 1, "in [0, 1)"),
             ("eps", self.eps > 0, "> 0"),
+            ("dropout_input", 0 <= self.dropout_input < 1, "in [0, 1)"),
+            ("dropout_hidden", 0 <= self.dropout_hidden < 1, "in [0, 1)"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        unknown = set(self.tasks) - set(TASKS)
-        if unknown:
-            raise ValueError(f"unknown tasks: {sorted(unknown)}")
-        if not self.tasks:
-            raise ValueError("at least one task required")
+        check_tasks(self.tasks)
 
 
 def joint_loss(
     preds: dict[str, nn.Tensor],
-    labels: Union[BinaryLabels, Sequence[BinaryLabels]],
+    labels: Union[dict[str, int], Sequence[dict[str, int]]],
     tasks: Sequence[str],
 ) -> nn.Tensor:
     """Sum of the per-task cross-entropies for the active tasks over a batch
-    of predictions and its labels; one ``BinaryLabels`` is a batch of one."""
-    batch = [labels] if isinstance(labels, BinaryLabels) else labels
-    gold = {"A": [y.yA for y in batch], "B": [y.yB for y in batch], "C": [y.yC for y in batch]}
-    return nn.add_n([nn.bce_loss(preds[t], gold[t]) for t in tasks])
+    of predictions and its :func:`~cqarank.dataset.binarize` labels; one
+    label dict is a batch of one."""
+    batch = [labels] if isinstance(labels, dict) else labels
+    return nn.add_n([nn.bce_loss(preds[t], [y[t] for y in batch]) for t in tasks])
 
 
 class EarlyStopper:

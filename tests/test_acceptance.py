@@ -263,7 +263,7 @@ def test_criterion_6_extension_properties():
         assert d.label_B == "perfect_match"
         assert d.label_C == d.label_A
         assert d.google_rank == 1
-        assert binarize(d).yB == 1
+        assert binarize(d)["B"] == 1
     # deriving twice from the same corpus is deterministic
     assert extend_dataset(threads_from_corpus(data)) == derived
     report(6, f"{len(derived)} derived triples, all self-match properties hold")

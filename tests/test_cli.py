@@ -183,13 +183,15 @@ def test_evaluate_checks_every_task_before_writing(tmp_path, conjunction_split, 
     out_dir = tmp_path / "run"
     assert main(train_args(train_path, out_dir, "--model", "pair", "--task", "C", dev_path=dev_path)) == 0
     capsys.readouterr()
-    code = main(["evaluate", "--model", str(out_dir / "model.ckpt"), "--corpus", dev_path,
-                 "--tasks", "CA", "--out", str(tmp_path / "ev.tsv")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: checkpoint scores tasks ('C',), not 'A'"]
-    assert not list(tmp_path.glob("ev*.tsv"))
+    for tasks, message in [("CA", "checkpoint scores tasks ('C',), not 'A'"),
+                           ("CC", "tasks must be one or more of A, B, C, none twice, got ['C', 'C']")]:
+        code = main(["evaluate", "--model", str(out_dir / "model.ckpt"), "--corpus", dev_path,
+                     "--tasks", tasks, "--out", str(tmp_path / "ev.tsv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not list(tmp_path.glob("ev*.tsv"))
 
 
 def test_evaluate_checks_every_task_has_a_positive_before_writing(tmp_path, conjunction_split, capsys):
@@ -244,8 +246,15 @@ def test_gradcheck_command(capsys):
 
 
 def test_gradcheck_rejects_zero_probes(capsys):
-    assert main(["gradcheck", "--probes", "0"]) == 1
-    assert "probes must be >= 1" in capsys.readouterr().err
+    for flags, message in [
+        (["--probes", "0"], "probes must be >= 1"),
+        (["--delta", "0"], "delta must be positive and finite"),
+        (["--delta=-1e-4"], "delta must be positive and finite"),
+        (["--delta", "nan"], "delta must be positive and finite"),
+    ]:
+        assert main(["gradcheck", *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
 
 
 def test_gradcheck_detects_an_injected_gradient_bug(monkeypatch, capsys):
@@ -408,14 +417,20 @@ def test_bad_vectors_file_exits_2_naming_the_path(tmp_path, corpus_path, capsys,
 
 
 # train options that exit 1 with one error line and write nothing: sizes that
-# are not positive, optimizer values rmsprop cannot use, and a --task or
-# --tasks the chosen model does not read (from a flag or from --config)
+# are not positive, optimizer, dropout and seed values that cannot be used, a
+# task list that repeats a task, and a --task or --tasks the chosen model does
+# not read (from a flag or from --config)
 BAD_TRAIN_OPTIONS = {
     "m_zero": (["--m", "0"], None),
     "d_w_zero": (["--d-w", "0"], None),
     "negative_lr": (["--lr", "-1"], None),
     "rho_above_one": (["--rho", "1.5"], None),
     "zero_eps": (["--eps", "0"], None),
+    "dropout_input_above_one": (["--dropout-input", "1.5"], None),
+    "dropout_hidden_one": (["--dropout-hidden", "1"], None),
+    "negative_seed": (["--seed", "-1"], None),
+    "repeated_task": (["--tasks", "AA"], None),
+    "repeated_task_in_config": ([], "tasks=CAC\n"),
     "mtl_with_task": (["--model", "mtl", "--task", "C"], None),
     "pair_with_tasks": (["--model", "pair", "--task", "C", "--tasks", "AB"], None),
     "mtl_with_task_in_config": (["--model", "mtl"], "task=C\n"),
@@ -436,10 +451,52 @@ def test_bad_train_options_exit_1_with_one_error_line(tmp_path, corpus_path, cap
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--rho", "1.5"], ["--eps", "0"]])
+@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--rho", "1.5"], ["--eps", "0"], ["--dropout-input", "1.5"],
+                                   ["--dropout-hidden", "-0.1"], ["--seed", "-1"]])
 def test_optimizer_values_are_refused_before_the_corpus_is_read(tmp_path, flags):
     # a missing corpus would exit 2 if it were read first
     assert main(train_args(str(tmp_path / "missing.jsonl"), tmp_path / "run", *flags)) == 1
+
+
+@pytest.mark.parametrize("empty", ["corpus", "dev"])
+def test_train_refuses_an_empty_corpus(tmp_path, corpus_path, capsys, empty):
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n")
+    out_dir = tmp_path / "run"
+    args = train_args(corpus_path, out_dir, "--" + empty, str(blank))
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {blank}: no triples"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("derived_only", [False, True])
+def test_extend_refuses_an_empty_corpus(tmp_path, capsys, derived_only):
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("")
+    out = tmp_path / "x.jsonl"
+    assert main(["extend", "--corpus", str(blank), "--out", str(out)] + ["--derived-only"] * derived_only) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {blank}: no triples"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", ["022", "027"])
+def test_outputs_get_the_mode_the_umask_gives(tmp_path, corpus_path, umask):
+    umask = int(umask, 8)
+    out_dir = tmp_path / "run"
+    old = os.umask(umask)
+    try:
+        (tmp_path / "x.jsonl").write_text("")
+        os.chmod(tmp_path / "x.jsonl", 0o600)  # an existing file is replaced with the umask's mode too
+        assert main(train_args(corpus_path, out_dir)) == 0
+        assert main(["evaluate", "--model", str(out_dir / "model.ckpt"), "--corpus", corpus_path,
+                     "--tasks", "C", "--out", str(tmp_path / "p.tsv")]) == 0
+        assert main(["extend", "--corpus", corpus_path, "--out", str(tmp_path / "x.jsonl")]) == 0
+    finally:
+        os.umask(old)
+    for path in (out_dir / "model.ckpt", out_dir / "history.csv", tmp_path / "p.tsv", tmp_path / "x.jsonl"):
+        assert oct(os.stat(path).st_mode & 0o777) == oct(0o666 & ~umask), path.name
 
 
 @pytest.mark.parametrize("token", [PAD_TOKEN, UNK_TOKEN])
@@ -488,6 +545,26 @@ def test_identical_runs_produce_identical_artifacts(tmp_path, corpus_path):
     a, b = dirs
     assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
     assert (a / "history.csv").read_text() == (b / "history.csv").read_text()
+
+
+def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path, corpus_path):
+    # each run is a fresh process with its own str hash seed, so the
+    # iteration order of any set of strings differs between the two
+    src = os.path.dirname(os.path.dirname(cqarank.__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        run = tmp_path / f"seed{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args in (train_args(corpus_path, run, "--seed", "3"),
+                     ["evaluate", "--model", str(run / "model.ckpt"), "--corpus", corpus_path,
+                      "--tune-alpha", "--out", str(run / "p.tsv")]):
+            proc = subprocess.run([sys.executable, "-m", "cqarank.cli", *args], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        names = ["model.ckpt", "history.csv", "p.A.tsv", "p.B.tsv", "p.C.tsv"]
+        assert sorted(p.name for p in run.iterdir()) == sorted(names)
+        outputs.append({name: (run / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_entry_point():

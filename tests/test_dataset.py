@@ -1,12 +1,14 @@
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqarank.dataset import (
-    LABELS_AC,
-    LABELS_B,
+    LABELS,
     CorpusError,
     Triple,
     binarize,
@@ -15,8 +17,11 @@ from cqarank.dataset import (
     make_batches,
     positive_rates,
     save_corpus,
+    task_relevance,
     threads_from_corpus,
 )
+from cqarank.nn_core import Tensor
+from cqarank.training import joint_loss
 
 
 def make_triple(**overrides) -> Triple:
@@ -75,11 +80,41 @@ def test_triple_validation():
 def test_binarize():
     t = make_triple(label_A="good", label_B="perfect_match", label_C="good")
     assert binarize(t) == binarize(t)
-    assert (binarize(t).yA, binarize(t).yB, binarize(t).yC) == (1, 1, 1)
+    assert binarize(t) == {"A": 1, "B": 1, "C": 1}
     t = make_triple(label_A="bad", label_B="relevant", label_C="bad")
-    assert (binarize(t).yA, binarize(t).yB, binarize(t).yC) == (0, 1, 0)
+    assert binarize(t) == {"A": 0, "B": 1, "C": 0}
     t = make_triple(label_B="irrelevant")
-    assert binarize(t).yB == 0
+    assert binarize(t)["B"] == 0
+
+
+def test_every_label_combination_follows_the_relevance_rule(tmp_path):
+    # only good comments and perfect_match or relevant questions count;
+    # potentially_useful is not relevant
+    relevant = {"good", "perfect_match", "relevant"}
+    combos = list(itertools.product(LABELS["A"], LABELS["B"], LABELS["C"]))
+    assert len(combos) == 27
+    data = [make_triple(id=str(i), label_A=a, label_B=b, label_C=c) for i, (a, b, c) in enumerate(combos)]
+    gold = [{"A": int(a in relevant), "B": int(b in relevant), "C": int(c in relevant)} for a, b, c in combos]
+    assert [binarize(t) for t in data] == gold
+    assert [{task: task_relevance(t, task) for task in "ABC"} for t in data] == gold
+    assert positive_rates(data) == tuple(100.0 * sum(y[task] for y in gold) / 27 for task in "ABC")
+    # one prediction of 0.8 per task: each triple's loss is -ln 0.8 per
+    # relevant task and -ln 0.2 per other task
+    preds = {task: Tensor(np.array([0.8])) for task in "ABC"}
+    for t, y in zip(data, gold):
+        expected = sum(-math.log(0.8 if y[task] else 0.2) for task in "ABC")
+        assert joint_loss(preds, binarize(t), "ABC").data[0] == pytest.approx(expected, rel=1e-12)
+    batch = {task: Tensor(np.full(27, 0.8)) for task in "ABC"}
+    expected = sum(-math.log(0.8 if y[task] else 0.2) for y in gold for task in "AC")
+    assert joint_loss(batch, [binarize(t) for t in data], "AC").data[0] == pytest.approx(expected, rel=1e-12)
+
+    # a label-less corpus gives each missing or null label its task's last value
+    path = tmp_path / "unlabelled.jsonl"
+    absent = {k: v for k, v in record(id="absent").items() if not k.startswith("label_")}
+    write_jsonl(path, [absent, record(id="null", label_A=None, label_B=None, label_C=None)])
+    for t in load_corpus(str(path), require_labels=False):
+        assert (t.label_A, t.label_B, t.label_C) == ("bad", "irrelevant", "bad")
+        assert binarize(t) == {"A": 0, "B": 0, "C": 0}
 
 
 def test_q_rel_key_depends_on_group_and_question_text():
@@ -118,9 +153,9 @@ def corpora(draw):
             q_rel_body=draw(texts),
             c_rel=draw(texts),
             google_rank=draw(st.integers(1, 10**6)),
-            label_A=draw(st.sampled_from(LABELS_AC)),
-            label_B=draw(st.sampled_from(LABELS_B)),
-            label_C=draw(st.sampled_from(LABELS_AC)),
+            label_A=draw(st.sampled_from(LABELS["A"])),
+            label_B=draw(st.sampled_from(LABELS["B"])),
+            label_C=draw(st.sampled_from(LABELS["C"])),
         )
         for i in ids
     ]

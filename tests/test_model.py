@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqarank.nn_core as nn
-from cqarank.dataset import LABELS_AC, LABELS_B, Triple, binarize
+from cqarank.dataset import LABELS, Triple, binarize
 from cqarank.model import (
     INPUTS,
     MtlModel,
@@ -310,9 +310,9 @@ def batches(draw, roles):
                 q_rel_subject=texts["q_rel"][0], q_rel_body=texts["q_rel"][1],
                 c_rel=texts["c_rel"][1],
                 google_rank=draw(st.integers(1, 40)),
-                label_A=draw(st.sampled_from(LABELS_AC)),
-                label_B=draw(st.sampled_from(LABELS_B)),
-                label_C=draw(st.sampled_from(LABELS_AC)),
+                label_A=draw(st.sampled_from(LABELS["A"])),
+                label_B=draw(st.sampled_from(LABELS["B"])),
+                label_C=draw(st.sampled_from(LABELS["C"])),
             )
         )
     return triples

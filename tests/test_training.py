@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cqarank.evaluation as evaluation
 import cqarank.nn_core as nn
 import cqarank.training as training
-from cqarank.dataset import BinaryLabels, binarize, make_batches
+from cqarank.dataset import binarize, make_batches
 from cqarank.model import TASKS, MtlModel, PairModel, parameter_table
 from cqarank.synthetic import gradcheck_corpus, vocabulary_for
 from cqarank.training import (
@@ -51,7 +51,7 @@ def small_model(vocab, **kw):
 
 def test_joint_loss_sums_active_tasks():
     preds = {t: nn.Tensor(np.array([0.5])) for t in ("A", "B", "C")}
-    labels = BinaryLabels(1, 1, 1)
+    labels = {"A": 1, "B": 1, "C": 1}
     total = joint_loss(preds, labels, ("A", "B", "C"))
     assert total.data[0] == pytest.approx(2.0794415416798357, rel=1e-12)
     single = joint_loss(preds, labels, ("A",))
@@ -61,7 +61,7 @@ def test_joint_loss_sums_active_tasks():
 def test_joint_loss_masks_gradients_of_inactive_tasks():
     params = {t: nn.Parameter(t, np.array([0.4])) for t in ("A", "B", "C")}
     with nn.recording():
-        loss = joint_loss(params, BinaryLabels(1, 0, 1), ("A", "C"))
+        loss = joint_loss(params, {"A": 1, "B": 0, "C": 1}, ("A", "C"))
         loss.backward()
     assert params["A"].grad[0] != 0.0
     assert params["C"].grad[0] != 0.0
@@ -85,10 +85,14 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(tasks=())
     with pytest.raises(ValueError):
+        TrainConfig(tasks=("A", "C", "A"))
+    with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    # rmsprop needs a positive finite step, a decay in [0, 1) and a positive eps
+    # rmsprop needs a positive finite step, a decay in [0, 1) and a positive
+    # eps; dropout rates lie in [0, 1) and the seed is not negative
     for bad in (dict(lr=-1.0), dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan),
-                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0)):
+                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0), dict(dropout_input=1.0),
+                dict(dropout_hidden=-0.1), dict(dropout_hidden=math.nan), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
