@@ -11,7 +11,6 @@ from .dataset import (
     load_corpus,
     positive_rates,
     save_corpus,
-    threads_from_corpus,
 )
 from .evaluation import (
     EvalResult,
@@ -70,7 +69,6 @@ __all__ = [
     "reciprocal_rank",
     "save_checkpoint",
     "save_corpus",
-    "threads_from_corpus",
     "tokenize",
     "train",
     "tune_alpha",

@@ -30,7 +30,6 @@ from .dataset import (
     load_corpus,
     positive_rates,
     save_corpus,
-    threads_from_corpus,
 )
 from .evaluation import (
     blend_rows,
@@ -38,11 +37,12 @@ from .evaluation import (
     evaluate_scores,
     score_triples,
     tune_alpha,
+    weighted_combine,
     write_predictions,
 )
-from .model import SIZES, CqaModel, apply_word_vectors, load_word_vectors
+from .model import SIZES, CqaModel, apply_word_vectors, load_word_vectors, parameter_table
 from .synthetic import gradcheck_corpus
-from .text_pipeline import vocabulary_for
+from .text_pipeline import build_vocabulary, vocabulary_for
 from .training import (
     STOPPING,
     CheckpointError,
@@ -193,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     data = _load_labelled(args.corpus)
-    threads = threads_from_corpus(data)
-    derived = extend_dataset(threads)
+    derived = extend_dataset(data)
     out = derived if args.derived_only else list(data) + derived
     save_corpus(args.out, out)
     print(f"original={len(data)} extended={len(derived)} total={len(data) + len(derived)}")
@@ -231,14 +230,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     def options(defaults: dict) -> dict:
         return {k: merged_option(args, config_file, k, v) for k, v in defaults.items()}
 
+    # every option is checked before either corpus is read: the TrainConfig
+    # rules, then the size and min_count rules on a stand-in vocabulary
     train_conf = TrainConfig(tasks=tasks, **options(_TRAIN_FIELDS))
+    sizes, vocab_options = options(_MODEL_SIZES), options(_VOCAB_OPTIONS)
+    parameter_table(1, task, **sizes)
+    build_vocabulary((), **vocab_options)
 
     train_data = _load_labelled(args.corpus)
     dev_data = _load_labelled(args.dev)
 
-    sizes = options(_MODEL_SIZES)
-    vocab = vocabulary_for(train_data, max_len=sizes["max_len"], **options(_VOCAB_OPTIONS))
-    model = CqaModel(vocab, task=task if kind == "pair" else None, seed=train_conf.seed, **sizes)
+    vocab = vocabulary_for(train_data, max_len=sizes["max_len"], **vocab_options)
+    model = CqaModel(vocab, task=task, seed=train_conf.seed, **sizes)
 
     if args.vectors:
         vectors = load_word_vectors(args.vectors, vocab, model.d_w)
@@ -290,9 +293,17 @@ def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
     return rows, {t: blend_rows(r, alpha) for t, r in rows.items()}
 
 
+def _check_alpha(alpha: Optional[float]) -> None:
+    """Run a given blend weight through :func:`weighted_combine`'s rule, so a
+    bad one is refused before any file is read."""
+    if alpha is not None:
+        weighted_combine(0.0, 1, alpha)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
     model = load_checkpoint(args.model_path)
-    data = load_corpus(args.corpus)
+    data = _load_labelled(args.corpus)
     tasks = _parse_tasks(args.tasks) if args.tasks else tuple(model.tasks)
     model_rows, rows = _task_rows(model, data, tasks, args.alpha)
     for t in tasks:
@@ -316,6 +327,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
     model = load_checkpoint(args.model_path)
     data = load_corpus(args.corpus, require_labels=False)
     task = args.task

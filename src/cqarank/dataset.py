@@ -200,70 +200,40 @@ def save_corpus(path: str, triples: Iterable[Triple]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-@dataclass(frozen=True)
-class ThreadComment:
-    id: str
-    text: str
-    label_A: str
-
-
-@dataclass(frozen=True)
-class Thread:
-    """A related question together with its labelled comments."""
-
-    key: str
-    subject: Optional[str]
-    body: str
-    comments: tuple[ThreadComment, ...]
-
-
-def threads_from_corpus(triples: Sequence[Triple]) -> list[Thread]:
-    """Collect the distinct question-comment threads of a triplet corpus,
-    first-appearance order, one entry per distinct (question, comment) pair.
-    Each comment takes the id of its first triple plus ``_ed``; an id that a
-    triple of the corpus already has raises :class:`CorpusError`."""
+def extend_dataset(triples: Sequence[Triple]) -> list[Triple]:
+    """Build the extra positive-match triples: each related question paired
+    with itself and each of its comments, one triple per distinct (question,
+    comment) pair.  Threads keep their first-appearance order, and so do the
+    comments within each.  The question's subject and body come from the
+    thread's first triple; the comment's label and id (plus ``_ed``) come from
+    the pair's first triple, and a derived id that is already the id of a
+    triple raises :class:`CorpusError`.  The question-question label is
+    positive by construction, the comment label carries over to the new
+    question-comment task, and the self-match gets search rank 1."""
     ids = {t.id for t in triples}
-    by_key: dict[str, dict] = {}
+    threads: dict[str, tuple[Triple, dict[str, Triple]]] = {}
     for t in triples:
         key = t.q_rel_key
-        entry = by_key.setdefault(
-            key, {"subject": t.q_rel_subject, "body": t.q_rel_body, "comments": {}}
+        head, derived = threads.setdefault(key, (t, {}))
+        if t.c_rel in derived:
+            continue
+        if (derived_id := f"{t.id}_ed") in ids:
+            raise CorpusError(f"derived id {derived_id!r} is already the id of a triple")
+        subject, body = head.q_rel_subject, head.q_rel_body
+        derived[t.c_rel] = Triple(
+            id=derived_id,
+            group=key,
+            q_new_subject=subject,
+            q_new_body=body,
+            q_rel_subject=subject,
+            q_rel_body=body,
+            c_rel=t.c_rel,
+            google_rank=1,
+            label_A=t.label_A,
+            label_B="perfect_match",
+            label_C=t.label_A,
         )
-        if t.c_rel not in entry["comments"]:
-            derived_id = f"{t.id}_ed"
-            if derived_id in ids:
-                raise CorpusError(f"derived id {derived_id!r} is already the id of a triple")
-            entry["comments"][t.c_rel] = ThreadComment(derived_id, t.c_rel, t.label_A)
-    return [
-        Thread(key, e["subject"], e["body"], tuple(e["comments"].values()))
-        for key, e in by_key.items()
-    ]
-
-
-def extend_dataset(threads: Iterable[Thread]) -> list[Triple]:
-    """Build the extra positive-match triples: each thread question paired
-    with itself and each of its comments.  The question-question label is
-    positive by construction and the comment label carries over to the new
-    question-comment task; the self-match gets search rank 1."""
-    out: list[Triple] = []
-    for thread in threads:
-        for comment in thread.comments:
-            out.append(
-                Triple(
-                    id=comment.id,
-                    group=thread.key,
-                    q_new_subject=thread.subject,
-                    q_new_body=thread.body,
-                    q_rel_subject=thread.subject,
-                    q_rel_body=thread.body,
-                    c_rel=comment.text,
-                    google_rank=1,
-                    label_A=comment.label_A,
-                    label_B="perfect_match",
-                    label_C=comment.label_A,
-                )
-            )
-    return out
+    return [d for _, derived in threads.values() for d in derived.values()]
 
 
 def make_batches(data: Sequence, batch_size: int, seed) -> list[list]:

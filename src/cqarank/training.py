@@ -149,18 +149,12 @@ def restore(model, snap: dict[str, np.ndarray]) -> None:
         np.copyto(p.data, snap[p.name])
 
 
-@dataclass
-class DevStats:
-    total: float
-    task_loss: dict[str, float]
-    task_map: dict[str, float]
-
-
-def _dev_pass(model, dev: tuple[Sequence, dict], tasks: Sequence[str]) -> DevStats:
+def _dev_pass(
+    model, dev: tuple[Sequence, dict], tasks: Sequence[str]
+) -> tuple[dict[str, float], dict[str, float]]:
     """One inference pass over the dev set, given as its features and each
-    task's ranking rows, whose scores it replaces: mean per-task loss, their
-    sum over active tasks, and per-task MAP percentage (nan when no dev group
-    has a positive)."""
+    task's ranking rows, whose scores it replaces: each active task's mean
+    loss and its MAP percentage (nan when no dev group has a positive)."""
     features, task_rows = dev
     scores = score_features(model, features)
     task_loss = {}
@@ -174,7 +168,7 @@ def _dev_pass(model, dev: tuple[Sequence, dict], tasks: Sequence[str]) -> DevSta
             task_map[t] = evaluate_scores(rows).map
         except ValueError:
             task_map[t] = math.nan
-    return DevStats(total=sum(task_loss.values()), task_loss=task_loss, task_map=task_map)
+    return task_loss, task_map
 
 
 def train(
@@ -233,21 +227,15 @@ def train(
             loss_total += value * len(batch)
         loss_train = loss_total / len(train_data)
 
-        dev = _dev_pass(model, dev_set, tasks)
-        if not math.isfinite(dev.total):
-            raise nn.NumericError(f"non-finite dev loss {dev.total} in epoch {epoch}")
-        stats = EpochStats(
-            epoch=epoch,
-            loss_train=loss_train,
-            loss_dev=dev.total,
-            task_loss=dict(dev.task_loss),
-            task_map=dict(dev.task_map),
-        )
+        task_loss, task_map = _dev_pass(model, dev_set, tasks)
+        stats = EpochStats(epoch, loss_train, sum(task_loss.values()), task_loss, task_map)
+        if not math.isfinite(stats.loss_dev):
+            raise nn.NumericError(f"non-finite dev loss {stats.loss_dev} in epoch {epoch}")
         report.history.append(stats)
         if log is not None:
             log(stats)
 
-        dev_loss = {"joint": dev.total, **dev.task_loss}
+        dev_loss = {"joint": stats.loss_dev, **task_loss}
         for key, stopper in stoppers.items():
             if stopper.update(dev_loss[key], epoch):
                 report.snapshots[key] = snapshot(model)

@@ -12,11 +12,11 @@ import pytest
 
 import cqarank.nn_core as nn
 import cqarank.training as training
-from cqarank.dataset import binarize, extend_dataset, load_corpus, positive_rates, threads_from_corpus
+from cqarank.dataset import binarize, extend_dataset, load_corpus, positive_rates
 from cqarank.evaluation import average_precision, build_rows, evaluate_scores, reciprocal_rank
 from cqarank.model import MtlModel, PairModel, rank_bin
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus, vocabulary_for
-from cqarank.training import DevStats, TrainConfig, joint_loss, save_checkpoint, snapshot, train
+from cqarank.training import TrainConfig, joint_loss, save_checkpoint, snapshot, train
 
 
 def report(criterion, detail):
@@ -254,9 +254,8 @@ def test_criterion_5_multitask_benefit_on_task_c():
 
 def test_criterion_6_extension_properties():
     data = conjunction_corpus(n_groups=10, candidates_per_group=4, seed=5)
-    threads = threads_from_corpus(data)
-    derived = extend_dataset(threads)
-    assert len(derived) == sum(len(t.comments) for t in threads)
+    derived = extend_dataset(data)
+    assert len(derived) == len({(t.q_rel_key, t.c_rel) for t in data})
     for d in derived:
         assert d.q_new_subject == d.q_rel_subject
         assert d.q_new_body == d.q_rel_body
@@ -265,7 +264,7 @@ def test_criterion_6_extension_properties():
         assert d.google_rank == 1
         assert binarize(d)["B"] == 1
     # deriving twice from the same corpus is deterministic
-    assert extend_dataset(threads_from_corpus(data)) == derived
+    assert extend_dataset(data) == derived
     report(6, f"{len(derived)} derived triples, all self-match properties hold")
 
 
@@ -275,7 +274,7 @@ SEMEVAL_ENV = "CQA_SEMEVAL_CORPUS"
 @pytest.mark.skipif(SEMEVAL_ENV not in os.environ, reason=f"set {SEMEVAL_ENV} to run")
 def test_criterion_6_extension_on_real_corpus():
     data = load_corpus(os.environ[SEMEVAL_ENV])
-    extended = list(data) + extend_dataset(threads_from_corpus(data))
+    extended = list(data) + extend_dataset(data)
     assert len(extended) == 34_100
     rates = positive_rates(extended)
     expected = (37.47, 64.38, 21.25)
@@ -296,8 +295,7 @@ def scripted_dev_pass(script):
         epoch = len(captures) + 1
         captures[epoch] = snapshot(model)
         losses = {t: script[t][min(epoch, len(script[t])) - 1] for t in tasks}
-        return DevStats(total=sum(losses.values()), task_loss=losses,
-                        task_map={t: math.nan for t in tasks})
+        return losses, {t: math.nan for t in tasks}
 
     return fake, captures
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cqarank
+import cqarank.cli as cli
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus
 from cqarank.evaluation import blend_rows, build_rows, evaluate_scores, score_triples
@@ -456,6 +457,62 @@ def test_bad_train_options_exit_1_with_one_error_line(tmp_path, corpus_path, cap
 def test_optimizer_values_are_refused_before_the_corpus_is_read(tmp_path, flags):
     # a missing corpus would exit 2 if it were read first
     assert main(train_args(str(tmp_path / "missing.jsonl"), tmp_path / "run", *flags)) == 1
+
+
+# size and vocabulary options, from a flag or from --config, with the one
+# error line each gives
+EARLY_TRAIN_OPTIONS = {
+    "min_count_zero": (["--min-count", "0"], None, "min_count must be >= 1, got 0"),
+    "max_len_zero": (["--max-len", "0"], None, "max_len must be a positive integer, got 0"),
+    "m_zero": (["--m", "0"], None, "m must be a positive integer, got 0"),
+    "m_not_a_number_in_config": ([], "m=abc\n", "config key m: invalid literal for int() with base 10: 'abc'"),
+    "min_count_zero_in_config": ([], "min_count=0\n", "min_count must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_TRAIN_OPTIONS))
+def test_size_and_vocabulary_options_are_refused_before_the_corpus_is_read(tmp_path, capsys, case):
+    # a missing corpus would exit 2 if it were read first; no other size flag
+    # is given, so a config value is not overridden
+    flags, config, message = EARLY_TRAIN_OPTIONS[case]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = [*flags, "--config", str(tmp_path / "run.cfg")]
+    missing, out_dir = str(tmp_path / "missing.jsonl"), tmp_path / "run"
+    assert main(["train", "--corpus", missing, "--dev", missing, "--out-dir", str(out_dir), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_alpha_is_refused_before_any_file_is_read(tmp_path, corpus_path, capsys, monkeypatch, command):
+    out_dir = tmp_path / "run"
+    assert main(train_args(corpus_path, out_dir)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "score_triples", lambda *a: pytest.fail("scored before the alpha check"))
+    for model, corpus in [("nosuch.ckpt", "missing.jsonl"), (str(out_dir / "model.ckpt"), corpus_path)]:
+        for alpha in ("2", "-0.5", "nan"):
+            code = main([command, "--model", model, "--corpus", corpus, "--alpha", alpha,
+                         "--task" if command == "predict" else "--tasks", "C", "--out", str(tmp_path / "p.tsv")])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: alpha must lie in [0, 1], got {float(alpha)}"]
+            assert not (tmp_path / "p.tsv").exists()
+
+
+def test_evaluate_refuses_an_empty_corpus(tmp_path, corpus_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(train_args(corpus_path, out_dir)) == 0
+    capsys.readouterr()
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n")
+    assert main(["evaluate", "--model", str(out_dir / "model.ckpt"), "--corpus", str(blank),
+                 "--out", str(tmp_path / "p.tsv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {blank}: no triples"]
+    assert not list(tmp_path.glob("p*.tsv"))
 
 
 @pytest.mark.parametrize("empty", ["corpus", "dev"])

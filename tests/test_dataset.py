@@ -18,7 +18,6 @@ from cqarank.dataset import (
     positive_rates,
     save_corpus,
     task_relevance,
-    threads_from_corpus,
 )
 from cqarank.nn_core import Tensor
 from cqarank.training import joint_loss
@@ -245,20 +244,62 @@ def test_load_corpus_optional_labels(tmp_path):
     assert (t.label_A, t.label_B, t.label_C) == ("bad", "irrelevant", "bad")
 
 
-def test_threads_from_corpus_groups_and_dedupes():
+def test_extend_dataset_groups_and_dedupes():
     triples = [
         make_triple(id="a", c_rel="first comment"),
         make_triple(id="b", c_rel="second comment", label_A="bad"),
         make_triple(id="c", c_rel="first comment"),  # duplicate text within thread
         make_triple(id="d", q_rel_body="another question", c_rel="third"),
     ]
-    threads = threads_from_corpus(triples)
-    assert len(threads) == 2
-    first, second = threads
-    assert [c.text for c in first.comments] == ["first comment", "second comment"]
-    assert [c.id for c in first.comments] == ["a_ed", "b_ed"]
-    assert [c.label_A for c in first.comments] == ["good", "bad"]
-    assert second.body == "another question"
+    derived = extend_dataset(triples)
+    assert len(derived) == 3
+    first, second = derived[:2], derived[2]
+    assert [d.c_rel for d in first] == ["first comment", "second comment"]
+    assert [d.id for d in first] == ["a_ed", "b_ed"]
+    assert [d.label_A for d in first] == ["good", "bad"]
+    assert [d.label_C for d in first] == ["good", "bad"]
+    assert {d.group for d in first} == {triples[0].q_rel_key}
+    assert (second.id, second.c_rel) == ("d_ed", "third")
+    assert second.q_new_body == second.q_rel_body == "another question"
+    assert second.group == triples[3].q_rel_key
+
+
+def test_extend_dataset_keeps_threads_in_first_appearance_order():
+    # threads T1, T2, T1: every derived triple of T1 comes before T2's, and
+    # the comments of each thread keep their first-appearance order
+    triples = [
+        make_triple(id="a", q_rel_body="thread one", c_rel="c1"),
+        make_triple(id="b", q_rel_body="thread two", c_rel="c2"),
+        make_triple(id="c", q_rel_body="thread one", c_rel="c3"),
+        make_triple(id="d", q_rel_body="thread two", c_rel="c4"),
+        make_triple(id="e", q_rel_body="thread one", c_rel="c1", label_A="bad"),
+    ]
+    derived = extend_dataset(triples)
+    assert [d.id for d in derived] == ["a_ed", "c_ed", "b_ed", "d_ed"]
+    assert [d.q_rel_body for d in derived] == ["thread one"] * 2 + ["thread two"] * 2
+    assert derived[0].label_A == "good"  # the pair's first triple, not "e"
+
+
+def test_extend_dataset_takes_the_question_from_the_thread_first_triple():
+    # a None and an empty subject hash to the same thread, so the thread's
+    # first triple decides the subject of every derived triple
+    for first, later in ((None, ""), ("", None)):
+        triples = [
+            make_triple(id="a", q_rel_subject=first, c_rel="c1"),
+            make_triple(id="b", q_rel_subject=later, c_rel="c2"),
+            make_triple(id="c", q_rel_subject=later, c_rel="c3"),
+        ]
+        assert len({t.q_rel_key for t in triples}) == 1
+        derived = extend_dataset(triples)
+        assert [d.id for d in derived] == ["a_ed", "b_ed", "c_ed"]
+        for d in derived:
+            assert d.q_rel_subject is first and d.q_new_subject is first
+
+
+def test_extend_dataset_refuses_a_derived_id_the_corpus_already_has():
+    triples = [make_triple(id="a", c_rel="c1"), make_triple(id="a_ed", c_rel="c2")]
+    with pytest.raises(CorpusError, match="derived id 'a_ed' is already the id of a triple"):
+        extend_dataset(triples)
 
 
 def test_extend_dataset_properties():
@@ -267,7 +308,7 @@ def test_extend_dataset_properties():
         make_triple(id="b", c_rel="no idea", label_A="bad"),
         make_triple(id="c", q_rel_body="other", c_rel="try x", label_A="good", label_C="bad"),
     ]
-    derived = extend_dataset(threads_from_corpus(triples))
+    derived = extend_dataset(triples)
     assert len(derived) == 3
     for d in derived:
         assert d.q_new_subject == d.q_rel_subject
