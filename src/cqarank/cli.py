@@ -302,9 +302,10 @@ def _check_alpha(alpha: Optional[float]) -> None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_alpha(args.alpha)
+    tasks = _parse_tasks(args.tasks) if args.tasks else None
     model = load_checkpoint(args.model_path)
     data = _load_labelled(args.corpus)
-    tasks = _parse_tasks(args.tasks) if args.tasks else tuple(model.tasks)
+    tasks = tasks or tuple(model.tasks)
     model_rows, rows = _task_rows(model, data, tasks, args.alpha)
     for t in tasks:
         if not any(row[4] for row in rows[t]):
@@ -345,7 +346,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     data = gradcheck_corpus()
     vocab = vocabulary_for(data)
     model = CqaModel(vocab, m=args.m, d_w=10, d_feat=3, seed=args.seed, dtype=np.float64)
-    features = [model.featurize(t) for t in data]
+    features = model.featurize_all(data)
     gold = [binarize(t) for t in data]
 
     def loss_fn() -> nn.Tensor:

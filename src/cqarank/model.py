@@ -19,7 +19,15 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import TASKS, CorpusError, Triple
-from .text_pipeline import DEFAULT_MAX_LEN, PAD_ID, Vocabulary, overlap_indicators, triple_texts
+from .text_pipeline import (
+    DEFAULT_MAX_LEN,
+    PAD_ID,
+    TokenizedText,
+    Vocabulary,
+    overlap_indicators,
+    preprocess,
+    triple_sources,
+)
 
 # The texts each network reads, keyed by task (None: the joint network).
 INPUTS = {
@@ -157,25 +165,38 @@ def _dropout_masks(rates, rows, dim, training, rng) -> list[Optional[np.ndarray]
 
 
 def compute_features(
-    triple: Triple, vocab: Vocabulary, task: Optional[str] = None, max_len: int = DEFAULT_MAX_LEN
-) -> Features:
-    """Tokenize the texts the network for ``task`` reads (all three for the
-    joint network, ``task=None``) and map them to ids.  Each text's overlap
-    indicators are taken against the union of the network's other texts, so
-    every sentence is encoded once; for a pair that union is just the other
-    text.  An empty text becomes one PAD id with overlap 0, so the
-    convolution stays defined."""
-    by_role = triple_texts(triple, max_len)
-    texts = [by_role[role] for role in _inputs_of(task)]
-    ids, overlaps = [], []
-    for k, text in enumerate(texts):
-        if len(text) == 0:
-            ids.append((PAD_ID,))
-            overlaps.append((0,))
-        else:
-            ids.append(vocab.encode(text))
-            overlaps.append(overlap_indicators(text, texts[:k] + texts[k + 1 :]))
-    return Features(tuple(ids), tuple(overlaps), rank_bin(triple.google_rank))
+    triples: Sequence[Triple], vocab: Vocabulary, task: Optional[str] = None, max_len: int = DEFAULT_MAX_LEN
+) -> list[Features]:
+    """One ``Features`` per triple: the texts the network for ``task`` reads
+    (all three for the joint network, ``task=None``), tokenized and mapped to
+    ids.  Each text's overlap indicators are taken against the union of the
+    network's other texts, so every sentence is encoded once; for a pair that
+    union is just the other text.  An empty text becomes one PAD id with
+    overlap 0, so the convolution stays defined.
+
+    Within the call each distinct (subject, body) is tokenized and encoded
+    once, and every triple that reads it shares its ids; overlaps depend on
+    the pairing, so each triple gets its own."""
+    roles = _inputs_of(task)
+    known: dict[tuple[Optional[str], str], tuple[TokenizedText, tuple[int, ...]]] = {}
+    features = []
+    for triple in triples:
+        sources = triple_sources(triple)
+        texts, ids = [], []
+        for role in roles:
+            source = sources[role]
+            if source not in known:
+                text = preprocess(*source, max_len)
+                known[source] = (text, vocab.encode(text) if len(text) else (PAD_ID,))
+            text, text_ids = known[source]
+            texts.append(text)
+            ids.append(text_ids)
+        overlaps = tuple(
+            overlap_indicators(text, texts[:k] + texts[k + 1 :]) if len(text) else (0,)
+            for k, text in enumerate(texts)
+        )
+        features.append(Features(tuple(ids), overlaps, rank_bin(triple.google_rank)))
+    return features
 
 
 class CqaModel:
@@ -241,8 +262,13 @@ class CqaModel:
         for p in self.parameters():
             p.zero_grad()
 
+    def featurize_all(self, triples: Sequence[Triple]) -> list[Features]:
+        """:func:`compute_features` for this network: one ``Features`` per
+        triple, each distinct text of the call tokenized and encoded once."""
+        return compute_features(triples, self.vocab, self.task, self.max_len)
+
     def featurize(self, triple: Triple) -> Features:
-        return compute_features(triple, self.vocab, self.task, self.max_len)
+        return self.featurize_all([triple])[0]
 
     def predict(
         self,
@@ -291,8 +317,9 @@ def PairModel(vocab: Vocabulary, task: str, **kwargs) -> CqaModel:
 
 def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.ndarray]:
     """Read a text vector file (one ``token v1 ... v_{d_w}`` line per word)
-    keeping only in-vocabulary tokens.  A malformed file raises
-    :class:`CorpusError` naming the path."""
+    keeping only in-vocabulary tokens.  A malformed file, or a component of
+    an in-vocabulary line that is not finite in float32, raises
+    :class:`CorpusError` naming the path and the line."""
     vectors: dict[str, np.ndarray] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,7 +331,13 @@ def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.nd
                 if len(values) != d_w:
                     raise ValueError(f"line {lineno} has {len(values)} components, expected {d_w}")
                 if token in vocab:
-                    vectors[token] = np.array([float(v) for v in values])
+                    vec = np.array([float(v) for v in values])
+                    with np.errstate(over="ignore"):  # an overflowing cast gives inf
+                        finite = np.isfinite(vec.astype(np.float32))
+                    if not finite.all():
+                        j = int(np.argmin(finite))
+                        raise ValueError(f"line {lineno} component {j + 1} is {values[j]!r}, not finite in float32")
+                    vectors[token] = vec
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise CorpusError(f"{path}: {exc}") from None
     return vectors

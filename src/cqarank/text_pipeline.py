@@ -11,6 +11,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .dataset import Triple
@@ -55,7 +56,12 @@ def tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace, separating edge punctuation."""
     out: list[str] = []
     for raw in text.lower().split():
-        out.extend(_split_token(raw))
+        # no alphanumeric character is punctuation, so a token with
+        # alphanumeric edges has nothing to peel
+        if raw[0].isalnum() and raw[-1].isalnum():
+            out.append(raw)
+        else:
+            out.extend(_split_token(raw))
     return out
 
 
@@ -72,14 +78,19 @@ def preprocess(subject: Optional[str], body: str, max_len: int = DEFAULT_MAX_LEN
     return TokenizedText(tuple(tokens[:max_len]))
 
 
-def triple_texts(triple: Triple, max_len: int = DEFAULT_MAX_LEN) -> dict[str, TokenizedText]:
-    """The triple's three texts preprocessed, keyed ``q_new``, ``q_rel`` and
-    ``c_rel``; a comment has no subject."""
+def triple_sources(triple: Triple) -> dict[str, tuple[Optional[str], str]]:
+    """The (subject, body) each of the triple's three texts is made from,
+    keyed ``q_new``, ``q_rel`` and ``c_rel``; a comment has no subject."""
     return {
-        "q_new": preprocess(triple.q_new_subject, triple.q_new_body, max_len),
-        "q_rel": preprocess(triple.q_rel_subject, triple.q_rel_body, max_len),
-        "c_rel": preprocess(None, triple.c_rel, max_len),
+        "q_new": (triple.q_new_subject, triple.q_new_body),
+        "q_rel": (triple.q_rel_subject, triple.q_rel_body),
+        "c_rel": (None, triple.c_rel),
     }
+
+
+def triple_texts(triple: Triple, max_len: int = DEFAULT_MAX_LEN) -> dict[str, TokenizedText]:
+    """The triple's three texts preprocessed, keyed as in :func:`triple_sources`."""
+    return {role: preprocess(*source, max_len) for role, source in triple_sources(triple).items()}
 
 
 class Vocabulary:
@@ -94,6 +105,8 @@ class Vocabulary:
                 raise ValueError(f"duplicate vocabulary token: {tok!r}")
             self._token_to_id[tok] = len(self._id_to_token)
             self._id_to_token.append(tok)
+        # what encode reads: a text token spelled like PAD is unknown
+        self._encoding = {**self._token_to_id, PAD_TOKEN: UNK_ID}
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -112,8 +125,7 @@ class Vocabulary:
     def encode(self, text: TokenizedText) -> tuple[int, ...]:
         """The id of each token of ``text``; out-of-vocabulary tokens get UNK,
         and so does a token spelled like the PAD entry."""
-        ids = self._token_to_id
-        return tuple(UNK_ID if t == PAD_TOKEN else ids.get(t, UNK_ID) for t in text.tokens)
+        return tuple(map(self._encoding.get, text.tokens, repeat(UNK_ID)))
 
 
 def build_vocabulary(corpus: Iterable[TokenizedText], min_count: int = 1) -> Vocabulary:

@@ -195,11 +195,11 @@ def train(
     watched = ["joint"] if config.stopping == "global" else tasks
     stoppers = {key: EarlyStopper(config.patience) for key in watched}
 
-    features = [model.featurize(t) for t in train_data]
+    features = model.featurize_all(train_data)
     gold = [binarize(t) for t in train_data]
     # the dev rows' query keys and labels are fixed; each dev pass fills in the scores
     dev_rows = {t: build_rows(dev_data, [0.0] * len(dev_data), t) for t in tasks}
-    dev_set = ([model.featurize(t) for t in dev_data], dev_rows)
+    dev_set = (model.featurize_all(dev_data), dev_rows)
 
     epoch = 0
     for epoch in range(1, config.epochs + 1):

@@ -417,6 +417,24 @@ def test_bad_vectors_file_exits_2_naming_the_path(tmp_path, corpus_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: ") and str(vectors) in err[0]
 
 
+@pytest.mark.parametrize("value", ["nan", "1e39"])
+def test_vectors_with_a_component_not_finite_in_float32_exit_2_before_training(
+    tmp_path, conjunction_split, capsys, monkeypatch, value
+):
+    train_path, dev_path = conjunction_split
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"ask 0.1 0.2 0.3 0.4\ntopic6 0.5 0.6 {value} 0.8\n")
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained on a non-finite vector"))
+    out_dir = tmp_path / "run"
+    assert main(train_args(train_path, out_dir, "--vectors", str(vectors), dev_path=dev_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {vectors}: line 2 component 3 is {value!r}, not finite in float32"
+    ]
+    assert not out_dir.exists()
+
+
 # train options that exit 1 with one error line and write nothing: sizes that
 # are not positive, optimizer, dropout and seed values that cannot be used, a
 # task list that repeats a task, and a --task or --tasks the chosen model does
@@ -499,6 +517,24 @@ def test_alpha_is_refused_before_any_file_is_read(tmp_path, corpus_path, capsys,
             assert captured.out == ""
             assert captured.err.splitlines() == [f"error: alpha must lie in [0, 1], got {float(alpha)}"]
             assert not (tmp_path / "p.tsv").exists()
+
+
+def test_evaluate_refuses_bad_tasks_before_any_file_is_read(tmp_path, corpus_path, capsys, monkeypatch):
+    out_dir = tmp_path / "run"
+    assert main(train_args(corpus_path, out_dir)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "score_triples", lambda *a: pytest.fail("scored before the tasks check"))
+    for model, corpus in [("nosuch.ckpt", "missing.jsonl"), (str(out_dir / "model.ckpt"), corpus_path)]:
+        for spec, parsed in [("AA", "'A', 'A'"), ("AD", "'A', 'D'")]:
+            code = main(["evaluate", "--model", model, "--corpus", corpus, "--tasks", spec,
+                         "--out", str(tmp_path / "p.tsv")])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: tasks must be one or more of A, B, C, none twice, got [{parsed}]"
+            ]
+            assert not list(tmp_path.glob("p*.tsv"))
 
 
 def test_evaluate_refuses_an_empty_corpus(tmp_path, corpus_path, capsys):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqarank.model as model_module
 import cqarank.nn_core as nn
 from cqarank.dataset import LABELS, Triple, binarize
 from cqarank.model import (
     INPUTS,
+    Features,
     MtlModel,
     PairModel,
     apply_word_vectors,
@@ -15,7 +17,15 @@ from cqarank.model import (
     rank_bin,
 )
 from cqarank.synthetic import gradcheck_corpus, vocabulary_for
-from cqarank.text_pipeline import PAD_ID, Vocabulary, triple_texts
+from cqarank.text_pipeline import (
+    PAD_ID,
+    PAD_TOKEN,
+    UNK_ID,
+    Vocabulary,
+    overlap_indicators,
+    triple_sources,
+    triple_texts,
+)
 from cqarank.training import joint_loss
 
 
@@ -70,7 +80,7 @@ def test_rank_bin_total_and_monotone():
 
 
 def test_triple_features_use_union_overlaps(corpus, vocab):
-    feats = compute_features(corpus[0], vocab)
+    feats, pizza = compute_features(corpus[:2], vocab)
     texts = triple_texts(corpus[0])
     # "wifi" occurs in all three texts, so it overlaps from every side
     for k, role in enumerate(INPUTS[None]):
@@ -78,17 +88,16 @@ def test_triple_features_use_union_overlaps(corpus, vocab):
         idx = texts[role].tokens.index("wifi")
         assert feats.overlaps[k][idx] == 1
     # "pizza" appears only in q_rel of corpus[1]
-    feats = compute_features(corpus[1], vocab)
     idx = triple_texts(corpus[1])["q_rel"].tokens.index("pizza")
-    assert feats.overlaps[1][idx] == 0
-    assert feats.rank_bin == rank_bin(corpus[1].google_rank)
+    assert pizza.overlaps[1][idx] == 0
+    assert pizza.rank_bin == rank_bin(corpus[1].google_rank)
 
 
 def test_pair_features_select_task_texts(corpus, vocab):
     t = corpus[0]
-    a = compute_features(t, vocab, "A")
-    b = compute_features(t, vocab, "B")
-    c = compute_features(t, vocab, "C")
+    [a] = compute_features([t], vocab, "A")
+    [b] = compute_features([t], vocab, "B")
+    [c] = compute_features([t], vocab, "C")
     def ids(*tokens):
         return tuple(vocab.id_of(tok) for tok in tokens)
 
@@ -97,12 +106,12 @@ def test_pair_features_select_task_texts(corpus, vocab):
     assert b.ids[1][:2] == ids("wifi", "drops")  # q_rel
     assert c.ids[1] == a.ids[1]  # both use the comment
     with pytest.raises(ValueError):
-        compute_features(t, vocab, "D")
+        compute_features([t], vocab, "D")
 
 
 def test_pair_overlaps_are_pairwise_not_union(corpus, vocab):
     t = corpus[1]  # pizza question, comment about a place on fifth street
-    b = compute_features(t, vocab, "B")
+    [b] = compute_features([t], vocab, "B")
     # "pizza" is not in q_new, so in the (q_new, q_rel) pair it has no overlap
     idx = triple_texts(t)["q_rel"].tokens.index("pizza")
     assert b.overlaps[1][idx] == 0
@@ -116,13 +125,89 @@ def test_empty_text_falls_back_to_pad(vocab):
         q_rel_body="b", c_rel="c", google_rank=1,
         label_A="good", label_B="relevant", label_C="good",
     )
-    feats = compute_features(t, vocab)
+    [feats] = compute_features([t], vocab)
     assert feats.ids[0] == (PAD_ID,) == (0,)
     assert feats.overlaps[0] == (0,)
     model = small_mtl(vocab)
     preds = model.predict(feats)
     for tensor in preds.values():
         assert np.isfinite(tensor.data).all()
+
+
+def repeated_text_corpus():
+    """Two questions' candidates: each group shares its new question, a
+    related question repeats over its thread's comments (once with a None and
+    once with an "" subject) and its body recurs under another subject, one
+    comment is empty, one repeats a question's text and one has a token
+    spelled like PAD."""
+    wifi = ("Wifi drops", "my wifi drops after the upgrade!")
+    pizza = (None, "where is good pizza, downtown?")
+    dropping = "(wifi) keeps dropping again..."
+    rows = [
+        (wifi, ("", dropping), "reset the router."),
+        (wifi, (None, dropping), "reset the router."),
+        (wifi, ("", dropping), ""),
+        (wifi, ("Router", "old router, new firmware?"), "update it! <pad>"),
+        (wifi, ("Router", dropping), "reset the router."),
+        (pizza, ("Pizza", "best pizza downtown"), "where is good pizza, downtown?"),
+        (pizza, ("Pizza", "best pizza downtown"), "try the place on fifth"),
+        (pizza, ("", ""), "try the place on fifth"),
+    ]
+    return [
+        Triple(
+            id=f"r{i}", group="wifi" if q_new is wifi else "pizza",
+            q_new_subject=q_new[0], q_new_body=q_new[1], q_rel_subject=q_rel[0],
+            q_rel_body=q_rel[1], c_rel=comment, google_rank=i + 1,
+            label_A="good", label_B="relevant", label_C="good",
+        )
+        for i, (q_new, q_rel, comment) in enumerate(rows)
+    ]
+
+
+def features_one_text_at_a_time(triple, vocab, task, max_len):
+    """The featurizer's reference: every text of every triple tokenized and
+    encoded on its own."""
+    by_role = triple_texts(triple, max_len)
+    texts = [by_role[role] for role in INPUTS[task]]
+    ids, overlaps = [], []
+    for k, text in enumerate(texts):
+        if len(text) == 0:
+            ids.append((PAD_ID,))
+            overlaps.append((0,))
+        else:
+            ids.append(tuple(vocab.id_of(tok) if tok != PAD_TOKEN else UNK_ID for tok in text.tokens))
+            overlaps.append(overlap_indicators(text, texts[:k] + texts[k + 1 :]))
+    return Features(tuple(ids), tuple(overlaps), rank_bin(triple.google_rank))
+
+
+@pytest.mark.parametrize("max_len", [3, 100])
+@pytest.mark.parametrize("task", [None, "A", "B", "C"])
+def test_featurize_all_matches_featurizing_one_triple_at_a_time(task, max_len):
+    triples = repeated_text_corpus()
+    vocab = vocabulary_for(triples[:4], max_len=max_len)  # the pizza texts are partly unknown
+    model = MtlModel(vocab, task=task, m=3, d_w=4, d_feat=2, max_len=max_len)
+    features = model.featurize_all(triples)
+    assert features == [model.featurize(t) for t in triples]
+    assert features == [features_one_text_at_a_time(t, vocab, task, max_len) for t in triples]
+    # triples that read the same text share its ids
+    q_new = [f.ids[0] for f in features] if task in (None, "B", "C") else []
+    assert all(ids is q_new[0] for ids in q_new[1:4])
+
+
+@pytest.mark.parametrize("task", [None, "A", "B", "C"])
+def test_featurize_all_preprocesses_each_distinct_text_once_per_call(monkeypatch, task):
+    triples = repeated_text_corpus()
+    calls = []
+    preprocess = model_module.preprocess
+    monkeypatch.setattr(model_module, "preprocess", lambda *a: calls.append(a[:2]) or preprocess(*a))
+    model = MtlModel(vocabulary_for(triples), task=task, m=3, d_w=4, d_feat=2)
+    distinct = {triple_sources(t)[role] for t in triples for role in INPUTS[task]}
+    assert len(distinct) < len(triples) * len(INPUTS[task])
+    model.featurize_all(triples)
+    assert sorted(calls, key=repr) == sorted(distinct, key=repr)
+    # nothing is kept between calls
+    model.featurize_all(triples)
+    assert len(calls) == 2 * len(distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cqarank.text_pipeline import (
     UNK_ID,
     UNK_TOKEN,
     TokenizedText,
+    _split_token,
     Vocabulary,
     build_vocabulary,
     overlap_indicators,
@@ -45,6 +46,36 @@ def test_tokenize_yields_bare_tokens_and_is_idempotent(text):
     tokens = tokenize(text)
     assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
     assert tokenize(" ".join(tokens)) == tokens
+
+
+def split_each_raw_token(text):
+    return [part for raw in text.lower().split() for part in _split_token(raw)]
+
+
+# tokens whose edges are punctuation, symbols, marks or non-ASCII letters and
+# digits, next to plain ones
+EDGE_CHARS = st.sampled_from(list("!?.,;:'\"()[]{}<>-_/\\@#%&*+=~`^|") + list("¿¡«»“”‘’–—…·§¶†"))
+LETTERS = st.sampled_from(list("abcXYZ019") + list("éßØĳΣωдЖ٣߁Ⅻİǅ"))
+NON_ASCII = st.characters(min_codepoint=0x80, blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc"))
+EDGED_TOKEN = st.builds(
+    lambda lead, core, trail: "".join(lead) + "".join(core) + "".join(trail),
+    st.lists(st.one_of(EDGE_CHARS, NON_ASCII), max_size=3),
+    st.lists(st.one_of(LETTERS, EDGE_CHARS, NON_ASCII), max_size=4),
+    st.lists(st.one_of(EDGE_CHARS, NON_ASCII), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_tokenize_matches_splitting_every_raw_token(text):
+    assert tokenize(text) == split_each_raw_token(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(EDGED_TOKEN, max_size=8), spaces=st.sampled_from([" ", "\t", "\n ", "\u3000"]))
+def test_tokenize_matches_splitting_tokens_with_punctuated_edges(tokens, spaces):
+    text = spaces.join(tokens)
+    assert tokenize(text) == split_each_raw_token(text)
 
 
 def test_preprocess_subject_comes_first():
