@@ -56,7 +56,7 @@ def split_each_raw_token(text):
 # digits, next to plain ones
 EDGE_CHARS = st.sampled_from(list("!?.,;:'\"()[]{}<>-_/\\@#%&*+=~`^|") + list("¿¡«»“”‘’–—…·§¶†"))
 LETTERS = st.sampled_from(list("abcXYZ019") + list("éßØĳΣωдЖ٣߁Ⅻİǅ"))
-NON_ASCII = st.characters(min_codepoint=0x80, blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc"))
+NON_ASCII = st.characters(min_codepoint=0x80, exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc"))
 EDGED_TOKEN = st.builds(
     lambda lead, core, trail: "".join(lead) + "".join(core) + "".join(trail),
     st.lists(st.one_of(EDGE_CHARS, NON_ASCII), max_size=3),
