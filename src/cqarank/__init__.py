@@ -17,12 +17,11 @@ from .evaluation import (
     average_precision,
     evaluate,
     evaluate_scores,
-    evaluate_tasks,
     reciprocal_rank,
     tune_alpha,
     weighted_combine,
 )
-from .model import CqaModel, MtlModel, PairModel, rank_bin
+from .model import CqaModel, rank_bin
 from .nn_core import NumericError, Parameter, RmsProp, Tensor, grad_check
 from .text_pipeline import Vocabulary, build_vocabulary, preprocess, tokenize, vocabulary_for
 from .training import (
@@ -43,9 +42,7 @@ __all__ = [
     "CqaModel",
     "EarlyStopper",
     "EvalResult",
-    "MtlModel",
     "NumericError",
-    "PairModel",
     "Parameter",
     "RmsProp",
     "Tensor",
@@ -58,7 +55,6 @@ __all__ = [
     "build_vocabulary",
     "evaluate",
     "evaluate_scores",
-    "evaluate_tasks",
     "extend_dataset",
     "grad_check",
     "load_checkpoint",

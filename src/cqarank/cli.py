@@ -40,7 +40,7 @@ from .evaluation import (
     weighted_combine,
     write_predictions,
 )
-from .model import SIZES, CqaModel, apply_word_vectors, load_word_vectors, parameter_table
+from .model import SIZES, CqaModel, apply_word_vectors, parameter_table
 from .synthetic import gradcheck_corpus
 from .text_pipeline import build_vocabulary, vocabulary_for
 from .training import (
@@ -244,8 +244,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = CqaModel(vocab, task=task, seed=train_conf.seed, **sizes)
 
     if args.vectors:
-        vectors = load_word_vectors(args.vectors, vocab, model.d_w)
-        n = apply_word_vectors(model, vectors)
+        n = apply_word_vectors(model, args.vectors)
         if not args.quiet:
             print(f"loaded pretrained vectors for {n} tokens")
 
@@ -286,7 +285,9 @@ def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
     for t in tasks:
         if t not in model.tasks:
             raise UsageError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
-    scores = score_triples(model, data)
+    # score_triples reports an overflow's non-finite score, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = score_triples(model, data)
     rows = {t: build_rows(data, scores[t], t) for t in tasks}
     if alpha is None:
         return rows, rows

@@ -10,11 +10,13 @@ average precisions they summarize are kept as fractions in [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .dataset import Triple, atomic_write, task_relevance
+from .nn_core import NumericError
 
 GroupedRow = tuple[str, str, float, int, int]  # group_key, doc_id, score, google_rank, relevance
 
@@ -117,8 +119,14 @@ def score_features(model, features: Iterable) -> dict[str, list[float]]:
 
 
 def score_triples(model, triples: Sequence[Triple]) -> dict[str, list[float]]:
-    """:func:`score_features` over the triples, featurized in one call."""
-    return score_features(model, model.featurize_all(triples))
+    """:func:`score_features` over the triples, featurized in one call; a
+    score that is not finite raises :class:`NumericError`."""
+    scores = score_features(model, model.featurize_all(triples))
+    for task, values in scores.items():
+        if not all(map(math.isfinite, values)):
+            k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+            raise NumericError(f"non-finite score {values[k]} for task {task} on triple {triples[k].id!r}")
+    return scores
 
 
 def build_rows(
@@ -133,26 +141,12 @@ def build_rows(
 
 
 def evaluate(model, triples: Sequence[Triple], task: str) -> EvalResult:
-    """Rerank the dev/test triples with the model and measure MAP/MRR for one
-    task."""
-    return evaluate_tasks(model, triples, (task,))[task]
-
-
-def evaluate_tasks(
-    model, triples: Sequence[Triple], tasks: Optional[Sequence[str]] = None
-) -> dict[str, EvalResult]:
-    """MAP/MRR for several tasks (default: every task the model scores),
-    scoring each triple only once."""
+    """MAP/MRR of the model's reranking of the dev/test triples on one task."""
     if not triples:
-        raise ValueError("evaluate_tasks: no triples to evaluate")
-    scores = score_triples(model, triples)
-    wanted = tuple(tasks) if tasks is not None else tuple(model.tasks)
-    results = {}
-    for task in wanted:
-        if task not in scores:
-            raise ValueError(f"model does not score task {task!r}")
-        results[task] = evaluate_scores(build_rows(triples, scores[task], task))
-    return results
+        raise ValueError("evaluate: no triples to evaluate")
+    if task not in model.tasks:
+        raise ValueError(f"model does not score task {task!r}")
+    return evaluate_scores(build_rows(triples, score_triples(model, triples)[task], task))
 
 
 def weighted_combine(score: float, google_rank: int, alpha: float) -> float:

@@ -247,11 +247,10 @@ class CqaModel:
         self.trunk_w, self.trunk_b = islice(made, 2)
         self.heads = {t: TaskHead(*islice(made, 4)) for t in self.tasks}
         self.joint_dim = self.trunk_b.data.shape[0]
-        self.encoders = tuple(self.c_encoder if r == "c_rel" else self.q_encoder for r in self.inputs)
         # runs of adjacent inputs that share an encoder, with their positions
         self.encoder_runs = [
-            (enc, tuple(k for k, _ in run))
-            for enc, run in groupby(enumerate(self.encoders), key=lambda item: item[1])
+            (self.c_encoder if comment else self.q_encoder, tuple(k for k, _ in run))
+            for comment, run in groupby(enumerate(self.inputs), key=lambda item: item[1] == "c_rel")
         ]
 
     def parameters(self) -> list[nn.Parameter]:
@@ -305,22 +304,17 @@ class CqaModel:
         }
 
 
-MtlModel = CqaModel  # task=None, the default, builds the joint network
+MtlModel = CqaModel  # kept because the benchmark harness builds and patches this name
 
 
-def PairModel(vocab: Vocabulary, task: str, **kwargs) -> CqaModel:
-    """The individual network for one task."""
-    if task is None:
-        raise ValueError("the pair network needs a task")
-    return CqaModel(vocab, task=task, **kwargs)
-
-
-def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.ndarray]:
-    """Read a text vector file (one ``token v1 ... v_{d_w}`` line per word)
-    keeping only in-vocabulary tokens.  A malformed file, or a component of
-    an in-vocabulary line that is not finite in float32, raises
-    :class:`CorpusError` naming the path and the line."""
-    vectors: dict[str, np.ndarray] = {}
+def apply_word_vectors(model: CqaModel, path: str) -> int:
+    """Overwrite word-embedding rows with the vectors of a text file (one
+    ``token v1 ... v_{d_w}`` line per word), skipping tokens outside the
+    vocabulary; returns the number of rows replaced per table.  The file is
+    read whole first: a malformed file, or a component of an in-vocabulary
+    line that is not finite in float32, raises :class:`CorpusError` naming
+    the path and the line, and leaves the model unchanged."""
+    rows: dict[int, np.ndarray] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -328,32 +322,20 @@ def load_word_vectors(path: str, vocab: Vocabulary, d_w: int) -> dict[str, np.nd
                 if len(parts) < 2:
                     continue
                 token, values = parts[0], parts[1:]
-                if len(values) != d_w:
-                    raise ValueError(f"line {lineno} has {len(values)} components, expected {d_w}")
-                if token in vocab:
+                if len(values) != model.d_w:
+                    raise ValueError(f"line {lineno} has {len(values)} components, expected {model.d_w}")
+                if token in model.vocab:
                     vec = np.array([float(v) for v in values])
                     with np.errstate(over="ignore"):  # an overflowing cast gives inf
                         finite = np.isfinite(vec.astype(np.float32))
                     if not finite.all():
                         j = int(np.argmin(finite))
                         raise ValueError(f"line {lineno} component {j + 1} is {values[j]!r}, not finite in float32")
-                    vectors[token] = vec
+                    rows[model.vocab.id_of(token)] = vec
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise CorpusError(f"{path}: {exc}") from None
-    return vectors
-
-
-def apply_word_vectors(model: CqaModel, vectors: dict[str, np.ndarray]) -> int:
-    """Overwrite word-embedding rows with pretrained vectors; tokens absent
-    from ``vectors`` keep their random initialization.  Returns the number of
-    rows replaced per table."""
-    tables = [p.data for p in model.parameters() if p.name.endswith(".word_emb")]
-    replaced = 0
-    for token, vec in vectors.items():
-        if token not in model.vocab:
-            continue
-        idx = model.vocab.id_of(token)
-        for table in tables:
-            table[idx] = vec.astype(model.dtype)
-        replaced += 1
-    return replaced
+    for p in model.parameters():
+        if p.name.endswith(".word_emb"):
+            for idx, vec in rows.items():
+                p.data[idx] = vec
+    return len(rows)

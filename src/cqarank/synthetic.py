@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Triple
-from .text_pipeline import vocabulary_for  # noqa: F401  (re-exported next to the corpora)
 
 
 def gradcheck_corpus() -> list[Triple]:

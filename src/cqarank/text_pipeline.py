@@ -88,39 +88,28 @@ def triple_sources(triple: Triple) -> dict[str, tuple[Optional[str], str]]:
     }
 
 
-def triple_texts(triple: Triple, max_len: int = DEFAULT_MAX_LEN) -> dict[str, TokenizedText]:
-    """The triple's three texts preprocessed, keyed as in :func:`triple_sources`."""
-    return {role: preprocess(*source, max_len) for role, source in triple_sources(triple).items()}
-
-
 class Vocabulary:
     """Token-to-id map with reserved PAD=0 and UNK=1 entries."""
 
     def __init__(self, tokens: Iterable[str] = ()):
         """``tokens`` are the non-reserved entries, in id order (id 2, 3, ...)."""
-        self._token_to_id: dict[str, int] = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
-        self._id_to_token: list[str] = [PAD_TOKEN, UNK_TOKEN]
-        for tok in tokens:
+        self.tokens: tuple[str, ...] = (PAD_TOKEN, UNK_TOKEN, *tokens)  # every entry, in id order
+        self._token_to_id: dict[str, int] = {}
+        for tok in self.tokens:
             if tok in self._token_to_id:
                 raise ValueError(f"duplicate vocabulary token: {tok!r}")
-            self._token_to_id[tok] = len(self._id_to_token)
-            self._id_to_token.append(tok)
+            self._token_to_id[tok] = len(self._token_to_id)
         # what encode reads: a text token spelled like PAD is unknown
         self._encoding = {**self._token_to_id, PAD_TOKEN: UNK_ID}
 
     def __len__(self) -> int:
-        return len(self._id_to_token)
+        return len(self.tokens)
 
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        """All tokens in id order, reserved entries included."""
-        return tuple(self._id_to_token)
 
     def encode(self, text: TokenizedText) -> tuple[int, ...]:
         """The id of each token of ``text``; out-of-vocabulary tokens get UNK,
@@ -147,9 +136,8 @@ def vocabulary_for(
 ) -> Vocabulary:
     """Vocabulary over every text of every triple in a corpus, each text cut
     to the ``max_len`` tokens the network reads."""
-    return build_vocabulary(
-        (text for t in triples for text in triple_texts(t, max_len).values()), min_count=min_count
-    )
+    texts = (preprocess(*source, max_len) for t in triples for source in triple_sources(t).values())
+    return build_vocabulary(texts, min_count=min_count)
 
 
 def overlap_indicators(target: TokenizedText, others: Iterable[TokenizedText]) -> tuple[int, ...]:

@@ -281,15 +281,18 @@ def save_checkpoint(path: str, model, params: Optional[dict[str, np.ndarray]] = 
     index (meta, vocab, parameter table), then raw little-endian arrays in
     sorted name order.  Saving the same weights twice yields identical bytes.
 
-    ``params`` substitutes a snapshot for the model's live arrays."""
+    ``params``, in the model's dtype, substitutes a snapshot for its live arrays."""
     if params is None:
         params = snapshot(model)
+    stored = model.dtype.newbyteorder("<")
     entries = []
     blobs = []
     offset = 0
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name])
-        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        if arr.dtype.newbyteorder("<") != stored:
+            raise ValueError(f"save_checkpoint: array {name!r} is {arr.dtype}, not the model's {model.dtype}")
+        arr = arr.astype(stored, copy=False)
         blob = arr.tobytes()
         entries.append(
             {
@@ -313,12 +316,14 @@ def save_checkpoint(path: str, model, params: Optional[dict[str, np.ndarray]] = 
         fh.write(payload)
 
 
-def _read_array(payload: bytes, entry: dict) -> np.ndarray:
+def _read_array(payload: bytes, entry: dict, stored: np.dtype) -> np.ndarray:
     name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
     offset, nbytes = entry["offset"], entry["nbytes"]
     if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in (offset, nbytes, *shape)):
         raise ValueError(f"array entry {name!r} needs a name and non-negative integer sizes")
-    if dtype.kind != "f" or math.prod(shape) * dtype.itemsize != nbytes:
+    if dtype != stored:
+        raise ValueError(f"array {name!r} is stored as {dtype.str}, not the meta dtype's {stored.str}")
+    if math.prod(shape) * dtype.itemsize != nbytes:
         raise ValueError(f"array {name!r}: shape {list(shape)} of {dtype} does not fill {nbytes} bytes")
     if offset + nbytes > len(payload):
         raise ValueError(f"truncated array {name!r}")
@@ -350,12 +355,12 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
             raise ValueError(f"unknown model kind {meta['kind']!r}")
         if meta["kind"] == "pair" and meta["task"] not in TASKS:
             raise ValueError(f"unknown pair task {meta['task']!r}")
-        if np.dtype(meta["dtype"]).kind != "f":
+        if (dtype := np.dtype(meta["dtype"])).kind != "f":
             raise ValueError(f"meta dtype {meta['dtype']!r} is not a float type")
         vocab = Vocabulary(tokens)
         spec = {"task": meta["task"] if meta["kind"] == "pair" else None, **{k: meta[k] for k in SIZES}}
         table = parameter_table(len(vocab), **spec)
-        params = {entry["name"]: _read_array(payload, entry) for entry in entries}
+        params = {entry["name"]: _read_array(payload, entry, dtype.newbyteorder("<")) for entry in entries}
     except KeyError as exc:
         raise CheckpointError(f"{path}: index lacks {exc}") from None
     except (TypeError, ValueError, SyntaxError) as exc:  # np.dtype(",f4") raises SyntaxError
@@ -366,7 +371,7 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
     non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
     if non_finite:
         raise CheckpointError(f"{path}: non-finite values in {', '.join(non_finite)}")
-    return {**spec, "dtype": np.dtype(meta["dtype"])}, vocab, params
+    return {**spec, "dtype": dtype}, vocab, params
 
 
 def load_checkpoint(path: str) -> CqaModel:

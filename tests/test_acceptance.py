@@ -13,10 +13,12 @@ import pytest
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import binarize, extend_dataset, load_corpus, positive_rates
-from cqarank.evaluation import average_precision, build_rows, evaluate_scores, reciprocal_rank
-from cqarank.model import MtlModel, PairModel, rank_bin
-from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus, vocabulary_for
+from cqarank.evaluation import average_precision, evaluate_scores, reciprocal_rank
+from cqarank.model import CqaModel, rank_bin
+from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
+from cqarank.text_pipeline import vocabulary_for
 from cqarank.training import TrainConfig, joint_loss, save_checkpoint, snapshot, train
+from oracles import naive_conv1d_wide, naive_dense, naive_kmax
 
 
 def report(criterion, detail):
@@ -32,7 +34,7 @@ def test_criterion_1_full_model_gradient_check():
     started = time.monotonic()
     data = gradcheck_corpus()
     vocab = vocabulary_for(data)
-    model = MtlModel(vocab, m=8, d_w=10, d_feat=3, seed=0, dtype=np.float64)
+    model = CqaModel(vocab, m=8, d_w=10, d_feat=3, seed=0, dtype=np.float64)
     features = [model.featurize(t) for t in data]
     gold = [binarize(t) for t in data]
 
@@ -58,47 +60,6 @@ def test_criterion_1_full_model_gradient_check():
 # ---------------------------------------------------------------------------
 # 2. layer forward passes against naive loop oracles
 # ---------------------------------------------------------------------------
-
-
-def naive_conv1d_wide(x, filters, bias):
-    m, d, w = filters.shape
-    n = x.shape[1]
-    padded = np.zeros((d, n + 2 * (w - 1)), dtype=x.dtype)
-    padded[:, w - 1 : w - 1 + n] = x
-    out = np.zeros((m, n + w - 1), dtype=x.dtype)
-    for f in range(m):
-        for t in range(n + w - 1):
-            s = 0.0
-            for r in range(d):
-                for k in range(w):
-                    s += filters[f, r, k] * padded[r, t + k]
-            out[f, t] = s + bias[f]
-    return out
-
-
-def naive_dense(x, weight, bias, act):
-    out = np.zeros(weight.shape[0], dtype=x.dtype)
-    for i in range(weight.shape[0]):
-        s = 0.0
-        for j in range(weight.shape[1]):
-            s += weight[i, j] * x[j]
-        out[i] = s + bias[i]
-    if act == "tanh":
-        return np.tanh(out)
-    if act == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-out))
-    return out
-
-
-def naive_kmax(x):
-    out = np.zeros(x.shape[0], dtype=x.dtype)
-    for i in range(x.shape[0]):
-        best = x[i, 0]
-        for j in range(1, x.shape[1]):
-            if x[i, j] > best:
-                best = x[i, j]
-        out[i] = best
-    return out
 
 
 def test_criterion_2_layer_oracles_on_random_shapes():
@@ -181,7 +142,7 @@ def test_criterion_4_overfits_fifty_triples():
     data = overfit_corpus()
     assert len(data) == 50
     vocab = vocabulary_for(data)
-    model = MtlModel(vocab, m=50, seed=0)
+    model = CqaModel(vocab, m=50, seed=0)
     config = TrainConfig(
         epochs=100, batch_size=10, lr=0.01, dropout_input=0.0, dropout_hidden=0.0,
         patience=100, stopping="global", seed=0,
@@ -229,10 +190,10 @@ def test_criterion_5_multitask_benefit_on_task_c():
         vocab = vocabulary_for(data)
         hyper = dict(m=16, d_w=16, d_feat=4, seed=seed)
         joint_epochs.append(
-            epochs_to_reach(MtlModel(vocab, **hyper), data, dev, ("A", "B", "C"), seed, target)
+            epochs_to_reach(CqaModel(vocab, **hyper), data, dev, ("A", "B", "C"), seed, target)
         )
         solo_epochs.append(
-            epochs_to_reach(PairModel(vocab, task="C", **hyper), data, dev, ("C",), seed, target)
+            epochs_to_reach(CqaModel(vocab, task="C", **hyper), data, dev, ("C",), seed, target)
         )
     joint_median = statistics.median(joint_epochs)
     solo_median = statistics.median(solo_epochs)
@@ -308,7 +269,7 @@ def test_criterion_7_early_stopping_both_modes(monkeypatch):
     script = {t: [1.0, 0.9] + [0.95] * 100 for t in ("A", "B", "C")}
     fake, captures = scripted_dev_pass(script)
     monkeypatch.setattr(training, "_dev_pass", fake)
-    model = MtlModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
+    model = CqaModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
     rep = train(model, data, data, TrainConfig(epochs=100, batch_size=4, patience=10, seed=0))
     assert rep.stop_epoch == 12
     assert rep.best_epoch == {"joint": 2}
@@ -324,7 +285,7 @@ def test_criterion_7_early_stopping_both_modes(monkeypatch):
     }
     fake, captures = scripted_dev_pass(script)
     monkeypatch.setattr(training, "_dev_pass", fake)
-    model = MtlModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
+    model = CqaModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
     rep = train(
         model, data, data,
         TrainConfig(epochs=100, batch_size=4, patience=10, stopping="per_task", seed=0),
@@ -348,12 +309,12 @@ def test_criterion_8_sharing_and_invariances(tmp_path):
 
     # (a) the question encoder exists once: no duplicated parameter objects
     # or names, and editing it moves both question representations
-    model = MtlModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
+    model = CqaModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
     params = model.parameters()
     assert len({id(p) for p in params}) == len(params)
     assert len({p.name for p in params}) == len(params)
-    pair_b = PairModel(vocab, task="B", m=4, d_w=4, d_feat=2, seed=0)
-    assert pair_b.encoders[1] is pair_b.encoders[0]
+    pair_b = CqaModel(vocab, task="B", m=4, d_w=4, d_feat=2, seed=0)
+    assert pair_b.c_encoder is None
 
     # (b) zeroed rank table -> search rank cannot influence predictions
     model.rank_emb.data[:] = 0.0
@@ -390,7 +351,7 @@ def test_criterion_8_sharing_and_invariances(tmp_path):
     # (e) a fixed seed yields bit-identical checkpoints across runs
     files = []
     for run in range(2):
-        model = MtlModel(vocab, m=4, d_w=4, d_feat=2, seed=11)
+        model = CqaModel(vocab, m=4, d_w=4, d_feat=2, seed=11)
         config = TrainConfig(epochs=2, batch_size=4, seed=11, patience=10)
         train(model, data, data, config)
         path = tmp_path / f"run{run}.ckpt"

@@ -12,9 +12,9 @@ import cqarank.cli as cli
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus
 from cqarank.evaluation import blend_rows, build_rows, evaluate_scores, score_triples
-from cqarank.model import MtlModel, PairModel
-from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, vocabulary_for
-from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, triple_texts
+from cqarank.model import CqaModel
+from cqarank.synthetic import conjunction_corpus, gradcheck_corpus
+from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, preprocess, triple_sources, vocabulary_for
 from cqarank.training import load_checkpoint, save_checkpoint
 
 
@@ -237,7 +237,7 @@ def test_max_len_bounds_the_vocabulary(tmp_path, conjunction_split):
     out_dir = tmp_path / "run"
     assert main(train_args(train_path, out_dir, "--max-len", "3", dev_path=dev_path)) == 0
     vocab = load_checkpoint(str(out_dir / "model.ckpt")).vocab
-    texts = [text for t in load_corpus(train_path) for text in triple_texts(t, 3).values()]
+    texts = [preprocess(*source, 3) for t in load_corpus(train_path) for source in triple_sources(t).values()]
     assert set(vocab.tokens) - {PAD_TOKEN, UNK_TOKEN} == {tok for text in texts for tok in text.tokens}
 
 
@@ -349,7 +349,7 @@ def _nan_weight(ckpt, corpus):
 
 def _pair_c_labelled_task_b(ckpt, corpus):
     # a task-B network has no comment encoder, so the c_encoder arrays are extra
-    save_checkpoint(str(ckpt), PairModel(vocabulary_for(gradcheck_corpus()), "C", m=4, d_w=4, d_feat=2))
+    save_checkpoint(str(ckpt), CqaModel(vocabulary_for(gradcheck_corpus()), task="C", m=4, d_w=4, d_feat=2))
     return _edit_index(lambda ix: ix["meta"].update(task="B"))(ckpt, corpus)
 
 
@@ -367,6 +367,7 @@ MALFORMED = {
     "meta_sizes_not_the_arrays": _edit_index(lambda ix: ix["meta"].update(m=10**6)),
     "entry_dtype_garbage": _edit_index(lambda ix: ix["params"][0].update(dtype="garbage")),
     "entry_dtype_comma": _edit_index(lambda ix: ix["params"][0].update(dtype=",f4")),
+    "arrays_not_in_the_meta_dtype": _edit_index(lambda ix: ix["meta"].update(dtype="float64")),
     "entry_without_offset": _edit_index(lambda ix: ix["params"][0].pop("offset")),
     "shape_does_not_match_nbytes": _edit_index(lambda ix: ix["params"][0].update(shape=[3, 5])),
     "negative_offset": _edit_index(lambda ix: ix["params"][0].update(offset=-8)),
@@ -389,13 +390,34 @@ def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     ckpt, corpus = tmp_path / "in" / "model.ckpt", tmp_path / "in" / "corpus.jsonl"
     ckpt.parent.mkdir()
     save_corpus(str(corpus), data)
-    save_checkpoint(str(ckpt), MtlModel(vocabulary_for(data), m=4, d_w=4, d_feat=2))
+    save_checkpoint(str(ckpt), CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2))
     assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus)]) == 0
     capsys.readouterr()
     ckpt, corpus = MALFORMED[case](ckpt, corpus)
     assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_non_finite_scores_exit_3_with_one_error_line_and_no_tsv(tmp_path, capsys):
+    # finite weights that overflow: every score is nan
+    data = conjunction_corpus(4, seed=0)
+    corpus, ckpt = tmp_path / "dev.jsonl", tmp_path / "huge.ckpt"
+    save_corpus(str(corpus), data)
+    model = CqaModel(vocabulary_for(data), m=4, d_w=3, d_feat=2)
+    rng = np.random.default_rng(0)
+    for p in model.parameters():
+        p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -1e30, 1e30)
+    save_checkpoint(str(ckpt), model)
+    for argv in (
+        ["evaluate", "--tune-alpha", "--out", str(tmp_path / "e.tsv")],
+        ["predict", "--task", "C", "--out", str(tmp_path / "p.tsv")],
+    ):
+        assert main([*argv[:1], "--model", str(ckpt), "--corpus", str(corpus), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: non-finite score nan for task A on triple {data[0].id!r}"]
+    assert list(tmp_path.glob("*.tsv")) == []
 
 
 VECTOR_FILES = {

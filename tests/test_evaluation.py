@@ -9,16 +9,19 @@ from cqarank.evaluation import (
     build_rows,
     evaluate,
     evaluate_scores,
-    evaluate_tasks,
     rank_rows,
     reciprocal_rank,
+    score_triples,
     task_group_key,
     tune_alpha,
     weighted_combine,
     write_predictions,
 )
-from cqarank.model import MtlModel
-from cqarank.synthetic import gradcheck_corpus, overfit_corpus, vocabulary_for
+import cqarank.evaluation as evaluation
+from cqarank.model import CqaModel
+from cqarank.nn_core import NumericError
+from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
+from cqarank.text_pipeline import vocabulary_for
 
 
 def brute_force_ap(relevances):
@@ -138,23 +141,41 @@ def test_build_rows_validates_lengths():
         build_rows(data, [0.5], "A")
 
 
-def test_evaluate_runs_model_over_corpus():
+def test_evaluate_runs_model_over_corpus(monkeypatch):
     data = overfit_corpus()
     vocab = vocabulary_for(data)
-    model = MtlModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
-    results = evaluate_tasks(model, data)
+    model = CqaModel(vocab, m=4, d_w=4, d_feat=2, seed=0)
+    results = {t: evaluate(model, data, t) for t in model.tasks}
     assert set(results) == {"A", "B", "C"}
     for r in results.values():
         assert 0.0 <= r.map <= 100.0
         assert 0.0 <= r.mrr <= 100.0
         assert len(r.per_query_ap) == r.query_count
         assert r.map == pytest.approx(100.0 * sum(r.per_query_ap) / r.query_count)
-    # the single-task entry point agrees with the bulk one
-    assert evaluate(model, data, "B") == results["B"]
-    with pytest.raises(ValueError):
+    # evaluate is one scoring pass turned into the task's rows
+    scores = score_triples(model, data)
+    for t, r in results.items():
+        assert r == evaluate_scores(build_rows(data, scores[t], t))
+    # an unknown or unscored task and an empty corpus are refused before scoring
+    monkeypatch.setattr(evaluation, "score_triples", lambda *a: pytest.fail("scored"))
+    with pytest.raises(ValueError, match="does not score task 'Z'"):
         evaluate(model, data, "Z")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not score task 'A'"):
+        evaluate(CqaModel(vocab, task="C", m=4, d_w=4, d_feat=2), data, "A")
+    with pytest.raises(ValueError, match="no triples"):
         evaluate(model, [], "A")
+
+
+def test_score_triples_refuses_non_finite_scores():
+    # finite weights that overflow: the forward pass gives nan on every task
+    data = conjunction_corpus(4, seed=0)
+    model = CqaModel(vocabulary_for(data), m=4, d_w=3, d_feat=2)
+    rng = np.random.default_rng(0)
+    for p in model.parameters():
+        p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -1e30, 1e30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"^non-finite score nan for task A on triple {data[0].id!r}$"):
+            score_triples(model, data)
 
 
 def test_weighted_combine():

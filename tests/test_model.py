@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,28 +7,27 @@ from hypothesis import strategies as st
 
 import cqarank.model as model_module
 import cqarank.nn_core as nn
-from cqarank.dataset import LABELS, Triple, binarize
+from cqarank.dataset import LABELS, CorpusError, Triple, binarize
 from cqarank.model import (
     INPUTS,
+    CqaModel,
     Features,
-    MtlModel,
-    PairModel,
     apply_word_vectors,
     compute_features,
-    load_word_vectors,
     rank_bin,
 )
-from cqarank.synthetic import gradcheck_corpus, vocabulary_for
+from cqarank.synthetic import gradcheck_corpus
 from cqarank.text_pipeline import (
     PAD_ID,
     PAD_TOKEN,
     UNK_ID,
     Vocabulary,
     overlap_indicators,
+    preprocess,
     triple_sources,
-    triple_texts,
+    vocabulary_for,
 )
-from cqarank.training import joint_loss
+from cqarank.training import joint_loss, snapshot
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def vocab(corpus):
 
 
 def small_mtl(vocab, seed=0, dtype=np.float32):
-    return MtlModel(vocab, m=6, d_w=8, d_feat=3, seed=seed, dtype=dtype)
+    return CqaModel(vocab, m=6, d_w=8, d_feat=3, seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +82,14 @@ def test_rank_bin_total_and_monotone():
 
 def test_triple_features_use_union_overlaps(corpus, vocab):
     feats, pizza = compute_features(corpus[:2], vocab)
-    texts = triple_texts(corpus[0])
+    texts = {role: preprocess(*source) for role, source in triple_sources(corpus[0]).items()}
     # "wifi" occurs in all three texts, so it overlaps from every side
     for k, role in enumerate(INPUTS[None]):
         assert len(feats.ids[k]) == len(feats.overlaps[k]) == len(texts[role])
         idx = texts[role].tokens.index("wifi")
         assert feats.overlaps[k][idx] == 1
     # "pizza" appears only in q_rel of corpus[1]
-    idx = triple_texts(corpus[1])["q_rel"].tokens.index("pizza")
+    idx = preprocess(*triple_sources(corpus[1])["q_rel"]).tokens.index("pizza")
     assert pizza.overlaps[1][idx] == 0
     assert pizza.rank_bin == rank_bin(corpus[1].google_rank)
 
@@ -113,7 +114,7 @@ def test_pair_overlaps_are_pairwise_not_union(corpus, vocab):
     t = corpus[1]  # pizza question, comment about a place on fifth street
     [b] = compute_features([t], vocab, "B")
     # "pizza" is not in q_new, so in the (q_new, q_rel) pair it has no overlap
-    idx = triple_texts(t)["q_rel"].tokens.index("pizza")
+    idx = preprocess(*triple_sources(t)["q_rel"]).tokens.index("pizza")
     assert b.overlaps[1][idx] == 0
 
 
@@ -167,8 +168,7 @@ def repeated_text_corpus():
 def features_one_text_at_a_time(triple, vocab, task, max_len):
     """The featurizer's reference: every text of every triple tokenized and
     encoded on its own."""
-    by_role = triple_texts(triple, max_len)
-    texts = [by_role[role] for role in INPUTS[task]]
+    texts = [preprocess(*triple_sources(triple)[role], max_len) for role in INPUTS[task]]
     ids, overlaps = [], []
     for k, text in enumerate(texts):
         if len(text) == 0:
@@ -185,7 +185,7 @@ def features_one_text_at_a_time(triple, vocab, task, max_len):
 def test_featurize_all_matches_featurizing_one_triple_at_a_time(task, max_len):
     triples = repeated_text_corpus()
     vocab = vocabulary_for(triples[:4], max_len=max_len)  # the pizza texts are partly unknown
-    model = MtlModel(vocab, task=task, m=3, d_w=4, d_feat=2, max_len=max_len)
+    model = CqaModel(vocab, task=task, m=3, d_w=4, d_feat=2, max_len=max_len)
     features = model.featurize_all(triples)
     assert features == [model.featurize(t) for t in triples]
     assert features == [features_one_text_at_a_time(t, vocab, task, max_len) for t in triples]
@@ -200,7 +200,7 @@ def test_featurize_all_preprocesses_each_distinct_text_once_per_call(monkeypatch
     calls = []
     preprocess = model_module.preprocess
     monkeypatch.setattr(model_module, "preprocess", lambda *a: calls.append(a[:2]) or preprocess(*a))
-    model = MtlModel(vocabulary_for(triples), task=task, m=3, d_w=4, d_feat=2)
+    model = CqaModel(vocabulary_for(triples), task=task, m=3, d_w=4, d_feat=2)
     distinct = {triple_sources(t)[role] for t in triples for role in INPUTS[task]}
     assert len(distinct) < len(triples) * len(INPUTS[task])
     model.featurize_all(triples)
@@ -247,17 +247,19 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
 
 
 def test_pair_model_task_b_shares_one_encoder(vocab):
-    b = PairModel(vocab, task="B", m=6, d_w=8, d_feat=3)
-    assert b.encoders[1] is b.encoders[0]
-    a = PairModel(vocab, task="A", m=6, d_w=8, d_feat=3)
-    assert a.encoders[1] is not a.encoders[0]
+    b = CqaModel(vocab, task="B", m=6, d_w=8, d_feat=3)
+    assert b.c_encoder is None
+    assert b.encoder_runs == [(b.q_encoder, (0, 1))]
+    a = CqaModel(vocab, task="A", m=6, d_w=8, d_feat=3)
+    assert a.c_encoder is not None and a.c_encoder is not a.q_encoder
+    assert a.encoder_runs == [(a.q_encoder, (0,)), (a.c_encoder, (1,))]
     # task A is not search-ranked, so it has no rank embedding
     assert a.rank_emb is None and a.joint_dim == 12
     assert b.rank_emb is not None and b.joint_dim == 15
 
 
 def test_pair_model_predict_scores_only_its_task(corpus, vocab):
-    model = PairModel(vocab, task="C", m=6, d_w=8, d_feat=3)
+    model = CqaModel(vocab, task="C", m=6, d_w=8, d_feat=3)
     preds = model.predict(model.featurize(corpus[0]))
     assert set(preds) == {"C"}
     assert 0.0 < preds["C"].data[0] < 1.0
@@ -344,21 +346,37 @@ def test_word_vectors_round_trip(tmp_path, vocab):
     d_w = 8
     line = "wifi " + " ".join(str(0.125 * (i + 1)) for i in range(d_w))
     path.write_text(line + "\nunknownword " + " ".join(["0.0"] * d_w) + "\n")
-    vectors = load_word_vectors(str(path), vocab, d_w)
-    assert set(vectors) == {"wifi"}
+    wifi = [0.125 * (i + 1) for i in range(d_w)]
     model = small_mtl(vocab)
-    replaced = apply_word_vectors(model, vectors)
-    assert replaced == 1
+    before = snapshot(model)
+    replaced = apply_word_vectors(model, str(path))
+    assert replaced == 1  # the unknown word's line is skipped
     idx = vocab.id_of("wifi")
-    np.testing.assert_allclose(model.q_encoder.word_emb.data[idx], vectors["wifi"], rtol=1e-6)
-    np.testing.assert_allclose(model.c_encoder.word_emb.data[idx], vectors["wifi"], rtol=1e-6)
+    np.testing.assert_allclose(model.q_encoder.word_emb.data[idx], wifi, rtol=1e-6)
+    np.testing.assert_allclose(model.c_encoder.word_emb.data[idx], wifi, rtol=1e-6)
+    for p in model.parameters():
+        if p.name.endswith(".word_emb"):
+            p.data[idx] = before[p.name][idx]
+        np.testing.assert_array_equal(p.data, before[p.name], err_msg=p.name)
 
 
 def test_word_vectors_dimension_mismatch(tmp_path, vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("wifi 1.0 2.0\n")
     with pytest.raises(ValueError, match="components"):
-        load_word_vectors(str(path), vocab, 8)
+        apply_word_vectors(small_mtl(vocab), str(path))
+
+
+@pytest.mark.parametrize("bad", ["wifi 1.0 2.0", "drops " + " ".join(["1e39"] * 8), "drops " + " ".join(["x"] * 8)])
+def test_word_vectors_leave_the_model_unchanged_on_a_bad_line(tmp_path, vocab, bad):
+    path = tmp_path / "vectors.txt"
+    path.write_text("upgrade " + " ".join(["0.5"] * 8) + "\n" + bad + "\n")
+    model = small_mtl(vocab)
+    before = snapshot(model)
+    with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: ")):
+        apply_word_vectors(model, str(path))
+    for p in model.parameters():
+        np.testing.assert_array_equal(p.data, before[p.name], err_msg=p.name)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +430,7 @@ def batches(draw, roles):
 )
 def test_batched_predict_and_gradients_match_batch_of_one_passes(task, width, seed, data):
     triples = data.draw(batches(INPUTS[task]))
-    model = MtlModel(
+    model = CqaModel(
         PROPERTY_VOCAB, task=task, m=3, d_w=4, d_feat=2, filter_width=width,
         max_len=PROPERTY_MAX_LEN, seed=seed, dtype=np.float64,
     )

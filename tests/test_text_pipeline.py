@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,30 @@ def test_vocabulary_tokens_round_trip():
     assert rebuilt.tokens == vocab.tokens
     for t in ("x", "y", "z"):
         assert rebuilt.id_of(t) == vocab.id_of(t)
+
+
+# a small alphabet, so that lists of tokens often repeat one
+vocab_tokens = st.text(alphabet="ab<>", max_size=2) | st.sampled_from([PAD_TOKEN, UNK_TOKEN])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(vocab_tokens, max_size=6), probes=st.lists(vocab_tokens, max_size=6))
+def test_vocabulary_agrees_with_a_plain_dict(tokens, probes):
+    reference: dict[str, int] = {}
+    for tok in (PAD_TOKEN, UNK_TOKEN, *tokens):
+        if tok in reference:  # the first repeat in id order is refused
+            with pytest.raises(ValueError, match=f"^duplicate vocabulary token: {re.escape(repr(tok))}$"):
+                Vocabulary(tokens)
+            return
+        reference[tok] = len(reference)
+    vocab = Vocabulary(tokens)
+    assert len(vocab) == len(reference)
+    assert vocab.tokens == tuple(reference)
+    for tok in [*reference, *probes]:
+        assert vocab.id_of(tok) == reference.get(tok, UNK_ID)
+        assert (tok in vocab) == (tok in reference)
+    text = TokenizedText(tuple(probes + tokens))
+    assert vocab.encode(text) == tuple(UNK_ID if t == PAD_TOKEN else reference.get(t, UNK_ID) for t in text.tokens)
 
 
 def test_vocabulary_encode():

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ import cqarank.evaluation as evaluation
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import binarize, make_batches
-from cqarank.model import TASKS, MtlModel, PairModel, parameter_table
-from cqarank.synthetic import gradcheck_corpus, vocabulary_for
+from cqarank.model import TASKS, CqaModel, parameter_table
+from cqarank.synthetic import gradcheck_corpus
+from cqarank.text_pipeline import vocabulary_for
 from cqarank.training import (
     CheckpointError,
     EarlyStopper,
@@ -40,7 +43,7 @@ def small_model(vocab, **kw):
     kw.setdefault("m", 4)
     kw.setdefault("d_w", 4)
     kw.setdefault("d_feat", 2)
-    return MtlModel(vocab, **kw)
+    return CqaModel(vocab, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +251,7 @@ def test_batched_training_matches_the_per_example_loop(corpus, vocab):
 
 
 def test_train_rejects_mismatched_tasks_and_empty_data(corpus, vocab):
-    pair = PairModel(vocab, task="B", m=4, d_w=4, d_feat=2)
+    pair = CqaModel(vocab, task="B", m=4, d_w=4, d_feat=2)
     with pytest.raises(ValueError):
         train(pair, corpus, corpus, TrainConfig(tasks=("A",)))
     model = small_model(vocab)
@@ -285,7 +288,7 @@ def test_snapshot_restore_round_trip(vocab):
 
 def test_restore_rejects_missing_or_mismatched_shapes(vocab):
     small = small_model(vocab, seed=1)
-    big = MtlModel(vocab, m=6, d_w=4, d_feat=2, seed=1)
+    big = CqaModel(vocab, m=6, d_w=4, d_feat=2, seed=1)
     with pytest.raises(CheckpointError):
         restore(big, snapshot(small))
     partial = snapshot(small)
@@ -293,9 +296,9 @@ def test_restore_rejects_missing_or_mismatched_shapes(vocab):
     with pytest.raises(CheckpointError):
         restore(small, partial)
     # a pair-C snapshot holds the comment encoder a pair-B network lacks
-    pair_c = snapshot(PairModel(vocab, "C", m=4, d_w=4, d_feat=2))
+    pair_c = snapshot(CqaModel(vocab, task="C", m=4, d_w=4, d_feat=2))
     with pytest.raises(CheckpointError, match="c_encoder.word_emb"):
-        restore(PairModel(vocab, "B", m=4, d_w=4, d_feat=2), pair_c)
+        restore(CqaModel(vocab, task="B", m=4, d_w=4, d_feat=2), pair_c)
 
 
 def test_checkpoint_round_trip(tmp_path, corpus, vocab):
@@ -303,7 +306,7 @@ def test_checkpoint_round_trip(tmp_path, corpus, vocab):
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), model)
     loaded = load_checkpoint(str(path))
-    assert isinstance(loaded, MtlModel)
+    assert isinstance(loaded, CqaModel) and loaded.task is None
     assert loaded.vocab.tokens == vocab.tokens
     assert (loaded.m, loaded.d_w, loaded.d_feat) == (4, 4, 2)
     for p, q in zip(model.parameters(), loaded.parameters()):
@@ -316,13 +319,13 @@ def test_checkpoint_round_trip(tmp_path, corpus, vocab):
 
 
 def test_pair_checkpoint_round_trip(tmp_path, vocab):
-    model = PairModel(vocab, task="B", m=4, d_w=4, d_feat=2, seed=5)
+    model = CqaModel(vocab, task="B", m=4, d_w=4, d_feat=2, seed=5)
     path = tmp_path / "pair.ckpt"
     save_checkpoint(str(path), model)
     loaded = load_checkpoint(str(path))
     assert loaded.kind == "pair"
     assert loaded.task == "B"
-    assert loaded.encoders[1] is loaded.encoders[0]
+    assert loaded.c_encoder is None
     for p, q in zip(model.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(p.data, q.data)
 
@@ -375,7 +378,7 @@ CHECKPOINT_FORMAT = {
 def test_checkpoint_format_is_stable(tmp_path, vocab, task):
     table, digest = CHECKPOINT_FORMAT[task]
     kw = dict(m=3, d_w=4, d_feat=2, filter_width=2, seed=0)
-    model = MtlModel(vocab, **kw) if task is None else PairModel(vocab, task=task, **kw)
+    model = CqaModel(vocab, task=task, **kw)
     assert [(p.name, p.data.shape) for p in model.parameters()] == table
     sizes = dict(m=3, d_w=4, d_feat=2, filter_width=2, max_len=100)
     assert list(parameter_table(len(vocab), task, **sizes).items()) == table
@@ -391,7 +394,7 @@ def test_parameter_table_rejects_sizes_that_are_not_positive_ints(vocab):
             with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
                 parameter_table(len(vocab), None, **{**sizes, key: bad})
             with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
-                MtlModel(vocab, **{**sizes, key: bad})
+                CqaModel(vocab, **{**sizes, key: bad})
 
 
 def test_checkpoint_rejects_garbage(tmp_path, vocab):
@@ -409,13 +412,42 @@ def test_checkpoint_rejects_garbage(tmp_path, vocab):
         load_checkpoint(str(truncated))
 
 
+def test_save_checkpoint_refuses_params_not_in_the_model_dtype(tmp_path, vocab):
+    model = small_model(vocab)  # float32
+    path = tmp_path / "model.ckpt"
+    wide = {name: arr.astype(np.float64) for name, arr in snapshot(model).items()}
+    with pytest.raises(ValueError, match="'c_encoder.conv_bias' is float64, not the model's float32"):
+        save_checkpoint(str(path), model, params=wide)
+    assert not path.exists()
+    # the model's dtype in the other byte order holds the same numbers and is stored alike
+    save_checkpoint(str(path), model)
+    swapped = {name: arr.astype(arr.dtype.newbyteorder(">")) for name, arr in snapshot(model).items()}
+    save_checkpoint(str(tmp_path / "swapped.ckpt"), model, params=swapped)
+    assert (tmp_path / "swapped.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_arrays_must_be_stored_in_the_meta_dtype(tmp_path, vocab):
+    # a float64 network's arrays under a float32 meta are refused, not cast
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), small_model(vocab, dtype=np.float64))
+    data = path.read_bytes()
+    head_len = int.from_bytes(data[8:16], "little")
+    index = json.loads(data[16 : 16 + head_len])
+    index["meta"]["dtype"] = "float32"
+    head = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(data[:8] + len(head).to_bytes(8, "little") + head + data[16 + head_len :])
+    message = f"{path}: invalid index: array 'c_encoder.conv_bias' is stored as <f8, not the meta dtype's <f4"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(str(path))
+
+
 @pytest.fixture(scope="module")
 def saved_checkpoints(tmp_path_factory, vocab):
     """The bytes of a small joint and a small pair checkpoint, and a path to
     write damaged copies to."""
     root = tmp_path_factory.mktemp("damaged")
     blobs = {}
-    for kind, model in (("mtl", small_model(vocab)), ("pair", PairModel(vocab, task="C", m=4, d_w=4, d_feat=2))):
+    for kind, model in (("mtl", small_model(vocab)), ("pair", CqaModel(vocab, task="C", m=4, d_w=4, d_feat=2))):
         save_checkpoint(str(root / "model.ckpt"), model)
         blobs[kind] = (root / "model.ckpt").read_bytes()
     return blobs, root / "damaged.ckpt"
