@@ -19,7 +19,6 @@ from .evaluation import (
     evaluate_scores,
     reciprocal_rank,
     tune_alpha,
-    weighted_combine,
 )
 from .model import CqaModel, rank_bin
 from .nn_core import NumericError, Parameter, RmsProp, Tensor, grad_check
@@ -69,5 +68,4 @@ __all__ = [
     "train",
     "tune_alpha",
     "vocabulary_for",
-    "weighted_combine",
 ]

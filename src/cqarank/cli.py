@@ -37,7 +37,6 @@ from .evaluation import (
     evaluate_scores,
     score_triples,
     tune_alpha,
-    weighted_combine,
     write_predictions,
 )
 from .model import SIZES, CqaModel, apply_word_vectors, parameter_table
@@ -50,6 +49,7 @@ from .training import (
     TrainConfig,
     joint_loss,
     load_checkpoint,
+    restore,
     save_checkpoint,
     train,
     write_history_csv,
@@ -63,10 +63,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def read_config_file(path: str) -> dict[str, str]:
     """``key=value`` per line; blank lines and ``#`` comments ignored."""
     values: dict[str, str] = {}
@@ -77,11 +73,11 @@ def read_config_file(path: str) -> dict[str, str]:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+                    raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     return values
 
 
@@ -116,14 +112,14 @@ def merged_option(args: argparse.Namespace, config: dict[str, str], key: str, de
         try:
             return caster(config[key])
         except ValueError as exc:
-            raise UsageError(f"config key {key}: {exc}") from exc
+            raise ValueError(f"config key {key}: {exc}") from exc
     return default
 
 
 def _check_config_keys(config: dict[str, str]) -> None:
     unknown = set(config) - set(_CONFIG_KEYS)
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
 def _parse_tasks(spec: str) -> tuple[str, ...]:
@@ -213,19 +209,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     kind = merged_option(args, config_file, "model", "mtl")
     if kind not in ("mtl", "pair"):
-        raise UsageError(f"model must be 'mtl' or 'pair', got {kind!r}")
+        raise ValueError(f"model must be 'mtl' or 'pair', got {kind!r}")
     tasks_spec = merged_option(args, config_file, "tasks", None)
     task = merged_option(args, config_file, "task", None)
     if kind == "pair":
         if task is None:
-            raise UsageError("the pair model needs --task")
+            raise ValueError("the pair model needs --task")
         if tasks_spec is not None:
-            raise UsageError("--tasks is for the mtl model; the pair model trains its --task")
+            raise ValueError("--tasks is for the mtl model; the pair model trains its --task")
         tasks = (task,)
     else:
         if task is not None:
-            raise UsageError("--task is for the pair model; the mtl model trains --tasks")
-        tasks = _parse_tasks(tasks_spec) if tasks_spec else TASKS
+            raise ValueError("--task is for the pair model; the mtl model trains --tasks")
+        tasks = TASKS if tasks_spec is None else _parse_tasks(tasks_spec)
 
     def options(defaults: dict) -> dict:
         return {k: merged_option(args, config_file, k, v) for k, v in defaults.items()}
@@ -263,8 +259,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     else:
         for t in tasks:
-            save_checkpoint(os.path.join(args.out_dir, f"model_{t}.ckpt"), model,
-                            params=report.snapshots[t])
+            restore(model, report.snapshots[t])
+            save_checkpoint(os.path.join(args.out_dir, f"model_{t}.ckpt"), model)
             print(f"task {t}: best epoch {report.best_epoch[t]}; wrote model_{t}.ckpt")
         print(f"stopped at epoch {report.stop_epoch}")
     return EXIT_OK
@@ -284,7 +280,7 @@ def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
     with the search rank when ``alpha`` is given)."""
     for t in tasks:
         if t not in model.tasks:
-            raise UsageError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
+            raise ValueError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
     # score_triples reports an overflow's non-finite score, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         scores = score_triples(model, data)
@@ -295,15 +291,15 @@ def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
 
 
 def _check_alpha(alpha: Optional[float]) -> None:
-    """Run a given blend weight through :func:`weighted_combine`'s rule, so a
-    bad one is refused before any file is read."""
+    """Run a given blend weight through :func:`blend_rows`'s rule, so a bad
+    one is refused before any file is read."""
     if alpha is not None:
-        weighted_combine(0.0, 1, alpha)
+        blend_rows((), alpha)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_alpha(args.alpha)
-    tasks = _parse_tasks(args.tasks) if args.tasks else None
+    tasks = None if args.tasks is None else _parse_tasks(args.tasks)
     model = load_checkpoint(args.model_path)
     data = _load_labelled(args.corpus)
     tasks = tasks or tuple(model.tasks)
@@ -335,7 +331,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     task = args.task
     if task is None:
         if len(model.tasks) != 1:
-            raise UsageError("--task is required for a multi-task checkpoint")
+            raise ValueError("--task is required for a multi-task checkpoint")
         task = model.tasks[0]
     _, rows = _task_rows(model, data, (task,), args.alpha)
     write_predictions(args.out, rows[task])
@@ -376,9 +372,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (CorpusError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

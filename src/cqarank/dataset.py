@@ -70,6 +70,9 @@ class Triple:
     label_C: str
 
     def __post_init__(self):
+        for name in ("id", "group"):  # each is one field of a prediction TSV row
+            if re.search("[\t\n\r]", getattr(self, name)):
+                raise CorpusError(f"triple {self.id!r}: {name} must not hold a tab or line break")
         if self.google_rank < 1:
             raise CorpusError(f"triple {self.id!r}: google_rank must be >= 1")
         for task in TASKS:

@@ -149,17 +149,13 @@ def evaluate(model, triples: Sequence[Triple], task: str) -> EvalResult:
     return evaluate_scores(build_rows(triples, score_triples(model, triples)[task], task))
 
 
-def weighted_combine(score: float, google_rank: int, alpha: float) -> float:
-    """Interpolate the model score with the reciprocal search-engine rank."""
+def blend_rows(rows: Sequence[GroupedRow], alpha: float) -> list[GroupedRow]:
+    """The rows with each model score ``s`` interpolated with the reciprocal
+    search-engine rank: ``alpha * s + (1 - alpha) / rank``, for ``alpha`` in
+    [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * score + (1.0 - alpha) * (1.0 / google_rank)
-
-
-def blend_rows(rows: Sequence[GroupedRow], alpha: float) -> list[GroupedRow]:
-    """The rows with each model score replaced by its :func:`weighted_combine`
-    with the row's search rank."""
-    return [(key, doc, weighted_combine(s, rank, alpha), rank, rel) for key, doc, s, rank, rel in rows]
+    return [(key, doc, alpha * s + (1.0 - alpha) * (1.0 / rank), rank, rel) for key, doc, s, rank, rel in rows]
 
 
 def tune_alpha(rows: Sequence[GroupedRow]) -> tuple[float, float]:

@@ -257,10 +257,6 @@ class CqaModel:
         """Every parameter, in table order."""
         return list(self._parameters)
 
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def featurize_all(self, triples: Sequence[Triple]) -> list[Features]:
         """:func:`compute_features` for this network: one ``Features`` per
         triple, each distinct text of the call tokenized and encoded once."""
@@ -311,9 +307,10 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
     """Overwrite word-embedding rows with the vectors of a text file (one
     ``token v1 ... v_{d_w}`` line per word), skipping tokens outside the
     vocabulary; returns the number of rows replaced per table.  The file is
-    read whole first: a malformed file, or a component of an in-vocabulary
-    line that is not finite in float32, raises :class:`CorpusError` naming
-    the path and the line, and leaves the model unchanged."""
+    read whole first: a malformed file, or an in-vocabulary line with a
+    component that is not a number or not finite in float32, raises
+    :class:`CorpusError` naming the path and the line, and leaves the model
+    unchanged."""
     rows: dict[int, np.ndarray] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -325,7 +322,12 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
                 if len(values) != model.d_w:
                     raise ValueError(f"line {lineno} has {len(values)} components, expected {model.d_w}")
                 if token in model.vocab:
-                    vec = np.array([float(v) for v in values])
+                    vec = np.empty(len(values))
+                    for j, v in enumerate(values):
+                        try:
+                            vec[j] = float(v)
+                        except ValueError:
+                            raise ValueError(f"line {lineno} component {j + 1} is {v!r}, not a number") from None
                     with np.errstate(over="ignore"):  # an overflowing cast gives inf
                         finite = np.isfinite(vec.astype(np.float32))
                     if not finite.all():

@@ -276,29 +276,21 @@ def _meta_for(model) -> dict:
     return meta
 
 
-def save_checkpoint(path: str, model, params: Optional[dict[str, np.ndarray]] = None) -> None:
+def save_checkpoint(path: str, model) -> None:
     """Serialize the model to a deterministic binary container: magic, JSON
     index (meta, vocab, parameter table), then raw little-endian arrays in
-    sorted name order.  Saving the same weights twice yields identical bytes.
-
-    ``params``, in the model's dtype, substitutes a snapshot for its live arrays."""
-    if params is None:
-        params = snapshot(model)
+    sorted name order.  Saving the same weights twice yields identical bytes."""
     stored = model.dtype.newbyteorder("<")
     entries = []
     blobs = []
     offset = 0
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name])
-        if arr.dtype.newbyteorder("<") != stored:
-            raise ValueError(f"save_checkpoint: array {name!r} is {arr.dtype}, not the model's {model.dtype}")
-        arr = arr.astype(stored, copy=False)
-        blob = arr.tobytes()
+    for p in sorted(model.parameters(), key=lambda p: p.name):
+        blob = p.data.astype(stored, copy=False).tobytes()
         entries.append(
             {
-                "name": name,
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
+                "name": p.name,
+                "dtype": stored.str,
+                "shape": list(p.data.shape),
                 "offset": offset,
                 "nbytes": len(blob),
             }

@@ -15,7 +15,7 @@ from cqarank.evaluation import blend_rows, build_rows, evaluate_scores, score_tr
 from cqarank.model import CqaModel
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus
 from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, preprocess, triple_sources, vocabulary_for
-from cqarank.training import load_checkpoint, save_checkpoint
+from cqarank.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 @pytest.fixture()
@@ -94,12 +94,24 @@ def test_train_writes_model_and_history(tmp_path, corpus_path):
     assert len(lines) == 3  # header + 2 epochs
 
 
-def test_train_per_task_writes_one_checkpoint_per_task(tmp_path, corpus_path):
+def test_train_per_task_writes_one_checkpoint_per_task(tmp_path, conjunction_split):
+    # each model_<t>.ckpt holds report.snapshots[t] of a library run with the
+    # same corpus, options and seed
+    train_path, dev_path = conjunction_split
     out_dir = tmp_path / "run"
-    assert main(train_args(corpus_path, out_dir, "--stopping", "per_task")) == 0
-    for t in ("A", "B", "C"):
-        assert (out_dir / f"model_{t}.ckpt").exists()
+    flags = ["--stopping", "per_task", "--epochs", "6", "--patience", "2", "--seed", "3"]
+    assert main(train_args(train_path, out_dir, *flags, dev_path=dev_path)) == 0
     assert not (out_dir / "model.ckpt").exists()
+    train_data = load_corpus(train_path)
+    model = CqaModel(vocabulary_for(train_data), m=4, d_w=4, d_feat=2, seed=3)
+    config = TrainConfig(epochs=6, batch_size=4, patience=2, stopping="per_task", seed=3)
+    report = train(model, train_data, load_corpus(dev_path), config)
+    assert len({report.best_epoch[t] for t in "ABC"}) > 1  # the snapshots differ
+    for t in "ABC":
+        loaded = {p.name: p.data for p in load_checkpoint(str(out_dir / f"model_{t}.ckpt")).parameters()}
+        assert loaded.keys() == report.snapshots[t].keys()
+        for name, arr in report.snapshots[t].items():
+            np.testing.assert_array_equal(loaded[name], arr, err_msg=f"{t} {name}")
 
 
 def test_train_pair_model(tmp_path, corpus_path):
@@ -459,8 +471,8 @@ def test_vectors_with_a_component_not_finite_in_float32_exit_2_before_training(
 
 # train options that exit 1 with one error line and write nothing: sizes that
 # are not positive, optimizer, dropout and seed values that cannot be used, a
-# task list that repeats a task, and a --task or --tasks the chosen model does
-# not read (from a flag or from --config)
+# task list that is empty or repeats a task, and a --task or --tasks the chosen
+# model does not read (from a flag or from --config)
 BAD_TRAIN_OPTIONS = {
     "m_zero": (["--m", "0"], None),
     "d_w_zero": (["--d-w", "0"], None),
@@ -472,6 +484,8 @@ BAD_TRAIN_OPTIONS = {
     "negative_seed": (["--seed", "-1"], None),
     "repeated_task": (["--tasks", "AA"], None),
     "repeated_task_in_config": ([], "tasks=CAC\n"),
+    "empty_tasks": (["--tasks", ""], None),
+    "empty_tasks_in_config": ([], "tasks=\n"),
     "mtl_with_task": (["--model", "mtl", "--task", "C"], None),
     "pair_with_tasks": (["--model", "pair", "--task", "C", "--tasks", "AB"], None),
     "mtl_with_task_in_config": (["--model", "mtl"], "task=C\n"),
@@ -547,7 +561,7 @@ def test_evaluate_refuses_bad_tasks_before_any_file_is_read(tmp_path, corpus_pat
     capsys.readouterr()
     monkeypatch.setattr(cli, "score_triples", lambda *a: pytest.fail("scored before the tasks check"))
     for model, corpus in [("nosuch.ckpt", "missing.jsonl"), (str(out_dir / "model.ckpt"), corpus_path)]:
-        for spec, parsed in [("AA", "'A', 'A'"), ("AD", "'A', 'D'")]:
+        for spec, parsed in [("AA", "'A', 'A'"), ("AD", "'A', 'D'"), ("", ""), (",", "")]:
             code = main(["evaluate", "--model", model, "--corpus", corpus, "--tasks", spec,
                          "--out", str(tmp_path / "p.tsv")])
             captured = capsys.readouterr()
@@ -557,6 +571,28 @@ def test_evaluate_refuses_bad_tasks_before_any_file_is_read(tmp_path, corpus_pat
                 f"error: tasks must be one or more of A, B, C, none twice, got [{parsed}]"
             ]
             assert not list(tmp_path.glob("p*.tsv"))
+
+
+@pytest.mark.parametrize("field", ["id", "group"])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_a_tab_or_line_break_in_an_id_or_group_exits_2_before_writing(tmp_path, conjunction_split, capsys,
+                                                                      field, char):
+    train_path, dev_path = conjunction_split
+    assert main(train_args(train_path, tmp_path / "run", dev_path=dev_path)) == 0
+    capsys.readouterr()
+    records = [dataclasses.asdict(t) for t in load_corpus(dev_path)]
+    records[2][field] = f"x{char}y"
+    (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    message = f"error: line 3: triple {records[2]['id']!r}: {field} must not hold a tab or line break"
+    for args in (["predict", "--task", "C"], ["evaluate", "--tasks", "B"]):
+        out = tmp_path / "p.tsv"
+        code = main([*args, "--model", str(tmp_path / "run" / "model.ckpt"), "--corpus", str(tmp_path / "bad.jsonl"),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+        assert not out.exists()
 
 
 def test_evaluate_refuses_an_empty_corpus(tmp_path, corpus_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from cqarank.evaluation import (
     average_precision,
+    blend_rows,
     build_rows,
     evaluate,
     evaluate_scores,
@@ -14,7 +15,6 @@ from cqarank.evaluation import (
     score_triples,
     task_group_key,
     tune_alpha,
-    weighted_combine,
     write_predictions,
 )
 import cqarank.evaluation as evaluation
@@ -178,12 +178,25 @@ def test_score_triples_refuses_non_finite_scores():
             score_triples(model, data)
 
 
-def test_weighted_combine():
-    assert weighted_combine(0.8, 4, 0.75) == pytest.approx(0.75 * 0.8 + 0.25 * 0.25)
-    assert weighted_combine(0.3, 2, 0.0) == 0.5  # pure search-rank prior
-    assert weighted_combine(0.3, 2, 1.0) == 0.3  # pure model score
+def blended(score, google_rank, alpha):
+    """The blended score of one row."""
+    [(key, doc, s, rank, rel)] = blend_rows([("q", "d", score, google_rank, 1)], alpha)
+    assert (key, doc, rank, rel) == ("q", "d", google_rank, 1)
+    return s
+
+
+def test_blend_rows():
+    assert blended(0.8, 4, 0.75) == pytest.approx(0.75 * 0.8 + 0.25 * 0.25)
+    assert blended(0.3, 2, 0.0) == 0.5  # pure search-rank prior
+    assert blended(0.3, 2, 1.0) == 0.3  # pure model score
     with pytest.raises(ValueError):
-        weighted_combine(0.5, 1, 1.5)
+        blended(0.5, 1, 1.5)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.01, math.nan])
+def test_blend_rows_checks_alpha_without_rows(alpha):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got "):
+        blend_rows((), alpha)
 
 
 def test_tune_alpha_prefers_smallest_on_ties():

@@ -240,7 +240,8 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
     with nn.recording():
         preds = model.predict(feats)
         loss = joint_loss(preds, binarize(corpus[0]), ("A", "B", "C"))
-        model.zero_grads()
+        for p in model.parameters():
+            p.zero_grad()
         loss.backward()
     assert np.abs(model.q_encoder.filters.grad).sum() > 0
     assert np.abs(model.c_encoder.filters.grad).sum() > 0
@@ -367,13 +368,21 @@ def test_word_vectors_dimension_mismatch(tmp_path, vocab):
         apply_word_vectors(small_mtl(vocab), str(path))
 
 
-@pytest.mark.parametrize("bad", ["wifi 1.0 2.0", "drops " + " ".join(["1e39"] * 8), "drops " + " ".join(["x"] * 8)])
+# a bad second line of a vectors file, with the error it gives after the path
+BAD_VECTOR_LINES = {
+    "wifi 1.0 2.0": "line 2 has 2 components, expected 8",
+    "drops " + " ".join(["1e39"] * 8): "line 2 component 1 is '1e39', not finite in float32",
+    "drops " + " ".join(["x"] * 8): "line 2 component 1 is 'x', not a number",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_VECTOR_LINES))
 def test_word_vectors_leave_the_model_unchanged_on_a_bad_line(tmp_path, vocab, bad):
     path = tmp_path / "vectors.txt"
     path.write_text("upgrade " + " ".join(["0.5"] * 8) + "\n" + bad + "\n")
     model = small_mtl(vocab)
     before = snapshot(model)
-    with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: ")):
+    with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: {BAD_VECTOR_LINES[bad]}") + "$"):
         apply_word_vectors(model, str(path))
     for p in model.parameters():
         np.testing.assert_array_equal(p.data, before[p.name], err_msg=p.name)
@@ -440,13 +449,15 @@ def test_batched_predict_and_gradients_match_batch_of_one_passes(task, width, se
     assert any(len(text_ids) == PROPERTY_MAX_LEN for text_ids in ids)
     labels = [binarize(t) for t in triples]
 
-    model.zero_grads()
+    for p in model.parameters():
+        p.zero_grad()
     with nn.recording():
         batched = model.predict(features, training=True, rng=np.random.default_rng(seed))
         joint_loss(batched, labels, model.tasks).backward()
     batched_grads = [p.grad.copy() for p in model.parameters()]
 
-    model.zero_grads()
+    for p in model.parameters():
+        p.zero_grad()
     rng = np.random.default_rng(seed)
     singles = []
     with nn.recording():  # each backward differentiates only its own pass
