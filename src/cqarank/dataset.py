@@ -146,7 +146,8 @@ def _parse_record(obj: dict, lineno: int, require_labels: bool) -> Triple:
 
 
 def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
-    """Read a JSONL corpus, preserving file order.
+    """Read a JSONL corpus, preserving file order.  A bad record raises
+    :class:`CorpusError` naming the path and the line.
 
     With ``require_labels=False`` an absent or null label takes its task's
     last LABELS value, which is not relevant; this supports scoring
@@ -172,6 +173,8 @@ def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
                 triples.append(triple)
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     return triples
 
 

@@ -2,18 +2,28 @@
 per-query candidate lists, plus the score/search-rank interpolation used at
 prediction time.
 
-Candidates are grouped into queries, sorted by model score (ties broken by
-original search rank, then id), and queries without any relevant candidate are
+Candidates are grouped into queries and sorted by model score, descending.
+Equal scores go by original search rank, then by id, and candidates with
+equal ids keep their input order.  Queries without any relevant candidate are
 skipped.  MAP and MRR are reported as percentages in [0, 100]; the per-query
 average precisions they summarize are kept as fractions in [0, 1].
+
+Every ranking goes through :class:`RankTable`, which holds a task's rows as
+columns and orders them with one stable ``np.lexsort``.  A score that is not
+finite is refused when the table is built.  The alpha search blends and ranks
+all 101 weights in one pass, and each MAP it compares is bit for bit the MAP of
+the rows blended with that one weight.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .dataset import Triple, atomic_write, task_relevance
 from .nn_core import NumericError
@@ -54,41 +64,128 @@ class EvalResult:
     skipped: int
 
 
+def _codes(values: Sequence) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct values, and each value's index among them in the
+    smallest unsigned dtype that holds it (numpy radix-sorts 8- and 16-bit
+    keys).  Python's ``sorted`` compares strings exactly; numpy's str dtype
+    would drop trailing NULs."""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    dtype = np.min_scalar_type(max(len(distinct) - 1, 0))
+    return tuple(distinct), np.fromiter(map(index.__getitem__, values), dtype=dtype, count=len(values))
+
+
+@dataclass(frozen=True)
+class RankTable:
+    """One task's ranking rows as columns.  Query keys, doc ids and search
+    ranks are stored as their index among the sorted distinct values, so
+    comparing the codes compares the values."""
+
+    keys: tuple[str, ...]  # distinct query keys, sorted
+    ids: tuple[str, ...]  # distinct doc ids, sorted
+    ranks: tuple[int, ...]  # distinct search ranks, sorted
+    group: np.ndarray  # per row: index into keys
+    doc: np.ndarray  # per row: index into ids
+    rank: np.ndarray  # per row: index into ranks
+    score: np.ndarray  # per row: float64 score
+    rel: np.ndarray  # per row: bool relevance
+
+    @classmethod
+    def of(cls, rows: Sequence[GroupedRow]) -> RankTable:
+        keys, ids, scores, ranks, rels = tuple(zip(*rows)) or ((),) * 5
+        if not set(rels) <= {0, 1}:
+            raise ValueError(f"relevance must be 0 or 1, got {next(r for r in rels if r not in (0, 1))!r}")
+        (keys, group), (ids, doc), (ranks, rank) = _codes(keys), _codes(ids), _codes(ranks)
+        table = cls(keys, ids, ranks, group, doc, rank, np.zeros(len(doc)), np.array(rels, dtype=bool))
+        return table.with_scores(scores)
+
+    def with_scores(self, scores: Sequence[float]) -> RankTable:
+        """The table with each row's score replaced; a score that is not
+        finite raises ``ValueError`` naming the first such row's doc id."""
+        score = np.array(scores, dtype=np.float64)
+        if score.shape != self.doc.shape:
+            raise ValueError(f"{len(score)} scores for {len(self.doc)} rows")
+        bad = np.flatnonzero(~np.isfinite(score))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"score {score[k]} of doc {self.ids[self.doc[k]]!r} in query {self.keys[self.group[k]]!r} is not finite"
+            )
+        return dataclasses.replace(self, score=score)
+
+    def order(self, scores: np.ndarray) -> np.ndarray:
+        """The ranked row indices for each row of ``scores`` (shape
+        ``(k, rows)``): by query key, then score descending, search rank and
+        doc id; the sort is stable, so equal ids keep their input order."""
+        doc, rank, group = (np.broadcast_to(column, scores.shape) for column in (self.doc, self.rank, self.group))
+        return np.lexsort((doc, rank, -scores, group), axis=-1)
+
+    def ranked(self) -> np.ndarray:
+        """The row indices ranked by the table's own scores."""
+        return self.order(self.score[None])[0]
+
+    def places(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each position of any ranking: its query's index in ``keys``
+        and its 1-based place within that query."""
+        counts = np.bincount(self.group, minlength=len(self.keys))
+        query = np.repeat(np.arange(len(self.keys)), counts)
+        return query, np.arange(len(query)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+
+    def precisions(self, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-query average precision and 1-based place of the first relevant
+        row of each ranking, given as the rows' relevance in ranked order
+        (shape ``(k, rows)``); both results have shape ``(k, P)`` over the P
+        queries with a relevant row, in sorted-key order."""
+        positives = np.bincount(self.group, weights=self.rel, minlength=len(self.keys))
+        judged = positives > 0
+        count = np.count_nonzero(judged)
+        if not count:
+            raise ValueError("evaluate_scores: every group lacks relevant candidates")
+        query, place = self.places()
+        # one block per (ranking, judged query); its hits are contiguous, in rank order
+        block, at = np.nonzero(ranked)
+        block *= count
+        block += (np.cumsum(judged) - 1)[query[at]]
+        first = np.flatnonzero(np.diff(block, prepend=-1))
+        hits = np.arange(1, len(block) + 1)
+        hits -= np.repeat(first, np.diff(first, append=len(block)))
+        # np.add.at adds in index order, so each query's precisions are summed
+        # first to last, as average_precision sums them
+        total = np.zeros((len(ranked), count))
+        np.add.at(total.reshape(-1), block, hits / place[at])
+        return total / positives[judged], place[at[first]].reshape(total.shape)
+
+    def evaluate(self) -> EvalResult:
+        """MAP and MRR of the rows ranked by their scores."""
+        aps, firsts = self.precisions(self.rel[self.ranked()][None])
+        aps = aps[0].tolist()
+        rr_sum = 0.0
+        for first in firsts[0].tolist():
+            rr_sum += 1.0 / first
+        scored = len(aps)
+        return EvalResult(
+            map=100.0 * sum(aps) / scored,
+            mrr=100.0 * rr_sum / scored,
+            per_query_ap=tuple(aps),
+            query_count=scored,
+            skipped=len(self.keys) - scored,
+        )
+
+
 def rank_rows(rows: Sequence[GroupedRow]) -> dict[str, list[GroupedRow]]:
-    """Group rows by query key and sort each group by descending score,
-    breaking ties by search rank then id."""
-    groups: dict[str, list[GroupedRow]] = {}
-    for row in rows:
-        groups.setdefault(row[0], []).append(row)
-    for key in groups:
-        groups[key].sort(key=lambda r: (-r[2], r[3], r[1]))
-    return groups
+    """Group rows by query key, in first-appearance order, and rank each
+    group by descending score, breaking ties by search rank then id."""
+    table = RankTable.of(rows)
+    ranked: dict[str, list[GroupedRow]] = {row[0]: [] for row in rows}
+    for i in table.ranked().tolist():
+        ranked[rows[i][0]].append(rows[i])
+    return ranked
 
 
 def evaluate_scores(rows: Sequence[GroupedRow]) -> EvalResult:
     """MAP and MRR (percentages) over grouped candidate rows; groups with no
     relevant candidate are skipped (not averaged as zero)."""
-    groups = rank_rows(rows)
-    aps: list[float] = []
-    rr_sum = 0.0
-    skipped = 0
-    for key in sorted(groups):
-        ranked = [r[4] for r in groups[key]]
-        if sum(ranked) == 0:
-            skipped += 1
-            continue
-        aps.append(average_precision(ranked))
-        rr_sum += reciprocal_rank(ranked)
-    if not aps:
-        raise ValueError("evaluate_scores: every group lacks relevant candidates")
-    scored = len(aps)
-    return EvalResult(
-        map=100.0 * sum(aps) / scored,
-        mrr=100.0 * rr_sum / scored,
-        per_query_ap=tuple(aps),
-        query_count=scored,
-        skipped=skipped,
-    )
+    return RankTable.of(rows).evaluate()
 
 
 def task_group_key(triple: Triple, task: str) -> str:
@@ -158,25 +255,39 @@ def blend_rows(rows: Sequence[GroupedRow], alpha: float) -> list[GroupedRow]:
     return [(key, doc, alpha * s + (1.0 - alpha) * (1.0 / rank), rank, rel) for key, doc, s, rank, rel in rows]
 
 
+# The blend weights the alpha search tries, as step / 100.0 for step 0..100.
+ALPHAS = np.arange(101) / 100.0
+
+
 def tune_alpha(rows: Sequence[GroupedRow]) -> tuple[float, float]:
     """Grid-search alpha over 0.00..1.00 in steps of 0.01, maximizing MAP of
-    the blended rows; ties go to the smallest alpha."""
+    the blended rows; ties go to the smallest alpha.  All weights are
+    blended and ranked in one pass, with the MAPs of weight-by-weight
+    evaluation bit for bit."""
+    table = RankTable.of(rows)
+    inverse = np.array([1.0 / rank for rank in table.ranks])[table.rank]
+    # blend_rows' alpha * s + (1 - alpha) * (1 / rank), one row per weight
+    blended = np.multiply.outer(ALPHAS, table.score)
+    blended += np.multiply.outer(1.0 - ALPHAS, inverse)
+    ranked = table.rel[table.order(blended)]
+    del blended  # frees (101, rows) floats before the per-hit arrays are built
+    aps, _ = table.precisions(ranked)
     best_alpha = 0.0
     best_map = -1.0
-    for step in range(101):
-        alpha = step / 100.0
-        result = evaluate_scores(blend_rows(rows, alpha))
-        if result.map > best_map:
-            best_alpha, best_map = alpha, result.map
+    for step, row in enumerate(aps.tolist()):
+        score = 100.0 * sum(row) / len(row)
+        if score > best_map:
+            best_alpha, best_map = step / 100.0, score
     return best_alpha, best_map
 
 
 def write_predictions(path: str, rows: Sequence[GroupedRow]) -> None:
     """Write one TSV row per candidate: query key, candidate id, final rank
     within the query, score, and gold 0/1 relevance.  Atomic."""
-    groups = rank_rows(rows)
+    table = RankTable.of(rows)
+    _, places = table.places()
     with atomic_write(path) as fh:
         fh.write("group_key\tdoc_id\tfinal_rank\tscore\ttrue_label\n")
-        for key in sorted(groups):
-            for rank, row in enumerate(groups[key], start=1):
-                fh.write(f"{row[0]}\t{row[1]}\t{rank}\t{row[2]:.6f}\t{row[4]}\n")
+        for i, place in zip(table.ranked().tolist(), places.tolist()):
+            key, doc, score, _, rel = rows[i]
+            fh.write(f"{key}\t{doc}\t{place}\t{score:.6f}\t{rel}\n")

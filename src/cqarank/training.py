@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import TASKS, Triple, atomic_write, binarize, check_tasks, make_batches
-from .evaluation import build_rows, evaluate_scores, score_features
+from .evaluation import RankTable, build_rows, score_features
 from .model import SIZES, CqaModel, parameter_table
 from .text_pipeline import Vocabulary
 
@@ -153,21 +153,19 @@ def _dev_pass(
     model, dev: tuple[Sequence, dict], tasks: Sequence[str]
 ) -> tuple[dict[str, float], dict[str, float]]:
     """One inference pass over the dev set, given as its features and each
-    task's ranking rows, whose scores it replaces: each active task's mean
-    loss and its MAP percentage (nan when no dev group has a positive)."""
-    features, task_rows = dev
+    task's :class:`RankTable`, whose scores it replaces: each active task's
+    mean loss and its MAP percentage.  The MAP is nan when no dev group has a
+    positive, and when a score is not finite, which makes the loss nan too."""
+    features, tables = dev
     scores = score_features(model, features)
     task_loss = {}
     task_map = {}
     for t in tasks:
-        rows = [(key, doc, s, rank, rel)
-                for (key, doc, _, rank, rel), s in zip(task_rows[t], scores[t])]
-        gold = np.array([r[4] for r in rows], dtype=np.float64)
-        task_loss[t] = float(np.mean(nn.clamped_bce(np.array(scores[t], dtype=np.float64), gold)))
-        try:
-            task_map[t] = evaluate_scores(rows).map
-        except ValueError:
-            task_map[t] = math.nan
+        table = tables[t]
+        values = np.array(scores[t], dtype=np.float64)
+        task_loss[t] = float(np.mean(nn.clamped_bce(values, table.rel.astype(np.float64))))
+        ranked = table.rel.any() and np.isfinite(values).all()
+        task_map[t] = table.with_scores(values).evaluate().map if ranked else math.nan
     return task_loss, task_map
 
 
@@ -198,8 +196,8 @@ def train(
     features = model.featurize_all(train_data)
     gold = [binarize(t) for t in train_data]
     # the dev rows' query keys and labels are fixed; each dev pass fills in the scores
-    dev_rows = {t: build_rows(dev_data, [0.0] * len(dev_data), t) for t in tasks}
-    dev_set = (model.featurize_all(dev_data), dev_rows)
+    dev_tables = {t: RankTable.of(build_rows(dev_data, [0.0] * len(dev_data), t)) for t in tasks}
+    dev_set = (model.featurize_all(dev_data), dev_tables)
 
     epoch = 0
     for epoch in range(1, config.epochs + 1):

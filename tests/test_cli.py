@@ -308,7 +308,7 @@ def test_extend_rejects_a_lone_surrogate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: line 2: field 'c_rel' holds a lone surrogate, which UTF-8 cannot encode"
+        f"error: {bad}: line 2: field 'c_rel' holds a lone surrogate, which UTF-8 cannot encode"
     ]
     assert not out.exists()
 
@@ -583,7 +583,7 @@ def test_a_tab_or_line_break_in_an_id_or_group_exits_2_before_writing(tmp_path, 
     records = [dataclasses.asdict(t) for t in load_corpus(dev_path)]
     records[2][field] = f"x{char}y"
     (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    message = f"error: line 3: triple {records[2]['id']!r}: {field} must not hold a tab or line break"
+    message = f"error: {tmp_path / 'bad.jsonl'}: line 3: triple {records[2]['id']!r}: {field} must not hold a tab or line break"
     for args in (["predict", "--task", "C"], ["evaluate", "--tasks", "B"]):
         out = tmp_path / "p.tsv"
         code = main([*args, "--model", str(tmp_path / "run" / "model.ckpt"), "--corpus", str(tmp_path / "bad.jsonl"),
@@ -593,6 +593,22 @@ def test_a_tab_or_line_break_in_an_id_or_group_exits_2_before_writing(tmp_path, 
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
         assert not out.exists()
+
+
+def test_a_bad_dev_record_names_the_dev_file(tmp_path, conjunction_split, capsys):
+    train_path, dev_path = conjunction_split
+    records = [dataclasses.asdict(t) for t in load_corpus(dev_path)]
+    records[2]["group"] = "x\ty"
+    bad = tmp_path / "bad_dev.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(train_args(train_path, out_dir, dev_path=str(bad))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {bad}: line 3: triple {records[2]['id']!r}: group must not hold a tab or line break"
+    ]
+    assert not out_dir.exists()
 
 
 def test_evaluate_refuses_an_empty_corpus(tmp_path, corpus_path, capsys):

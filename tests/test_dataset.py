@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_load_corpus_skips_blank_lines(tmp_path):
 def test_load_corpus_reports_line_numbers(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record()) + "\n{not json\n")
-    with pytest.raises(CorpusError, match="line 2"):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
         load_corpus(str(path))
 
 
@@ -215,21 +216,21 @@ def test_load_corpus_reports_line_numbers(tmp_path):
 def test_load_corpus_rejects_bad_records(tmp_path, bad):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [bad])
-    with pytest.raises(CorpusError, match="line 1"):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 1: "):
         load_corpus(str(path))
 
 
 def test_load_corpus_rejects_non_object(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("[1, 2]\n")
-    with pytest.raises(CorpusError, match="line 1"):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 1: record must be a JSON object$"):
         load_corpus(str(path))
 
 
 def test_load_corpus_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record(), record()])
-    with pytest.raises(CorpusError, match="duplicate id"):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 2: duplicate id 'r1'$"):
         load_corpus(str(path))
 
 

@@ -1,8 +1,14 @@
 import dataclasses
 import math
+import os
+import re
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqarank.evaluation import (
     average_precision,
@@ -22,6 +28,7 @@ from cqarank.model import CqaModel
 from cqarank.nn_core import NumericError
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
 from cqarank.text_pipeline import vocabulary_for
+from oracles import naive_evaluate_scores, naive_predictions_tsv, naive_rank_rows, naive_tune_alpha
 
 
 def brute_force_ap(relevances):
@@ -237,3 +244,88 @@ def test_write_predictions(tmp_path):
     assert first[2] == "1"  # best-ranked row of the first group
     ranks = [int(l.split("\t")[2]) for l in lines[1:]]
     assert ranks[0] == 1
+
+
+# Ranking rows drawn to tie: scores of 0.0 and -0.0 and other repeated values,
+# repeated search ranks (and ranks past 2**64), and keys and ids from a small
+# alphabet with NUL and non-ASCII characters, so groups repeat ids, some
+# groups hold one row and some hold no positive.
+_TEXT = st.text(alphabet="a\x00\u00e9\u4e2d", max_size=2)
+_SCORE = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]), st.floats(allow_nan=False, allow_infinity=False))
+_RANK = st.one_of(st.integers(1, 4), st.integers(1, 2**70))
+_ROWS = st.lists(st.tuples(_TEXT, _TEXT, _SCORE, _RANK, st.integers(0, 1)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_ROWS)
+def test_ranking_matches_the_per_row_oracle(rows):
+    # repr tells -0.0 from 0.0, so equal-looking rows must come back in order
+    assert repr(rank_rows(rows)) == repr(naive_rank_rows(rows))
+    try:
+        expected = naive_evaluate_scores(rows)
+    except ValueError as exc:
+        for rank in (evaluate_scores, tune_alpha):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                rank(rows)
+    else:
+        assert evaluate_scores(rows) == expected
+        assert tune_alpha(rows) == naive_tune_alpha(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "preds.tsv")
+        write_predictions(path, rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == naive_predictions_tsv(rows).encode("utf-8")
+
+
+def test_ranking_matches_the_per_row_oracle_over_many_queries(tmp_path):
+    # enough judged queries that a sum in another order than Python's would
+    # round the MAP differently
+    rng = np.random.default_rng(11)
+    rows = [
+        (f"q{q}", f"d{int(rng.integers(8))}", round(float(rng.normal()), 1), int(rng.integers(1, 11)),
+         int(rng.random() < 0.3))
+        for q in range(80)
+        for _ in range(int(rng.integers(1, 13)))
+    ]
+    assert evaluate_scores(rows) == naive_evaluate_scores(rows)
+    assert tune_alpha(rows) == naive_tune_alpha(rows)
+    assert repr(rank_rows(rows)) == repr(naive_rank_rows(rows))
+    write_predictions(str(tmp_path / "preds.tsv"), rows)
+    assert (tmp_path / "preds.tsv").read_bytes() == naive_predictions_tsv(rows).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "scores, named, named_reversed",
+    [((math.nan, 0.5, 0.9), "a", "a"), ((0.9, math.inf, -math.inf), "b", "c")],
+)
+def test_ranking_refuses_non_finite_scores(tmp_path, scores, named, named_reversed):
+    # a nan compares false both ways, so the MAP these rows gave depended on
+    # their order: 50.0 with the nan row first, 100.0 with the rows reversed
+    rows = [("q", doc, s, rank, rel) for doc, s, rank, rel in zip("abc", scores, (1, 2, 3), (0, 0, 1))]
+    path = tmp_path / "preds.tsv"
+    for ordered, doc in ((rows, named), (rows[::-1], named_reversed)):
+        message = f"^score {dict(zip('abc', scores))[doc]} of doc {doc!r} in query 'q' is not finite$"
+        for rank in (evaluate_scores, tune_alpha, rank_rows, lambda r: write_predictions(str(path), r)):
+            with pytest.raises(ValueError, match=message):
+                rank(ordered)
+    assert not path.exists()
+
+
+def test_ranking_refuses_a_relevance_other_than_0_or_1():
+    with pytest.raises(ValueError, match="^relevance must be 0 or 1, got 2$"):
+        evaluate_scores([("q", "a", 0.5, 1, 1), ("q", "b", 0.5, 1, 2)])
+
+
+def test_tune_alpha_memory_is_linear_in_rows():
+    # one 2,000-row query and 5,000 one-row queries: an array padded to
+    # queries x longest query would hold 10 million cells, 80 MB in float64
+    rng = np.random.default_rng(3)
+    rows = [("big", f"d{i}", float(rng.random()), i + 1, int(i % 3 == 0)) for i in range(2000)]
+    rows += [(f"q{i}", f"s{i}", float(rng.random()), 1 + i % 7, int(i % 3 == 0)) for i in range(5000)]
+    tracemalloc.start()
+    try:
+        tune_alpha(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 101 * len(rows) * 64

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import cqarank.evaluation as evaluation
 import cqarank.nn_core as nn
 import cqarank.training as training
-from cqarank.dataset import binarize, make_batches
+from cqarank.dataset import LABELS, binarize, make_batches
+from cqarank.evaluation import RankTable, build_rows, evaluate
 from cqarank.model import TASKS, CqaModel, parameter_table
 from cqarank.synthetic import gradcheck_corpus
 from cqarank.text_pipeline import vocabulary_for
@@ -212,6 +214,25 @@ def test_dev_rows_are_built_once_per_run(corpus, vocab, monkeypatch):
     report = train(small_model(vocab), corpus, corpus, config)
     assert report.stop_epoch == 3
     assert sorted(calls) == sorted((t.id, task) for t in corpus for task in TASKS)
+
+
+def test_dev_pass_map_is_nan_without_a_positive_or_a_finite_score(corpus, vocab, monkeypatch):
+    model = small_model(vocab)
+    dev = [dataclasses.replace(t, label_A=LABELS["A"][-1]) for t in corpus]  # no task-A positive
+    dev_set = (model.featurize_all(dev), {t: RankTable.of(build_rows(dev, [0.0] * len(dev), t)) for t in TASKS})
+    task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
+    assert all(math.isfinite(v) for v in task_loss.values())
+    assert math.isnan(task_map["A"])
+    assert task_map["B"] == evaluate(model, dev, "B").map
+    assert task_map["C"] == evaluate(model, dev, "C").map
+    # nan scores: the loss shows them, and no ranking is attempted
+    monkeypatch.setattr(training, "score_features", lambda m, f: {t: [math.nan] * len(dev) for t in TASKS})
+    task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
+    assert all(math.isnan(v) for v in [*task_loss.values(), *task_map.values()])
+    # any other ranking error is raised, not read as a nan MAP
+    monkeypatch.setattr(training, "score_features", lambda m, f: {t: [0.5] for t in TASKS})
+    with pytest.raises(ValueError, match=f"^1 scores for {len(dev)} rows$"):
+        training._dev_pass(model, dev_set, ("C",))
 
 
 def test_train_is_deterministic_for_a_seed(corpus, vocab):
