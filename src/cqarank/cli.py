@@ -31,14 +31,7 @@ from .dataset import (
     positive_rates,
     save_corpus,
 )
-from .evaluation import (
-    blend_rows,
-    build_rows,
-    evaluate_scores,
-    score_triples,
-    tune_alpha,
-    write_predictions,
-)
+from .evaluation import build_rows, check_alpha, evaluate_scores, score_triples, tune_alpha, write_predictions
 from .model import SIZES, CqaModel, apply_word_vectors, parameter_table
 from .synthetic import gradcheck_corpus
 from .text_pipeline import build_vocabulary, vocabulary_for
@@ -275,26 +268,25 @@ def _task_out_path(out: str, task: str, multi: bool) -> str:
 
 
 def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
-    """Each task's rows from one scoring pass, once every task is known to be
-    one the checkpoint scores: the model's rows, and the final rows (blended
-    with the search rank when ``alpha`` is given)."""
+    """Each task's ranking table from one scoring pass, once every task is
+    known to be one the checkpoint scores: the model's table, and the final
+    table (its scores blended with the search rank when ``alpha`` is given)."""
     for t in tasks:
         if t not in model.tasks:
             raise ValueError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
     # score_triples reports an overflow's non-finite score, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         scores = score_triples(model, data)
-    rows = {t: build_rows(data, scores[t], t) for t in tasks}
+    tables = {t: build_rows(data, scores[t], t) for t in tasks}
     if alpha is None:
-        return rows, rows
-    return rows, {t: blend_rows(r, alpha) for t, r in rows.items()}
+        return tables, tables
+    return tables, {t: table.with_scores(table.blend([alpha])[0]) for t, table in tables.items()}
 
 
 def _check_alpha(alpha: Optional[float]) -> None:
-    """Run a given blend weight through :func:`blend_rows`'s rule, so a bad
-    one is refused before any file is read."""
+    """Refuse a bad blend weight before any file is read."""
     if alpha is not None:
-        blend_rows((), alpha)
+        check_alpha(alpha)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -303,11 +295,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.model_path)
     data = _load_labelled(args.corpus)
     tasks = tasks or tuple(model.tasks)
-    model_rows, rows = _task_rows(model, data, tasks, args.alpha)
+    model_tables, tables = _task_rows(model, data, tasks, args.alpha)
     for t in tasks:
-        if not any(row[4] for row in rows[t]):
+        if not tables[t].rel.any():
             raise CorpusError(f"{args.corpus}: task {t} has no query with a relevant candidate")
-    results = [evaluate_scores(rows[t]) for t in tasks]
+    results = [evaluate_scores(tables[t]) for t in tasks]
     suffix = "" if args.alpha is None else f" alpha={args.alpha:.2f}"
     for t, result in zip(tasks, results):
         print(
@@ -315,11 +307,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"queries={result.query_count} skipped={result.skipped}{suffix}"
         )
         if args.tune_alpha:
-            alpha, best = tune_alpha(model_rows[t])
+            alpha, best = tune_alpha(model_tables[t])
             print(f"task {t}: best alpha={alpha:.2f} MAP={best:.2f}")
         if args.out:
             path = _task_out_path(args.out, t, len(tasks) > 1)
-            write_predictions(path, rows[t])
+            write_predictions(path, tables[t])
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -333,8 +325,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if len(model.tasks) != 1:
             raise ValueError("--task is required for a multi-task checkpoint")
         task = model.tasks[0]
-    _, rows = _task_rows(model, data, (task,), args.alpha)
-    write_predictions(args.out, rows[task])
+    _, tables = _task_rows(model, data, (task,), args.alpha)
+    write_predictions(args.out, tables[task])
     print(f"wrote {len(data)} predictions to {args.out}")
     return EXIT_OK
 

@@ -8,11 +8,13 @@ equal ids keep their input order.  Queries without any relevant candidate are
 skipped.  MAP and MRR are reported as percentages in [0, 100]; the per-query
 average precisions they summarize are kept as fractions in [0, 1].
 
-Every ranking goes through :class:`RankTable`, which holds a task's rows as
-columns and orders them with one stable ``np.lexsort``.  A score that is not
-finite is refused when the table is built.  The alpha search blends and ranks
-all 101 weights in one pass, and each MAP it compares is bit for bit the MAP of
-the rows blended with that one weight.
+:class:`RankTable` is the one format of ranking rows: :func:`build_rows`
+returns a task's rows as one, and every consumer (the metrics, the blend, the
+alpha search, the TSV, the dev pass) reads its columns and orders them with
+one stable ``np.lexsort``.  A score that is not finite is refused when the
+table is built.  The blend is written once, over an array of weights: the
+alpha search blends and ranks all 101 weights in one pass, and each MAP it
+compares is bit for bit the MAP of the table blended with that one weight.
 """
 
 from __future__ import annotations
@@ -155,37 +157,55 @@ class RankTable:
         np.add.at(total.reshape(-1), block, hits / place[at])
         return total / positives[judged], place[at[first]].reshape(total.shape)
 
-    def evaluate(self) -> EvalResult:
-        """MAP and MRR of the rows ranked by their scores."""
-        aps, firsts = self.precisions(self.rel[self.ranked()][None])
-        aps = aps[0].tolist()
-        rr_sum = 0.0
-        for first in firsts[0].tolist():
-            rr_sum += 1.0 / first
-        scored = len(aps)
-        return EvalResult(
-            map=100.0 * sum(aps) / scored,
-            mrr=100.0 * rr_sum / scored,
-            per_query_ap=tuple(aps),
-            query_count=scored,
-            skipped=len(self.keys) - scored,
-        )
+    def rows(self, at: np.ndarray) -> list[GroupedRow]:
+        """The rows at indices ``at`` as tuples of Python values."""
+        columns = (c[at].tolist() for c in (self.group, self.doc, self.score, self.rank, self.rel.view(np.uint8)))
+        return [(self.keys[g], self.ids[d], s, self.ranks[r], y) for g, d, s, r, y in zip(*columns)]
+
+    def blend(self, alphas: Sequence[float]) -> np.ndarray:
+        """Each row's score ``s`` interpolated with its reciprocal search
+        rank, ``alpha * s + (1 - alpha) * (1 / rank)``, one row per weight
+        (shape ``(len(alphas), rows)``)."""
+        alphas = np.asarray(alphas, dtype=np.float64)
+        for alpha in alphas.tolist():
+            check_alpha(alpha)
+        inverse = np.array([1.0 / rank for rank in self.ranks])[self.rank]
+        blended = np.multiply.outer(alphas, self.score)
+        blended += np.multiply.outer(1.0 - alphas, inverse)
+        return blended
 
 
-def rank_rows(rows: Sequence[GroupedRow]) -> dict[str, list[GroupedRow]]:
-    """Group rows by query key, in first-appearance order, and rank each
-    group by descending score, breaking ties by search rank then id."""
-    table = RankTable.of(rows)
-    ranked: dict[str, list[GroupedRow]] = {row[0]: [] for row in rows}
-    for i in table.ranked().tolist():
-        ranked[rows[i][0]].append(rows[i])
+def check_alpha(alpha: float) -> None:
+    """Refuse a blend weight outside [0, 1], nan included."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def rank_rows(table: RankTable) -> dict[str, list[GroupedRow]]:
+    """The table's rows grouped by query key, in first-row order, each group
+    ranked by descending score, breaking ties by search rank then id."""
+    ranked: dict[str, list[GroupedRow]] = {table.keys[g]: [] for g in table.group.tolist()}
+    for row in table.rows(table.ranked()):
+        ranked[row[0]].append(row)
     return ranked
 
 
-def evaluate_scores(rows: Sequence[GroupedRow]) -> EvalResult:
-    """MAP and MRR (percentages) over grouped candidate rows; groups with no
-    relevant candidate are skipped (not averaged as zero)."""
-    return RankTable.of(rows).evaluate()
+def evaluate_scores(table: RankTable) -> EvalResult:
+    """MAP and MRR (percentages) of the table's rows ranked by their scores;
+    groups with no relevant candidate are skipped (not averaged as zero)."""
+    aps, firsts = table.precisions(table.rel[table.ranked()][None])
+    aps = aps[0].tolist()
+    rr_sum = 0.0
+    for first in firsts[0].tolist():
+        rr_sum += 1.0 / first
+    scored = len(aps)
+    return EvalResult(
+        map=100.0 * sum(aps) / scored,
+        mrr=100.0 * rr_sum / scored,
+        per_query_ap=tuple(aps),
+        query_count=scored,
+        skipped=len(table.keys) - scored,
+    )
 
 
 def task_group_key(triple: Triple, task: str) -> str:
@@ -226,15 +246,13 @@ def score_triples(model, triples: Sequence[Triple]) -> dict[str, list[float]]:
     return scores
 
 
-def build_rows(
-    triples: Sequence[Triple], scores: Sequence[float], task: str
-) -> list[GroupedRow]:
+def build_rows(triples: Sequence[Triple], scores: Sequence[float], task: str) -> RankTable:
+    """The task's ranking rows of the scored triples, in input order."""
     if len(scores) != len(triples):
         raise ValueError("build_rows: scores and triples differ in length")
-    return [
-        (task_group_key(t, task), t.id, s, t.google_rank, task_relevance(t, task))
-        for t, s in zip(triples, scores)
-    ]
+    return RankTable.of(
+        [(task_group_key(t, task), t.id, s, t.google_rank, task_relevance(t, task)) for t, s in zip(triples, scores)]
+    )
 
 
 def evaluate(model, triples: Sequence[Triple], task: str) -> EvalResult:
@@ -246,29 +264,16 @@ def evaluate(model, triples: Sequence[Triple], task: str) -> EvalResult:
     return evaluate_scores(build_rows(triples, score_triples(model, triples)[task], task))
 
 
-def blend_rows(rows: Sequence[GroupedRow], alpha: float) -> list[GroupedRow]:
-    """The rows with each model score ``s`` interpolated with the reciprocal
-    search-engine rank: ``alpha * s + (1 - alpha) / rank``, for ``alpha`` in
-    [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return [(key, doc, alpha * s + (1.0 - alpha) * (1.0 / rank), rank, rel) for key, doc, s, rank, rel in rows]
-
-
 # The blend weights the alpha search tries, as step / 100.0 for step 0..100.
 ALPHAS = np.arange(101) / 100.0
 
 
-def tune_alpha(rows: Sequence[GroupedRow]) -> tuple[float, float]:
+def tune_alpha(table: RankTable) -> tuple[float, float]:
     """Grid-search alpha over 0.00..1.00 in steps of 0.01, maximizing MAP of
-    the blended rows; ties go to the smallest alpha.  All weights are
+    the blended scores; ties go to the smallest alpha.  All weights are
     blended and ranked in one pass, with the MAPs of weight-by-weight
     evaluation bit for bit."""
-    table = RankTable.of(rows)
-    inverse = np.array([1.0 / rank for rank in table.ranks])[table.rank]
-    # blend_rows' alpha * s + (1 - alpha) * (1 / rank), one row per weight
-    blended = np.multiply.outer(ALPHAS, table.score)
-    blended += np.multiply.outer(1.0 - ALPHAS, inverse)
+    blended = table.blend(ALPHAS)
     ranked = table.rel[table.order(blended)]
     del blended  # frees (101, rows) floats before the per-hit arrays are built
     aps, _ = table.precisions(ranked)
@@ -281,13 +286,11 @@ def tune_alpha(rows: Sequence[GroupedRow]) -> tuple[float, float]:
     return best_alpha, best_map
 
 
-def write_predictions(path: str, rows: Sequence[GroupedRow]) -> None:
+def write_predictions(path: str, table: RankTable) -> None:
     """Write one TSV row per candidate: query key, candidate id, final rank
     within the query, score, and gold 0/1 relevance.  Atomic."""
-    table = RankTable.of(rows)
     _, places = table.places()
     with atomic_write(path) as fh:
         fh.write("group_key\tdoc_id\tfinal_rank\tscore\ttrue_label\n")
-        for i, place in zip(table.ranked().tolist(), places.tolist()):
-            key, doc, score, _, rel = rows[i]
+        for (key, doc, score, _, rel), place in zip(table.rows(table.ranked()), places.tolist()):
             fh.write(f"{key}\t{doc}\t{place}\t{score:.6f}\t{rel}\n")

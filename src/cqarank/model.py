@@ -315,7 +315,7 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split(" ")
+                parts = line.split()
                 if len(parts) < 2:
                     continue
                 token, values = parts[0], parts[1:]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .dataset import TASKS, Triple, atomic_write, binarize, check_tasks, make_batches
-from .evaluation import RankTable, build_rows, score_features
+from .evaluation import build_rows, evaluate_scores, score_features
 from .model import SIZES, CqaModel, parameter_table
 from .text_pipeline import Vocabulary
 
@@ -56,7 +56,7 @@ class TrainConfig:
             ("patience", self.patience >= 1, ">= 1"),
             ("lr", 0 < self.lr < math.inf, "positive and finite"),
             ("rho", 0 <= self.rho < 1, "in [0, 1)"),
-            ("eps", self.eps > 0, "> 0"),
+            ("eps", 0 < self.eps < math.inf, "positive and finite"),
             ("dropout_input", 0 <= self.dropout_input < 1, "in [0, 1)"),
             ("dropout_hidden", 0 <= self.dropout_hidden < 1, "in [0, 1)"),
             ("seed", self.seed >= 0, ">= 0"),
@@ -165,7 +165,7 @@ def _dev_pass(
         values = np.array(scores[t], dtype=np.float64)
         task_loss[t] = float(np.mean(nn.clamped_bce(values, table.rel.astype(np.float64))))
         ranked = table.rel.any() and np.isfinite(values).all()
-        task_map[t] = table.with_scores(values).evaluate().map if ranked else math.nan
+        task_map[t] = evaluate_scores(table.with_scores(values)).map if ranked else math.nan
     return task_loss, task_map
 
 
@@ -196,7 +196,7 @@ def train(
     features = model.featurize_all(train_data)
     gold = [binarize(t) for t in train_data]
     # the dev rows' query keys and labels are fixed; each dev pass fills in the scores
-    dev_tables = {t: RankTable.of(build_rows(dev_data, [0.0] * len(dev_data), t)) for t in tasks}
+    dev_tables = {t: build_rows(dev_data, [0.0] * len(dev_data), t) for t in tasks}
     dev_set = (model.featurize_all(dev_data), dev_tables)
 
     epoch = 0
@@ -351,6 +351,9 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
         spec = {"task": meta["task"] if meta["kind"] == "pair" else None, **{k: meta[k] for k in SIZES}}
         table = parameter_table(len(vocab), **spec)
         params = {entry["name"]: _read_array(payload, entry, dtype.newbyteorder("<")) for entry in entries}
+        if len(params) < len(entries):
+            names = [entry["name"] for entry in entries]
+            raise ValueError(f"array {next(n for n in params if names.count(n) > 1)!r} is stored twice")
     except KeyError as exc:
         raise CheckpointError(f"{path}: index lacks {exc}") from None
     except (TypeError, ValueError, SyntaxError) as exc:  # np.dtype(",f4") raises SyntaxError
@@ -368,8 +371,8 @@ def load_checkpoint(path: str) -> CqaModel:
     """Rebuild the model (architecture, vocabulary, weights) from a file
     written by :func:`save_checkpoint`.  The file is checked against the
     parameter table of the network its meta describes before any network is
-    built: an extra array, a missing parameter or a shape that differs raises
-    :class:`CheckpointError` naming the file and the arrays."""
+    built: an extra or repeated array, a missing parameter or a shape that
+    differs raises :class:`CheckpointError` naming the file and the arrays."""
     spec, vocab, params = _read_checkpoint(path)
     model = CqaModel(vocab, **spec)
     restore(model, params)

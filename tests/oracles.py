@@ -1,11 +1,12 @@
 """Naive reference implementations (loops only, no vectorization): of the
 network layers, the oracles the layer tests compare ``nn_core`` against, and
 of the ranking, the per-row oracles the evaluation tests compare the
-columnar ``RankTable`` path against."""
+columnar ``RankTable`` path against.  The ranking oracles take rows as
+``(group_key, doc_id, score, google_rank, relevance)`` tuples."""
 
 import numpy as np
 
-from cqarank.evaluation import EvalResult, average_precision, blend_rows, reciprocal_rank
+from cqarank.evaluation import EvalResult, average_precision, reciprocal_rank
 
 
 def naive_conv1d_wide(x, filters, bias):
@@ -83,6 +84,12 @@ def naive_evaluate_scores(rows):
         query_count=scored,
         skipped=skipped,
     )
+
+
+def blend_rows(rows, alpha):
+    """The rows with each model score ``s`` interpolated with the reciprocal
+    search rank, ``alpha * s + (1 - alpha) * (1 / rank)``, one row at a time."""
+    return [(key, doc, alpha * s + (1.0 - alpha) * (1.0 / rank), rank, rel) for key, doc, s, rank, rel in rows]
 
 
 def naive_tune_alpha(rows):

@@ -13,7 +13,7 @@ import pytest
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import binarize, extend_dataset, load_corpus, positive_rates
-from cqarank.evaluation import average_precision, evaluate_scores, reciprocal_rank
+from cqarank.evaluation import RankTable, average_precision, evaluate_scores, reciprocal_rank
 from cqarank.model import CqaModel, rank_bin
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
 from cqarank.text_pipeline import vocabulary_for
@@ -332,10 +332,10 @@ def test_criterion_8_sharing_and_invariances(tmp_path):
     for q in range(15):
         for d in range(6):
             rows.append((f"q{q}", f"d{d}", float(rng.random()), d + 1, int(rng.random() < 0.3)))
-    base_eval = evaluate_scores(rows)
+    base_eval = evaluate_scores(RankTable.of(rows))
     for transform in (lambda s: 10.0 * s - 4.0, math.exp, lambda s: s**5 + s):
         mapped = [(q, d, transform(s), g, r) for q, d, s, g, r in rows]
-        got = evaluate_scores(mapped)
+        got = evaluate_scores(RankTable.of(mapped))
         assert got.map == base_eval.map and got.mrr == base_eval.mrr
 
     # (d) the rank discretization is total and monotone over 1..10000

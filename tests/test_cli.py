@@ -10,12 +10,13 @@ import pytest
 import cqarank
 import cqarank.cli as cli
 from cqarank.cli import main
-from cqarank.dataset import load_corpus, save_corpus
-from cqarank.evaluation import blend_rows, build_rows, evaluate_scores, score_triples
+from cqarank.dataset import load_corpus, save_corpus, task_relevance
+from cqarank.evaluation import RankTable, evaluate_scores, score_triples, task_group_key
 from cqarank.model import CqaModel
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus
 from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, preprocess, triple_sources, vocabulary_for
 from cqarank.training import TrainConfig, load_checkpoint, save_checkpoint, train
+from oracles import blend_rows
 
 
 @pytest.fixture()
@@ -236,12 +237,26 @@ def test_predict_and_evaluate_write_the_same_rows(tmp_path, conjunction_split, c
                  "--alpha", "0.3", "--tune-alpha", "--out", str(evaluated)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert predicted.read_bytes() == evaluated.read_bytes()
-    # the tuned alpha is the first of the 101 grid points with the best MAP
+    # the tuned alpha is the first of the 101 grid points with the best MAP,
+    # each blended one row at a time by the oracle
     data = load_corpus(dev_path)
-    rows = build_rows(data, score_triples(load_checkpoint(ckpt), data)["C"], "C")
-    maps = [evaluate_scores(blend_rows(rows, step / 100.0)).map for step in range(101)]
+    scores = score_triples(load_checkpoint(ckpt), data)["C"]
+    rows = [(task_group_key(t, "C"), t.id, s, t.google_rank, task_relevance(t, "C")) for t, s in zip(data, scores)]
+    maps = [evaluate_scores(RankTable.of(blend_rows(rows, step / 100.0))).map for step in range(101)]
     best = max(maps)
     assert f"task C: best alpha={maps.index(best) / 100.0:.2f} MAP={best:.2f}" in out
+
+
+def test_evaluate_builds_each_task_table_once(tmp_path, conjunction_split, monkeypatch):
+    # the metrics, the blend, the alpha search and the TSV of a task all read
+    # the one table its scored rows were built into
+    train_path, dev_path = conjunction_split
+    assert main(train_args(train_path, tmp_path / "run", dev_path=dev_path)) == 0
+    of, builds = RankTable.of.__func__, []
+    monkeypatch.setattr(RankTable, "of", classmethod(lambda cls, rows: builds.append(rows) or of(cls, rows)))
+    assert main(["evaluate", "--model", str(tmp_path / "run" / "model.ckpt"), "--corpus", dev_path, "--tasks", "ABC",
+                 "--tune-alpha", "--alpha", "0.5", "--out", str(tmp_path / "p.tsv")]) == 0
+    assert len(builds) == 3
 
 
 def test_max_len_bounds_the_vocabulary(tmp_path, conjunction_split):
@@ -479,6 +494,7 @@ BAD_TRAIN_OPTIONS = {
     "negative_lr": (["--lr", "-1"], None),
     "rho_above_one": (["--rho", "1.5"], None),
     "zero_eps": (["--eps", "0"], None),
+    "infinite_eps": (["--eps", "inf"], None),
     "dropout_input_above_one": (["--dropout-input", "1.5"], None),
     "dropout_hidden_one": (["--dropout-hidden", "1"], None),
     "negative_seed": (["--seed", "-1"], None),
@@ -507,7 +523,7 @@ def test_bad_train_options_exit_1_with_one_error_line(tmp_path, corpus_path, cap
 
 
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--rho", "1.5"], ["--eps", "0"], ["--dropout-input", "1.5"],
-                                   ["--dropout-hidden", "-0.1"], ["--seed", "-1"]])
+                                   ["--dropout-hidden", "-0.1"], ["--seed", "-1"], ["--eps", "inf"]])
 def test_optimizer_values_are_refused_before_the_corpus_is_read(tmp_path, flags):
     # a missing corpus would exit 2 if it were read first
     assert main(train_args(str(tmp_path / "missing.jsonl"), tmp_path / "run", *flags)) == 1

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqarank.evaluation import (
+    RankTable,
     average_precision,
-    blend_rows,
     build_rows,
+    check_alpha,
     evaluate,
     evaluate_scores,
     rank_rows,
@@ -28,7 +29,7 @@ from cqarank.model import CqaModel
 from cqarank.nn_core import NumericError
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
 from cqarank.text_pipeline import vocabulary_for
-from oracles import naive_evaluate_scores, naive_predictions_tsv, naive_rank_rows, naive_tune_alpha
+from oracles import blend_rows, naive_evaluate_scores, naive_predictions_tsv, naive_rank_rows, naive_tune_alpha
 
 
 def brute_force_ap(relevances):
@@ -81,7 +82,7 @@ def test_evaluate_scores_grouping_and_skipping():
         # query q3: no positives -> skipped entirely
         ("q3", "d6", 0.9, 1, 0),
     ]
-    result = evaluate_scores(rows)
+    result = evaluate_scores(RankTable.of(rows))
     assert result.query_count == 2
     assert result.skipped == 1
     assert result.per_query_ap == pytest.approx(((1 + 2 / 3) / 2, 0.5))
@@ -97,7 +98,7 @@ def test_map_is_percentage_of_mean_ap():
         ("q2", "d3", 0.9, 1, 0),
         ("q2", "d4", 0.5, 2, 1),
     ]
-    result = evaluate_scores(rows)
+    result = evaluate_scores(RankTable.of(rows))
     assert result.per_query_ap == (1.0, 0.5)
     assert result.map == 75.0
     assert result.map == pytest.approx(100.0 * sum(result.per_query_ap) / result.query_count)
@@ -105,7 +106,7 @@ def test_map_is_percentage_of_mean_ap():
 
 def test_evaluate_scores_requires_some_positive_group():
     with pytest.raises(ValueError):
-        evaluate_scores([("q", "d", 0.5, 1, 0)])
+        evaluate_scores(RankTable.of([("q", "d", 0.5, 1, 0)]))
 
 
 def test_tie_break_by_search_rank_then_id():
@@ -114,7 +115,7 @@ def test_tie_break_by_search_rank_then_id():
         ("q", "a", 0.5, 3, 1),
         ("q", "c", 0.5, 2, 1),
     ]
-    ranked = rank_rows(rows)["q"]
+    ranked = rank_rows(RankTable.of(rows))["q"]
     # equal scores: rank 2 before rank 3, then id "b" before "c"
     assert [r[1] for r in ranked] == ["b", "c", "a"]
 
@@ -125,10 +126,10 @@ def test_map_mrr_invariant_under_monotone_transforms():
     for q in range(12):
         for d in range(8):
             rows.append((f"q{q}", f"d{d}", float(rng.random()), d + 1, int(rng.random() < 0.3)))
-    base = evaluate_scores(rows)
+    base = evaluate_scores(RankTable.of(rows))
     for transform in (lambda s: 3.0 * s + 1.0, math.exp, lambda s: s**3 + 0.5 * s):
         mapped = [(q, d, transform(s), g, r) for q, d, s, g, r in rows]
-        got = evaluate_scores(mapped)
+        got = evaluate_scores(RankTable.of(mapped))
         assert got.map == base.map
         assert got.mrr == base.mrr
 
@@ -146,6 +147,10 @@ def test_build_rows_validates_lengths():
     data = gradcheck_corpus()
     with pytest.raises(ValueError):
         build_rows(data, [0.5], "A")
+    # the table it builds refuses a score that is not finite
+    message = f"^score inf of doc {data[1].id!r} in query {data[1].group!r} is not finite$"
+    with pytest.raises(ValueError, match=message):
+        build_rows(data, [0.5, math.inf, *[0.5] * (len(data) - 2)], "C")
 
 
 def test_evaluate_runs_model_over_corpus(monkeypatch):
@@ -186,8 +191,9 @@ def test_score_triples_refuses_non_finite_scores():
 
 
 def blended(score, google_rank, alpha):
-    """The blended score of one row."""
-    [(key, doc, s, rank, rel)] = blend_rows([("q", "d", score, google_rank, 1)], alpha)
+    """The blended score of one row, which keeps its key, id, rank and relevance."""
+    table = RankTable.of([("q", "d", score, google_rank, 1)])
+    [[(key, doc, s, rank, rel)]] = rank_rows(table.with_scores(table.blend([alpha])[0])).values()
     assert (key, doc, rank, rel) == ("q", "d", google_rank, 1)
     return s
 
@@ -202,8 +208,9 @@ def test_blend_rows():
 
 @pytest.mark.parametrize("alpha", [1.5, -0.01, math.nan])
 def test_blend_rows_checks_alpha_without_rows(alpha):
-    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got "):
-        blend_rows((), alpha)
+    for check in (check_alpha, lambda a: RankTable.of([]).blend([a])):
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
+            check(alpha)
 
 
 def test_tune_alpha_prefers_smallest_on_ties():
@@ -211,10 +218,10 @@ def test_tune_alpha_prefers_smallest_on_ties():
     # same ordering, so the grid search must return alpha = 0
     data = overfit_corpus()
     scores = [1.0 / t.google_rank for t in data]
-    rows = build_rows(data, scores, "C")
-    alpha, best = tune_alpha(rows)
+    table = build_rows(data, scores, "C")
+    alpha, best = tune_alpha(table)
     assert alpha == 0.0
-    assert best == pytest.approx(evaluate_scores(rows).map)
+    assert best == pytest.approx(evaluate_scores(table).map)
 
 
 def test_tune_alpha_finds_the_better_signal():
@@ -257,24 +264,33 @@ _ROWS = st.lists(st.tuples(_TEXT, _TEXT, _SCORE, _RANK, st.integers(0, 1)), max_
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=_ROWS)
-def test_ranking_matches_the_per_row_oracle(rows):
-    # repr tells -0.0 from 0.0, so equal-looking rows must come back in order
-    assert repr(rank_rows(rows)) == repr(naive_rank_rows(rows))
-    try:
-        expected = naive_evaluate_scores(rows)
-    except ValueError as exc:
-        for rank in (evaluate_scores, tune_alpha):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                rank(rows)
-    else:
-        assert evaluate_scores(rows) == expected
-        assert tune_alpha(rows) == naive_tune_alpha(rows)
+@given(rows=_ROWS, alpha=st.floats(0, 1))
+def test_ranking_matches_the_per_row_oracle(rows, alpha):
+    # the table as built, and blended with one weight, against the per-row
+    # oracles over the rows and over the rows blended one at a time
+    table = RankTable.of(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "preds.tsv")
-        write_predictions(path, rows)
-        with open(path, "rb") as fh:
-            assert fh.read() == naive_predictions_tsv(rows).encode("utf-8")
+        for got, oracle_rows in ((table, rows), (table.with_scores(table.blend([alpha])[0]), blend_rows(rows, alpha))):
+            # repr tells -0.0 from 0.0, so equal-looking rows must come back in order
+            assert repr(rank_rows(got)) == repr(naive_rank_rows(oracle_rows))
+            try:
+                expected = naive_evaluate_scores(oracle_rows)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    evaluate_scores(got)
+            else:
+                assert evaluate_scores(got) == expected
+            write_predictions(path, got)
+            with open(path, "rb") as fh:
+                assert fh.read() == naive_predictions_tsv(oracle_rows).encode("utf-8")
+    try:
+        expected = naive_tune_alpha(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            tune_alpha(table)
+    else:
+        assert tune_alpha(table) == expected
 
 
 def test_ranking_matches_the_per_row_oracle_over_many_queries(tmp_path):
@@ -287,10 +303,11 @@ def test_ranking_matches_the_per_row_oracle_over_many_queries(tmp_path):
         for q in range(80)
         for _ in range(int(rng.integers(1, 13)))
     ]
-    assert evaluate_scores(rows) == naive_evaluate_scores(rows)
-    assert tune_alpha(rows) == naive_tune_alpha(rows)
-    assert repr(rank_rows(rows)) == repr(naive_rank_rows(rows))
-    write_predictions(str(tmp_path / "preds.tsv"), rows)
+    table = RankTable.of(rows)
+    assert evaluate_scores(table) == naive_evaluate_scores(rows)
+    assert tune_alpha(table) == naive_tune_alpha(rows)
+    assert repr(rank_rows(table)) == repr(naive_rank_rows(rows))
+    write_predictions(str(tmp_path / "preds.tsv"), table)
     assert (tmp_path / "preds.tsv").read_bytes() == naive_predictions_tsv(rows).encode("utf-8")
 
 
@@ -298,22 +315,23 @@ def test_ranking_matches_the_per_row_oracle_over_many_queries(tmp_path):
     "scores, named, named_reversed",
     [((math.nan, 0.5, 0.9), "a", "a"), ((0.9, math.inf, -math.inf), "b", "c")],
 )
-def test_ranking_refuses_non_finite_scores(tmp_path, scores, named, named_reversed):
+def test_ranking_refuses_non_finite_scores(scores, named, named_reversed):
     # a nan compares false both ways, so the MAP these rows gave depended on
-    # their order: 50.0 with the nan row first, 100.0 with the rows reversed
+    # their order: 50.0 with the nan row first, 100.0 with the rows reversed;
+    # no table holds such a score, so no ranking can see one
     rows = [("q", doc, s, rank, rel) for doc, s, rank, rel in zip("abc", scores, (1, 2, 3), (0, 0, 1))]
-    path = tmp_path / "preds.tsv"
     for ordered, doc in ((rows, named), (rows[::-1], named_reversed)):
         message = f"^score {dict(zip('abc', scores))[doc]} of doc {doc!r} in query 'q' is not finite$"
-        for rank in (evaluate_scores, tune_alpha, rank_rows, lambda r: write_predictions(str(path), r)):
-            with pytest.raises(ValueError, match=message):
-                rank(ordered)
-    assert not path.exists()
+        with pytest.raises(ValueError, match=message):
+            RankTable.of(ordered)
+        finite = RankTable.of([(key, doc, 0.0, rank, rel) for key, doc, _, rank, rel in ordered])
+        with pytest.raises(ValueError, match=message):
+            finite.with_scores([row[2] for row in ordered])
 
 
 def test_ranking_refuses_a_relevance_other_than_0_or_1():
     with pytest.raises(ValueError, match="^relevance must be 0 or 1, got 2$"):
-        evaluate_scores([("q", "a", 0.5, 1, 1), ("q", "b", 0.5, 1, 2)])
+        RankTable.of([("q", "a", 0.5, 1, 1), ("q", "b", 0.5, 1, 2)])
 
 
 def test_tune_alpha_memory_is_linear_in_rows():
@@ -324,7 +342,7 @@ def test_tune_alpha_memory_is_linear_in_rows():
     rows += [(f"q{i}", f"s{i}", float(rng.random()), 1 + i % 7, int(i % 3 == 0)) for i in range(5000)]
     tracemalloc.start()
     try:
-        tune_alpha(rows)
+        tune_alpha(RankTable.of(rows))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -345,19 +345,24 @@ def test_training_mode_dropout_changes_scores(corpus, vocab):
 def test_word_vectors_round_trip(tmp_path, vocab):
     path = tmp_path / "vectors.txt"
     d_w = 8
-    line = "wifi " + " ".join(str(0.125 * (i + 1)) for i in range(d_w))
-    path.write_text(line + "\nunknownword " + " ".join(["0.0"] * d_w) + "\n")
-    wifi = [0.125 * (i + 1) for i in range(d_w)]
+    vectors = {word: [0.125 * (i + k) for i in range(d_w)] for k, word in enumerate(("wifi", "upgrade", "visa"), 1)}
+    line = "wifi " + " ".join(map(str, vectors["wifi"]))
+    # word2vec's C writer ends each line with a space; tabs separate as spaces do
+    trailing_space = "upgrade " + " ".join(map(str, vectors["upgrade"])) + " "
+    tabbed = "\t".join(["visa", *map(str, vectors["visa"])])
+    unknown = "unknownword " + " ".join(["0.0"] * d_w)
+    path.write_text("\n".join([line, trailing_space, tabbed, unknown]) + "\n")
     model = small_mtl(vocab)
     before = snapshot(model)
     replaced = apply_word_vectors(model, str(path))
-    assert replaced == 1  # the unknown word's line is skipped
-    idx = vocab.id_of("wifi")
-    np.testing.assert_allclose(model.q_encoder.word_emb.data[idx], wifi, rtol=1e-6)
-    np.testing.assert_allclose(model.c_encoder.word_emb.data[idx], wifi, rtol=1e-6)
+    assert replaced == 3  # the unknown word's line is skipped
+    ids = [vocab.id_of(word) for word in vectors]
+    for idx, vec in zip(ids, vectors.values()):
+        np.testing.assert_allclose(model.q_encoder.word_emb.data[idx], vec, rtol=1e-6)
+        np.testing.assert_allclose(model.c_encoder.word_emb.data[idx], vec, rtol=1e-6)
     for p in model.parameters():
         if p.name.endswith(".word_emb"):
-            p.data[idx] = before[p.name][idx]
+            p.data[ids] = before[p.name][ids]
         np.testing.assert_array_equal(p.data, before[p.name], err_msg=p.name)
 
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqarank.cli as cli
 import cqarank.evaluation as evaluation
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import LABELS, binarize, make_batches
-from cqarank.evaluation import RankTable, build_rows, evaluate
+from cqarank.evaluation import build_rows, evaluate
 from cqarank.model import TASKS, CqaModel, parameter_table
 from cqarank.synthetic import gradcheck_corpus
 from cqarank.text_pipeline import vocabulary_for
@@ -95,10 +96,13 @@ def test_train_config_validation():
     # rmsprop needs a positive finite step, a decay in [0, 1) and a positive
     # eps; dropout rates lie in [0, 1) and the seed is not negative
     for bad in (dict(lr=-1.0), dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan),
-                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0), dict(dropout_input=1.0),
+                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0), dict(eps=math.inf), dict(dropout_input=1.0),
                 dict(dropout_hidden=-0.1), dict(dropout_hidden=math.nan), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # an infinite eps would divide every rmsprop step down to nothing
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite, got inf$"):
+        TrainConfig(eps=math.inf)
 
 
 def test_early_stopper_counts_non_improvements():
@@ -219,7 +223,7 @@ def test_dev_rows_are_built_once_per_run(corpus, vocab, monkeypatch):
 def test_dev_pass_map_is_nan_without_a_positive_or_a_finite_score(corpus, vocab, monkeypatch):
     model = small_model(vocab)
     dev = [dataclasses.replace(t, label_A=LABELS["A"][-1]) for t in corpus]  # no task-A positive
-    dev_set = (model.featurize_all(dev), {t: RankTable.of(build_rows(dev, [0.0] * len(dev), t)) for t in TASKS})
+    dev_set = (model.featurize_all(dev), {t: build_rows(dev, [0.0] * len(dev), t) for t in TASKS})
     task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
     assert all(math.isfinite(v) for v in task_loss.values())
     assert math.isnan(task_map["A"])
@@ -433,19 +437,44 @@ def test_checkpoint_rejects_garbage(tmp_path, vocab):
         load_checkpoint(str(truncated))
 
 
+def edit_index(path, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its JSON index."""
+    data = path.read_bytes()
+    head_len = int.from_bytes(data[8:16], "little")
+    index = json.loads(data[16 : 16 + head_len])
+    edit(index)
+    head = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(data[:8] + len(head).to_bytes(8, "little") + head + data[16 + head_len :])
+
+
 def test_checkpoint_arrays_must_be_stored_in_the_meta_dtype(tmp_path, vocab):
     # a float64 network's arrays under a float32 meta are refused, not cast
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), small_model(vocab, dtype=np.float64))
-    data = path.read_bytes()
-    head_len = int.from_bytes(data[8:16], "little")
-    index = json.loads(data[16 : 16 + head_len])
-    index["meta"]["dtype"] = "float32"
-    head = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(data[:8] + len(head).to_bytes(8, "little") + head + data[16 + head_len :])
+    edit_index(path, lambda index: index["meta"].update(dtype="float32"))
     message = f"{path}: invalid index: array 'c_encoder.conv_bias' is stored as <f8, not the meta dtype's <f4"
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_refuses_an_array_stored_twice(tmp_path, vocab, capsys):
+    # a second entry named c_encoder.conv_bias that points at q_encoder's
+    # bias bytes would otherwise replace the first and load the wrong bias
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), small_model(vocab))
+
+    def repeat_bias(index):
+        [q_bias] = [entry for entry in index["params"] if entry["name"] == "q_encoder.conv_bias"]
+        index["params"].append({**q_bias, "name": "c_encoder.conv_bias"})
+
+    edit_index(path, repeat_bias)
+    message = f"{path}: invalid index: array 'c_encoder.conv_bias' is stored twice"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(str(path))
+    for command in ("evaluate", "predict"):
+        assert cli.main([command, "--model", str(path), "--corpus", str(tmp_path / "dev.jsonl"),
+                         "--out", str(tmp_path / "p.tsv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 @pytest.fixture(scope="module")
