@@ -218,8 +218,9 @@ def task_group_key(triple: Triple, task: str) -> str:
     raise ValueError(f"unknown task {task!r}")
 
 
-# Triples scored per forward pass.
-SCORE_CHUNK = 32
+# Triples scored per forward pass; the repeated questions of a chunk share
+# the word part of the convolution (see ``model.encode_texts``).
+SCORE_CHUNK = 64
 
 
 def score_features(model, features: Iterable) -> dict[str, list[float]]:

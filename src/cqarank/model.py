@@ -104,21 +104,22 @@ class SentenceEncoder:
 
 
 def encode_texts(
-    encoder: SentenceEncoder, ids: Sequence[Sequence[int]], overlaps: Sequence[Sequence[int]]
+    encoder: SentenceEncoder, ids: Sequence[tuple[int, ...]], overlaps: Sequence[Sequence[int]]
 ) -> nn.Tensor:
     """Run the encoder over texts, given as their id and overlap tuples (see
-    :func:`compute_features`), packed side by side into one run of columns;
-    returns their encodings as the rows of a (len(ids), m) matrix."""
-    lengths = np.array([len(t) for t in ids], dtype=np.intp)
-    emb = nn.embedding_lookup(
-        encoder.word_emb,
-        encoder.feat_emb,
-        np.fromiter(chain.from_iterable(ids), np.intp),
-        np.fromiter(chain.from_iterable(overlaps), np.intp),
-    )
-    fmap = nn.conv1d_wide(emb, encoder.filters, encoder.conv_bias, lengths)
+    :func:`compute_features`); returns their encodings as the rows of a
+    (len(ids), m) matrix.  Texts with equal ids share their word columns, in
+    first-seen order, so the word part of the convolution runs once per
+    distinct text; the overlap part runs for every text, since the same
+    words can carry other overlaps in another triple."""
+    distinct: dict[tuple[int, ...], int] = {}
+    texts = np.fromiter((distinct.setdefault(t, len(distinct)) for t in ids), np.intp, len(ids))
+    lengths = np.array([len(t) for t in distinct], dtype=np.intp)
+    words = nn.embedding_lookup(encoder.word_emb, np.fromiter(chain.from_iterable(distinct), np.intp))
+    feats = nn.embedding_lookup(encoder.feat_emb, np.fromiter(chain.from_iterable(overlaps), np.intp))
+    fmap = nn.conv1d_wide(words, feats, encoder.filters, encoder.conv_bias, lengths, texts)
     width = encoder.filters.data.shape[2]
-    return nn.kmax_pool(fmap, lengths + width - 1)
+    return nn.kmax_pool(fmap, lengths[texts] + width - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,23 +224,29 @@ class CqaModel:
         dtype=np.float32,
     ):
         sizes = dict(m=m, d_w=d_w, d_feat=d_feat, filter_width=filter_width, max_len=max_len)
-        table = parameter_table(len(vocab), task, **sizes)
+        dtype = np.dtype(dtype)
+        rng = np.random.default_rng(seed)
+        arrays = {
+            name: np.zeros(shape, dtype) if len(shape) == 1
+            else rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
+            for name, shape in parameter_table(len(vocab), task, **sizes).items()
+        }
+        self._build(vocab, arrays, task, dtype, **sizes)
+
+    def _build(self, vocab: Vocabulary, arrays: dict, task: Optional[str], dtype: np.dtype, **sizes: int) -> None:
+        """Assemble the network around ``arrays``, one per entry of its
+        :func:`parameter_table` in ``dtype``, which become the parameters'
+        values without a copy.  ``load_checkpoint`` builds a model from the
+        arrays it read through this, so loading draws nothing."""
         vars(self).update(sizes)  # self.m, self.d_w, ... as SIZES names them
         self.inputs = INPUTS[task]
         self.vocab = vocab
         self.task = task
         self.kind = "mtl" if task is None else "pair"
         self.tasks = TASKS if task is None else (task,)
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self._parameters = [
-            nn.Parameter(
-                name,
-                np.zeros(shape, self.dtype) if len(shape) == 1
-                else rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(self.dtype),
-            )
-            for name, shape in table.items()
-        ]
+        self.dtype = dtype
+        table = parameter_table(len(vocab), task, **sizes)
+        self._parameters = [nn.Parameter(name, arrays[name]) for name in table]
         made = iter(self._parameters)
         self.q_encoder = SentenceEncoder(*islice(made, 4))
         self.c_encoder = SentenceEncoder(*islice(made, 4)) if "c_rel" in self.inputs else None

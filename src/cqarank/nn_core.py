@@ -5,9 +5,11 @@ each operation run inside it appends its output to a tape in creation order,
 a topological order, which ``Tensor.backward`` walks in reverse.  Outside a
 recording an operation returns a plain value.  Parameters are persistent
 leaves whose gradient buffers accumulate across backward calls until zeroed.
-The ops take a batch of rows or a packed batch of texts; a single vector or
-text is the batch of one.  Everything runs in float32 by default and float64
-when verifying gradients.
+The ops take a batch of rows or a packed batch of texts.  The wide
+convolution takes its texts split in two: the word columns of each distinct
+text once, and the overlap-feature columns of every occurrence, so a text
+repeated across a batch runs the word part once.  Everything runs in float32
+by default and float64 when verifying gradients.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 #
 # The encoder ops take a packed batch: the texts of a batch concatenated
 # along the column axis, with ``lengths`` giving each text's column count.
-# Without ``lengths`` the whole input is one text, the batch-of-one case.
+# Without ``lengths`` the whole input is one text.
 # ---------------------------------------------------------------------------
 
 
@@ -142,87 +144,124 @@ def _scatter_rows(table_grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -
     table_grad[ordered[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def embedding_lookup(
-    word_table: Parameter,
-    feat_table: Parameter,
-    ids: Sequence[int],
-    overlaps: Sequence[int],
-) -> Tensor:
-    """Stack word and overlap-feature vectors into a (d_w + d_feat) x n matrix.
-
-    Column j holds the word vector of ids[j] on top of the feature vector of
-    overlaps[j]; gradients scatter back into both tables.
-    """
+def embedding_lookup(table: Parameter, ids: Sequence[int]) -> Tensor:
+    """Stack the rows of ``table`` named by ``ids`` into a d x n matrix:
+    column j holds the row of ids[j], and gradients scatter back."""
     ids = np.asarray(ids, dtype=np.intp)
-    overlaps = np.asarray(overlaps, dtype=np.intp)
     if ids.ndim != 1 or ids.size < 1:
         raise ValueError("embedding_lookup: ids must be a non-empty 1-d sequence")
-    if ids.shape != overlaps.shape:
-        raise ValueError("embedding_lookup: ids and overlaps lengths differ")
-    if ids.min() < 0 or ids.max() >= word_table.data.shape[0]:
-        raise ValueError("embedding_lookup: id out of vocabulary range")
-    if overlaps.min() < 0 or overlaps.max() >= feat_table.data.shape[0]:
-        raise ValueError("embedding_lookup: overlap indicator out of range")
-    d_w = word_table.data.shape[1]
-    out = np.concatenate([word_table.data[ids].T, feat_table.data[overlaps].T], axis=0)
+    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
+        raise ValueError(f"embedding_lookup: id out of range for a table of {table.data.shape[0]} rows")
+    out = table.data[ids].T
 
     def backward_fn(grad: np.ndarray) -> None:
-        _scatter_rows(word_table.grad, ids, grad[:d_w].T)
-        _scatter_rows(feat_table.grad, overlaps, grad[d_w:].T)
+        _scatter_rows(table.grad, ids, grad.T)
 
     return _record(out, backward_fn)
 
 
-def conv1d_wide(x: Tensor, filters: Parameter, bias: Parameter, lengths=None) -> Tensor:
-    """Wide (zero-padded) 1-d convolution over the columns of a d x n input.
-
-    ``filters`` has shape (m, d, w).  A text of n columns gets n + w - 1
-    output columns, each a filter response over a width-w window of the
-    text zero-padded by w - 1 columns on both sides, plus bias.  The texts
-    of a packed input are laid out with w - 1 zero columns before each and
-    after the last, so text i owns the next n_i + w - 1 output columns and no
-    window reaches into a neighbour; all of them come from one im2col GEMM.
-    """
-    m, d, w = filters.data.shape
-    if x.data.ndim != 2 or x.data.shape[0] != d:
-        raise ValueError(
-            f"conv1d_wide: input rows {x.data.shape} do not match filter depth {d}"
-        )
-    if bias.data.shape != (m,):
-        raise ValueError("conv1d_wide: bias shape must be (m,)")
-    n = x.data.shape[1]
-    lengths = _segments(lengths, n, "conv1d_wide")
+def _windows(x: np.ndarray, lengths: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """im2col of a packed d x n input: row t holds, flattened, the width-w
+    window that output column t reads.  The texts are laid out with w - 1
+    zero columns before each and after the last, so text i owns the next
+    n_i + w - 1 output columns and no window reaches into a neighbour.  Also
+    returns the position of each input column in that layout."""
+    d, n = x.shape
     out_len = n + lengths.size * (w - 1)
-    # row r of `padded` is column r of the padded input; text i starts after
-    # (i + 1) gaps of w - 1 zero columns
+    # text i starts after (i + 1) gaps of w - 1 zero columns
     cols = np.arange(n) + (w - 1) * (1 + np.repeat(np.arange(lengths.size), lengths))
-    padded = np.zeros((out_len + w - 1, d), dtype=x.data.dtype)
-    padded[cols] = x.data.T
-    # win_mat[t] = padded[t:t+w] flattened, one row per output column
+    padded = np.zeros((out_len + w - 1, d), dtype=x.dtype)
+    padded[cols] = x.T
     win_mat = np.ascontiguousarray(
         np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), w * d)[::d]
     )
-    filt_mat = filters.data.transpose(0, 2, 1).reshape(m, w * d)
-    out = filt_mat @ win_mat.T
-    out += bias.data[:, None]
+    return win_mat, cols
+
+
+def _unwindow(win_grad: np.ndarray, cols: np.ndarray, w: int) -> np.ndarray:
+    """The input-column gradient (d x n) from the window-row gradient
+    (w * d x out_len) of :func:`_windows`."""
+    out_len = win_grad.shape[1]
+    win_grad = win_grad.reshape(w, -1, out_len)
+    padded = np.zeros((win_grad.shape[1], out_len + w - 1), dtype=win_grad.dtype)
+    for k in range(w):
+        padded[:, k : k + out_len] += win_grad[k]
+    return padded[:, cols]
+
+
+def conv1d_wide(
+    words: Tensor, feats: Tensor, filters: Parameter, bias: Parameter, lengths, texts
+) -> Tensor:
+    """Wide (zero-padded) 1-d convolution over texts whose columns stack a
+    word part on top of an overlap-feature part, where one text can occur
+    several times with the same words but its own features.
+
+    ``words`` (d_w x n) packs the columns of the distinct texts side by side,
+    ``lengths`` giving each one's column count; ``feats`` (d_feat x n') packs
+    those of every occurrence, ``texts`` naming, for each occurrence, the
+    distinct text it repeats.  ``filters`` has shape (m, d_w + d_feat, w).
+    An occurrence of n_i columns gets n_i + w - 1 output columns, each a
+    filter response over a width-w window of the text zero-padded by w - 1
+    columns on both sides, plus bias; occurrences follow each other in order.
+    The word rows of the filters run once per distinct text, the feature
+    rows once per occurrence, and each occurrence adds its text's word map.
+    """
+    m, d, w = filters.data.shape
+    if words.data.ndim != 2 or feats.data.ndim != 2:
+        raise ValueError("conv1d_wide: words and feats must be 2-d")
+    d_w, d_feat = words.data.shape[0], feats.data.shape[0]
+    if min(d_w, d_feat) < 1 or d_w + d_feat != d:
+        raise ValueError(f"conv1d_wide: input rows {d_w} + {d_feat} do not split the filter depth {d}")
+    if bias.data.shape != (m,):
+        raise ValueError("conv1d_wide: bias shape must be (m,)")
+    lengths = _segments(lengths, words.data.shape[1], "conv1d_wide")
+    texts = np.asarray(texts, dtype=np.intp)
+    if texts.ndim != 1 or texts.size < 1 or texts.min() < 0 or texts.max() >= lengths.size:
+        raise ValueError(f"conv1d_wide: texts must be a non-empty 1-d index into the {lengths.size} texts")
+    _segments(lengths[texts], feats.data.shape[1], "conv1d_wide")
+    word_win, word_cols = _windows(words.data, lengths, w)
+    feat_win, feat_cols = _windows(feats.data, lengths[texts], w)
+    word_filt = filters.data[:, :d_w].transpose(0, 2, 1).reshape(m, w * d_w)
+    feat_filt = filters.data[:, d_w:].transpose(0, 2, 1).reshape(m, w * d_feat)
+    out = word_filt @ word_win.T
+    out += bias.data[:, None]  # on the word map, which is no wider than the output
+    # unless every text occurs once, in order, and the word map is already
+    # laid out as the output, output column t reads word-map column gather[t]
+    # (np.take, as out[:, gather] comes back column-major and slows what follows)
+    gather = None
+    if not np.array_equal(texts, np.arange(lengths.size)):
+        word_out = lengths + (w - 1)
+        occ_out = word_out[texts]
+        shift = np.cumsum(word_out)[texts] - word_out[texts] - (np.cumsum(occ_out) - occ_out)
+        gather = np.arange(occ_out.sum()) + np.repeat(shift, occ_out)
+        out = np.take(out, gather, axis=1)
+    out += feat_filt @ feat_win.T
 
     def backward_fn(grad: np.ndarray) -> None:
-        _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w)
+        _conv1d_wide_backward(
+            grad, filters, bias, gather,
+            (words, word_win, word_filt, word_cols), (feats, feat_win, feat_filt, feat_cols),
+        )
 
     return _record(out, backward_fn)
 
 
-def _conv1d_wide_backward(grad, x, filters, bias, win_mat, filt_mat, cols, w):
-    m, d, _ = filters.data.shape
-    out_len = grad.shape[1]
+def _conv1d_wide_backward(grad, filters, bias, gather, word_part, feat_part):
+    """Each part is (input, window rows, filter matrix, input positions); the
+    occurrences' gradients sum into the shared word map, text by text."""
+    m, d_w, w = filters.data.shape[0], word_part[0].data.shape[0], filters.data.shape[2]
     bias.grad += grad.sum(axis=1)
-    filters.grad += (grad @ win_mat).reshape(m, w, d).transpose(0, 2, 1)
-    if x.grad is not None:
-        dwin = (filt_mat.T @ grad).reshape(w, d, out_len)
-        dpadded = np.zeros((d, out_len + w - 1), dtype=grad.dtype)
-        for k in range(w):
-            dpadded[:, k : k + out_len] += dwin[k]
-        x.grad += dpadded[:, cols]
+    word_grad = grad
+    if gather is not None:
+        word_grad = np.zeros((m, word_part[1].shape[0]), dtype=grad.dtype)
+        _scatter_rows(word_grad.T, gather, grad.T)
+    for (x, win_mat, filt_mat, cols), part_grad, rows in (
+        (word_part, word_grad, slice(None, d_w)),
+        (feat_part, grad, slice(d_w, None)),
+    ):
+        filters.grad[:, rows] += (part_grad @ win_mat).reshape(m, w, -1).transpose(0, 2, 1)
+        if x.grad is not None:
+            x.grad += _unwindow(filt_mat.T @ part_grad, cols, w)
 
 
 def kmax_pool(x: Tensor, lengths=None) -> Tensor:

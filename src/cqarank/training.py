@@ -374,6 +374,6 @@ def load_checkpoint(path: str) -> CqaModel:
     built: an extra or repeated array, a missing parameter or a shape that
     differs raises :class:`CheckpointError` naming the file and the arrays."""
     spec, vocab, params = _read_checkpoint(path)
-    model = CqaModel(vocab, **spec)
-    restore(model, params)
+    model = CqaModel.__new__(CqaModel)  # built around the arrays read: no initial draw
+    model._build(vocab, params, **spec)
     return model

@@ -1,8 +1,9 @@
-"""Naive reference implementations (loops only, no vectorization): of the
-network layers, the oracles the layer tests compare ``nn_core`` against, and
-of the ranking, the per-row oracles the evaluation tests compare the
-columnar ``RankTable`` path against.  The ranking oracles take rows as
-``(group_key, doc_id, score, google_rank, relevance)`` tuples."""
+"""Reference implementations the tests compare the program against: naive
+loops (no vectorization) for the network layers; the wide convolution as one
+GEMM over whole stacked texts, for the one that shares word columns between
+repeated texts; and per-row oracles for the columnar ``RankTable`` ranking.
+The ranking oracles take rows as ``(group_key, doc_id, score, google_rank,
+relevance)`` tuples."""
 
 import numpy as np
 
@@ -24,6 +25,34 @@ def naive_conv1d_wide(x, filters, bias):
                     s += filters[f, r, k] * padded[r, t + k]
             out[f, t] = s + bias[f]
     return out
+
+
+def stacked_conv1d_wide(x, filters, bias, lengths):
+    """The wide convolution of a packed d x n input whose texts each stack
+    their word rows on top of their feature rows, run as one im2col GEMM over
+    every text, repeated or not.  Returns the m x (n + len(lengths) * (w - 1))
+    output and a function from its gradient to the gradients of ``x``,
+    ``filters`` and ``bias``."""
+    m, d, w = filters.shape
+    n = x.shape[1]
+    lengths = np.asarray(lengths)
+    out_len = n + lengths.size * (w - 1)
+    # text i starts after (i + 1) gaps of w - 1 zero columns
+    cols = np.arange(n) + (w - 1) * (1 + np.repeat(np.arange(lengths.size), lengths))
+    padded = np.zeros((out_len + w - 1, d), dtype=x.dtype)
+    padded[cols] = x.T
+    win_mat = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), w * d)[::d]
+    filt_mat = filters.transpose(0, 2, 1).reshape(m, w * d)
+    out = filt_mat @ win_mat.T + bias[:, None]
+
+    def backward(grad):
+        dwin = (filt_mat.T @ grad).reshape(w, d, out_len)
+        dpadded = np.zeros((d, out_len + w - 1), dtype=grad.dtype)
+        for k in range(w):
+            dpadded[:, k : k + out_len] += dwin[k]
+        return dpadded[:, cols], (grad @ win_mat).reshape(m, w, d).transpose(0, 2, 1), grad.sum(axis=1)
+
+    return out, backward
 
 
 def naive_dense(x, weight, bias, act):

@@ -291,8 +291,8 @@ def test_gradcheck_detects_an_injected_gradient_bug(monkeypatch, capsys):
 
     real_backward = nn._conv1d_wide_backward
 
-    def corrupted(grad, x, filters, bias, win_mat, filt_mat, n, w):
-        real_backward(grad * 1.05, x, filters, bias, win_mat, filt_mat, n, w)
+    def corrupted(grad, *args):
+        real_backward(grad * 1.05, *args)
 
     monkeypatch.setattr(nn, "_conv1d_wide_backward", corrupted)
     assert main(["gradcheck", "--probes", "30", "--m", "4"]) == 3

@@ -247,6 +247,33 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
     assert np.abs(model.c_encoder.filters.grad).sum() > 0
 
 
+def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
+    # the candidates of a new question all repeat its text, so the question
+    # encoder's word columns hold each distinct text once, in first-seen
+    # order, while the feature columns hold every occurrence
+    model = small_mtl(vocab)
+    features = model.featurize_all(corpus)
+    calls = []
+    real_conv = nn.conv1d_wide
+
+    def spy(words, feats, filters, bias, lengths, texts):
+        calls.append((words.shape[1], feats.shape[1], list(lengths), list(texts)))
+        return real_conv(words, feats, filters, bias, lengths, texts)
+
+    monkeypatch.setattr(nn, "conv1d_wide", spy)
+    model.predict(features)
+    assert len(calls) == len(model.encoder_runs) == 2
+    for (_, positions), (word_cols, feat_cols, lengths, texts) in zip(model.encoder_runs, calls):
+        occurrences = [f.ids[k] for f in features for k in positions]
+        distinct = list(dict.fromkeys(occurrences))
+        assert lengths == [len(t) for t in distinct]
+        assert word_cols == sum(map(len, distinct))
+        assert feat_cols == sum(map(len, occurrences))
+        assert [distinct[t] for t in texts] == occurrences
+    question_words, question_feats = calls[0][:2]
+    assert question_words < question_feats
+
+
 def test_pair_model_task_b_shares_one_encoder(vocab):
     b = CqaModel(vocab, task="B", m=6, d_w=8, d_feat=3)
     assert b.c_encoder is None

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import cqarank.nn_core as nn
 from cqarank.model import _dropout_masks
-from oracles import naive_conv1d_wide, naive_dense, naive_kmax
+from cqarank.text_pipeline import PAD_ID
+from oracles import naive_conv1d_wide, naive_dense, naive_kmax, stacked_conv1d_wide
 
 
 def param(name, arr):
@@ -30,54 +34,123 @@ def segments(arr, lengths):
 def test_conv1d_wide_matches_naive_loops():
     rng = np.random.default_rng(42)
     for _ in range(40):
-        m, d, w = rng.integers(1, 7), rng.integers(1, 9), rng.integers(1, 6)
+        m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         n = rng.integers(1, 13)
-        x = param("x", rng.normal(size=(d, n)))
-        filters = param("f", rng.normal(size=(m, d, w)))
+        x = rng.normal(size=(d_w + d_feat, n))
+        filters = param("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = param("b", rng.normal(size=m))
-        got = nn.conv1d_wide(x, filters, bias)
+        got = nn.conv1d_wide(param("words", x[:d_w]), param("feats", x[d_w:]), filters, bias, [n], [0])
         assert got.shape == (m, n + w - 1)
-        want = naive_conv1d_wide(x.data, filters.data, bias.data)
+        want = naive_conv1d_wide(x, filters.data, bias.data)
         assert np.max(np.abs(got.data - want)) < 1e-6
-    # packed batches: each text owns its n_i + w - 1 output columns
+    # packed batches with repeated texts: each occurrence owns its n_i + w - 1
+    # output columns and reads the word columns of the text it repeats
     for _ in range(20):
-        m, d, w = rng.integers(1, 7), rng.integers(1, 9), rng.integers(1, 6)
+        m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
-        x = param("x", rng.normal(size=(d, sum(lengths))))
-        filters = param("f", rng.normal(size=(m, d, w)))
+        texts = rng.integers(0, len(lengths), size=int(rng.integers(1, 8)))
+        occ_lengths = [lengths[t] for t in texts]
+        words = param("words", rng.normal(size=(d_w, sum(lengths))))
+        feats = param("feats", rng.normal(size=(d_feat, sum(occ_lengths))))
+        filters = param("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = param("b", rng.normal(size=m))
+        text_words = segments(words.data, lengths)
+        stacked = [np.vstack([text_words[t], part]) for t, part in zip(texts, segments(feats.data, occ_lengths))]
         with nn.recording():
-            got = nn.conv1d_wide(x, filters, bias, lengths)
-            want = [naive_conv1d_wide(part, filters.data, bias.data) for part in segments(x.data, lengths)]
-            assert got.shape == (m, sum(lengths) + len(lengths) * (w - 1))
+            got = nn.conv1d_wide(words, feats, filters, bias, lengths, texts)
+            want = [naive_conv1d_wide(x, filters.data, bias.data) for x in stacked]
+            assert got.shape == (m, sum(occ_lengths) + len(texts) * (w - 1))
             assert np.max(np.abs(got.data - np.concatenate(want, axis=1))) < 1e-6
-            # backward: the packed gradients equal the sums of per-text passes
+            # backward: the packed gradients equal the sums of one-text passes
             upstream = rng.normal(size=got.shape)
             got.backward_fn(upstream)
-            packed = [x.grad.copy(), filters.grad.copy(), bias.grad.copy()]
-            for p in (x, filters, bias):
+            packed = [words.grad.copy(), feats.grad.copy(), filters.grad.copy(), bias.grad.copy()]
+            for p in (words, feats, filters, bias):
                 p.zero_grad()
-            outs = [n + w - 1 for n in lengths]
-            for part, g, lo in zip(segments(x.data, lengths), segments(upstream, outs), np.cumsum(lengths) - lengths):
-                piece = param("piece", part)
-                nn.conv1d_wide(piece, filters, bias).backward_fn(g)
-                x.grad[:, lo : lo + part.shape[1]] += piece.grad
-        for got_grad, p in zip(packed, (x, filters, bias)):
+            word_starts = np.cumsum(lengths) - lengths
+            outs = [n + w - 1 for n in occ_lengths]
+            for t, lo, g in zip(texts, np.cumsum(occ_lengths) - occ_lengths, segments(upstream, outs)):
+                n, at = lengths[t], word_starts[t]
+                piece_words = param("piece_words", words.data[:, at : at + n])
+                piece_feats = param("piece_feats", feats.data[:, lo : lo + n])
+                nn.conv1d_wide(piece_words, piece_feats, filters, bias, [n], [0]).backward_fn(g)
+                words.grad[:, at : at + n] += piece_words.grad
+                feats.grad[:, lo : lo + n] += piece_feats.grad
+        for got_grad, p in zip(packed, (words, feats, filters, bias)):
             assert np.max(np.abs(got_grad - p.grad)) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 5), data=st.data())
+def test_conv1d_wide_matches_the_stacked_reference(width, data):
+    """The shared-word convolution against one GEMM over whole stacked texts
+    (float64): the output and the gradients of the filters, the bias, the
+    word columns and the feature columns agree to 1e-10.  Every case holds a
+    PAD-only text and runs twice: with a repeated text, and with every text
+    once, in order, as comments occur."""
+    m, d_w, d_feat = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    token_ids = st.lists(st.integers(PAD_ID + 1, 5), min_size=1, max_size=6).map(tuple)
+    distinct = [(PAD_ID,)] + data.draw(st.lists(token_ids, max_size=3, unique=True))
+    repeated = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
+    repeated += [repeated[0], 0]
+    lengths = [len(t) for t in distinct]
+    word_starts = np.cumsum(lengths) - lengths
+    table = rng.normal(size=(6, d_w))
+    filters = param("f", rng.normal(size=(m, d_w + d_feat, width)))
+    bias = param("b", rng.normal(size=m))
+    for texts in (repeated, list(range(len(distinct)))):
+        occ_lengths = [lengths[t] for t in texts]
+        words = param("words", table[[i for t in distinct for i in t]].T)
+        overlaps = [rng.integers(0, 2, size=lengths[t]) * (t != 0) for t in texts]  # PAD has overlap 0
+        feats = param("feats", rng.normal(size=(2, d_feat))[np.concatenate(overlaps)].T)
+        for p in (filters, bias):
+            p.zero_grad()
+
+        text_words = segments(words.data, lengths)
+        parts = segments(feats.data, occ_lengths)
+        stacked = np.hstack([np.vstack([text_words[t], part]) for t, part in zip(texts, parts)])
+        want, reference_backward = stacked_conv1d_wide(stacked, filters.data, bias.data, occ_lengths)
+        with nn.recording():
+            got = nn.conv1d_wide(words, feats, filters, bias, lengths, texts)
+            upstream = rng.normal(size=got.shape)
+            got.backward_fn(upstream)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
+        want_x, want_filters, want_bias = reference_backward(upstream)
+        want_words = np.zeros_like(words.data)
+        for t, part in zip(texts, segments(want_x[:d_w], occ_lengths)):
+            want_words[:, word_starts[t] : word_starts[t] + lengths[t]] += part
+        np.testing.assert_allclose(filters.grad, want_filters, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(bias.grad, want_bias, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(words.grad, want_words, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(feats.grad, want_x[d_w:], rtol=0, atol=1e-10)
 
 
 def test_conv1d_wide_shape_validation():
     filters = param("f", np.zeros((2, 3, 2)))
     bias = param("b", np.zeros(2))
+    words, feats = param("w", np.zeros((2, 5))), param("x", np.zeros((1, 5)))
+    assert nn.conv1d_wide(words, feats, filters, bias, [5], [0]).shape == (2, 6)
+    # the word and feature rows must both be there and split the filter depth
+    for word_rows, feat_rows in ((3, 1), (3, 0), (0, 3), (1, 1)):
+        bad_words, bad_feats = param("w", np.zeros((word_rows, 5))), param("x", np.zeros((feat_rows, 5)))
+        with pytest.raises(ValueError, match="filter depth"):
+            nn.conv1d_wide(bad_words, bad_feats, filters, bias, [5], [0])
     with pytest.raises(ValueError):
-        nn.conv1d_wide(param("x", np.zeros((4, 5))), filters, bias)  # depth mismatch
-    with pytest.raises(ValueError):
-        nn.conv1d_wide(param("x", np.zeros((3, 5))), filters, param("b", np.zeros(3)))
+        nn.conv1d_wide(words, feats, filters, param("b", np.zeros(3)), [5], [0])
     for lengths in ([2, 2], [5, 0], [6, -1]):  # must be positive and cover the 5 columns
         with pytest.raises(ValueError):
-            nn.conv1d_wide(param("x", np.zeros((3, 5))), filters, bias, lengths)
+            nn.conv1d_wide(words, feats, filters, bias, lengths, [0])
         with pytest.raises(ValueError):
             nn.kmax_pool(param("x", np.zeros((3, 5))), lengths)
+    for texts in ([], [1], [-1], [[0]]):  # a non-empty index into the one text
+        with pytest.raises(ValueError, match="texts"):
+            nn.conv1d_wide(words, feats, filters, bias, [5], texts)
+    # the feature columns must be those of the occurrences: 5 for one, 10 for two
+    with pytest.raises(ValueError):
+        nn.conv1d_wide(words, param("x", np.zeros((1, 4))), filters, bias, [5], [0])
+    with pytest.raises(ValueError):
+        nn.conv1d_wide(words, feats, filters, bias, [5], [0, 0])
 
 
 def test_dense_matches_naive_loops():
@@ -137,47 +210,39 @@ def test_kmax_pool_gradient_goes_to_first_max():
 
 def test_embedding_lookup_forward_and_scatter():
     words = param("w", np.arange(12.0).reshape(4, 3))
-    feats = param("f", np.array([[10.0, 20.0], [30.0, 40.0]]))
     with nn.recording():
-        out = nn.embedding_lookup(words, feats, ids=[2, 0, 2], overlaps=[1, 0, 1])
+        out = nn.embedding_lookup(words, [2, 0, 2])
         # repeated ids must accumulate their gradients
         out.backward_fn(np.ones_like(out.data))
-    assert out.shape == (5, 3)
-    np.testing.assert_array_equal(out.data[:3, 0], words.data[2])
-    np.testing.assert_array_equal(out.data[:3, 1], words.data[0])
-    np.testing.assert_array_equal(out.data[3:, 0], feats.data[1])
+    assert out.shape == (3, 3)
+    np.testing.assert_array_equal(out.data[:, 0], words.data[2])
+    np.testing.assert_array_equal(out.data[:, 1], words.data[0])
     np.testing.assert_array_equal(words.grad[2], [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(words.grad[0], [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(feats.grad[1], [2.0, 2.0])
+    np.testing.assert_array_equal(words.grad[[1, 3]], 0.0)
     # a packed batch repeats ids within and across its texts; the scatter
-    # matches an np.add.at reference
+    # matches an np.add.at reference, for a word table and a feature table
     rng = np.random.default_rng(45)
     words = param("w", rng.normal(size=(7, 3)))
     feats = param("f", rng.normal(size=(2, 2)))
     ids = np.concatenate([rng.integers(0, 7, size=n) for n in random_lengths(rng, 5)])
     overlaps = rng.integers(0, 2, size=ids.size)
-    with nn.recording():
-        out = nn.embedding_lookup(words, feats, ids, overlaps)
-        upstream = rng.normal(size=out.shape)
-        out.backward_fn(upstream)
-    want_words, want_feats = np.zeros_like(words.data), np.zeros_like(feats.data)
-    np.add.at(want_words, ids, upstream[:3].T)
-    np.add.at(want_feats, overlaps, upstream[3:].T)
-    np.testing.assert_allclose(words.grad, want_words, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(feats.grad, want_feats, rtol=0, atol=1e-12)
+    for table, index in ((words, ids), (feats, overlaps)):
+        with nn.recording():
+            out = nn.embedding_lookup(table, index)
+            upstream = rng.normal(size=out.shape)
+            out.backward_fn(upstream)
+        np.testing.assert_array_equal(out.data, table.data[index].T)
+        want = np.zeros_like(table.data)
+        np.add.at(want, index, upstream.T)
+        np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-12)
 
 
 def test_embedding_lookup_validates_ranges():
     words = param("w", np.zeros((4, 3)))
-    feats = param("f", np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        nn.embedding_lookup(words, feats, ids=[4], overlaps=[0])
-    with pytest.raises(ValueError):
-        nn.embedding_lookup(words, feats, ids=[0], overlaps=[2])
-    with pytest.raises(ValueError):
-        nn.embedding_lookup(words, feats, ids=[], overlaps=[])
-    with pytest.raises(ValueError):
-        nn.embedding_lookup(words, feats, ids=[0, 1], overlaps=[0])
+    for ids in ([4], [-1], [], [[0]]):
+        with pytest.raises(ValueError):
+            nn.embedding_lookup(words, ids)
 
 
 def test_row_lookup_and_concat():
@@ -341,24 +406,33 @@ def test_scale_and_add_n():
 # ---------------------------------------------------------------------------
 
 
-def encoder_like_loss(x, filters, bias, weight, out_b):
-    """conv -> kmax -> dense(sigmoid) -> bce, the encoder computation chain."""
-    fmap = nn.conv1d_wide(x, filters, bias)
-    pooled = nn.kmax_pool(fmap)
+def encoder_like_loss(words, feats, filters, bias, weight, out_b):
+    """conv -> kmax -> dense(sigmoid) -> bce, the encoder computation chain,
+    over two texts of 4 and 3 columns, the first occurring twice."""
+    lengths, texts = [4, 3], [0, 1, 0]
+    width = filters.data.shape[2]
+    fmap = nn.conv1d_wide(words, feats, filters, bias, lengths, texts)
+    pooled = nn.kmax_pool(fmap, [lengths[t] + width - 1 for t in texts])
     prob = nn.dense(pooled, weight, out_b, "sigmoid")
-    return nn.bce_loss(prob, 1)
+    return nn.bce_loss(prob, [[1], [0], [1]])
+
+
+def conv_chain_params(rng):
+    """words, feats, filters, bias, weight and out_b for encoder_like_loss."""
+    return [
+        param("words", rng.normal(size=(3, 7))),
+        param("feats", rng.normal(size=(1, 11))),
+        param("f", rng.normal(size=(3, 4, 2)) * 0.3),
+        param("cb", rng.normal(size=3) * 0.1),
+        param("w", rng.normal(size=(1, 3)) * 0.3),
+        param("ob", np.zeros(1)),
+    ]
 
 
 def test_grad_check_conv_chain():
-    rng = np.random.default_rng(21)
-    x = param("x", rng.normal(size=(4, 7)))
-    filters = param("f", rng.normal(size=(3, 4, 2)) * 0.3)
-    bias = param("cb", rng.normal(size=3) * 0.1)
-    weight = param("w", rng.normal(size=(1, 3)) * 0.3)
-    out_b = param("ob", np.zeros(1))
-    params = [x, filters, bias, weight, out_b]
+    params = conv_chain_params(np.random.default_rng(21))
     err = nn.grad_check(
-        lambda: encoder_like_loss(x, filters, bias, weight, out_b),
+        lambda: encoder_like_loss(*params),
         params,
         probe_count=60,
         rng=np.random.default_rng(1),
@@ -394,10 +468,12 @@ def test_grad_check_embedding_and_rank_row():
     out_b = param("ob", np.zeros(1))
 
     def loss():
-        emb = nn.embedding_lookup(words, feats, ids=[1, 4, 1], overlaps=[0, 1, 1])
-        pooled = nn.kmax_pool(nn.conv1d_wide(emb, filters, bias))
-        joined = nn.concat([pooled, nn.row_lookup(table, 2)])
-        return nn.bce_loss(nn.dense(joined, weight, out_b, "sigmoid"), 1)
+        # one text, ids 1 4 1, in two triples that give it other overlaps
+        text = nn.embedding_lookup(words, [1, 4, 1])
+        overlaps = nn.embedding_lookup(feats, [0, 1, 1, 1, 0, 0])
+        pooled = nn.kmax_pool(nn.conv1d_wide(text, overlaps, filters, bias, [3], [0, 0]), [4, 4])
+        joined = nn.concat([pooled, nn.row_lookup(table, [2, 3])])
+        return nn.bce_loss(nn.dense(joined, weight, out_b, "sigmoid"), [[1], [0]])
 
     params = [words, feats, table, filters, bias, weight, out_b]
     err = nn.grad_check(loss, params, probe_count=70, rng=np.random.default_rng(3))
@@ -432,19 +508,14 @@ def test_grad_check_catches_corrupted_conv_backward(monkeypatch):
     """Negative control: a deliberately wrong filter gradient must be flagged."""
     real_backward = nn._conv1d_wide_backward
 
-    def corrupted(grad, x, filters, bias, win_mat, filt_mat, n, w):
-        real_backward(grad * 1.05, x, filters, bias, win_mat, filt_mat, n, w)
+    def corrupted(grad, *args):
+        real_backward(grad * 1.05, *args)
 
     monkeypatch.setattr(nn, "_conv1d_wide_backward", corrupted)
-    rng = np.random.default_rng(25)
-    x = param("x", rng.normal(size=(4, 7)))
-    filters = param("f", rng.normal(size=(3, 4, 2)) * 0.3)
-    bias = param("cb", rng.normal(size=3) * 0.1)
-    weight = param("w", rng.normal(size=(1, 3)) * 0.3)
-    out_b = param("ob", np.zeros(1))
+    params = conv_chain_params(np.random.default_rng(25))
     err = nn.grad_check(
-        lambda: encoder_like_loss(x, filters, bias, weight, out_b),
-        [x, filters, bias],
+        lambda: encoder_like_loss(*params),
+        params[:4],
         probe_count=30,
         rng=np.random.default_rng(5),
     )

@@ -343,6 +343,23 @@ def test_checkpoint_round_trip(tmp_path, corpus, vocab):
         assert model.predict(feats)[task].data[0] == loaded.predict(lfeats)[task].data[0]
 
 
+def test_loading_a_checkpoint_draws_no_initialisation(tmp_path, vocab, monkeypatch):
+    model = small_model(vocab, seed=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an initialisation")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = load_checkpoint(str(path))
+    assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+        assert q.data.dtype == p.data.dtype and q.data.flags.writeable
+        np.testing.assert_array_equal(q.grad, np.zeros_like(p.data))
+
+
 def test_pair_checkpoint_round_trip(tmp_path, vocab):
     model = CqaModel(vocab, task="B", m=4, d_w=4, d_feat=2, seed=5)
     path = tmp_path / "pair.ckpt"
