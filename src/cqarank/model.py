@@ -109,15 +109,17 @@ def encode_texts(
     """Run the encoder over texts, given as their id and overlap tuples (see
     :func:`compute_features`); returns their encodings as the rows of a
     (len(ids), m) matrix.  Texts with equal ids share their word columns, in
-    first-seen order, so the word part of the convolution runs once per
-    distinct text; the overlap part runs for every text, since the same
-    words can carry other overlaps in another triple."""
+    first-seen order, and the convolution's big GEMM runs once per distinct
+    text; each text keeps its own overlaps, since the same words can carry
+    other overlaps in another triple."""
     distinct: dict[tuple[int, ...], int] = {}
     texts = np.fromiter((distinct.setdefault(t, len(distinct)) for t in ids), np.intp, len(ids))
     lengths = np.array([len(t) for t in distinct], dtype=np.intp)
     words = nn.embedding_lookup(encoder.word_emb, np.fromiter(chain.from_iterable(distinct), np.intp))
-    feats = nn.embedding_lookup(encoder.feat_emb, np.fromiter(chain.from_iterable(overlaps), np.intp))
-    fmap = nn.conv1d_wide(words, feats, encoder.filters, encoder.conv_bias, lengths, texts)
+    overlap_ids = np.fromiter(chain.from_iterable(overlaps), np.intp)
+    fmap = nn.conv1d_wide(
+        words, encoder.feat_emb, overlap_ids, encoder.filters, encoder.conv_bias, lengths, texts
+    )
     width = encoder.filters.data.shape[2]
     return nn.kmax_pool(fmap, lengths[texts] + width - 1)
 

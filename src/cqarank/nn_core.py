@@ -6,10 +6,10 @@ a topological order, which ``Tensor.backward`` walks in reverse.  Outside a
 recording an operation returns a plain value.  Parameters are persistent
 leaves whose gradient buffers accumulate across backward calls until zeroed.
 The ops take a batch of rows or a packed batch of texts.  The wide
-convolution takes its texts split in two: the word columns of each distinct
-text once, and the overlap-feature columns of every occurrence, so a text
-repeated across a batch runs the word part once.  Everything runs in float32
-by default and float64 when verifying gradients.
+convolution takes the word columns of each distinct text once and the
+overlap-feature ids of every occurrence, so a text repeated across a batch
+runs the big GEMM once.  Everything runs in float32 by default and float64
+when verifying gradients.
 """
 
 from __future__ import annotations
@@ -160,21 +160,22 @@ def embedding_lookup(table: Parameter, ids: Sequence[int]) -> Tensor:
     return _record(out, backward_fn)
 
 
-def _windows(x: np.ndarray, lengths: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """im2col of a packed d x n input: row t holds, flattened, the width-w
-    window that output column t reads.  The texts are laid out with w - 1
-    zero columns before each and after the last, so text i owns the next
-    n_i + w - 1 output columns and no window reaches into a neighbour.  Also
-    returns the position of each input column in that layout."""
-    d, n = x.shape
+def _windows(rows: np.ndarray, lengths: np.ndarray, w: int, ones: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """im2col of a packed input given as its n x d rows, one per input column:
+    row t holds, flattened, the width-w window that output column t reads,
+    then ``ones`` columns of 1 (a bias input).  The texts are laid out with
+    w - 1 zero columns before each and after the last, so text i owns the
+    next n_i + w - 1 output columns and no window reaches into a neighbour.
+    Also returns the position of each input column in that layout."""
+    n, d = rows.shape
     out_len = n + lengths.size * (w - 1)
     # text i starts after (i + 1) gaps of w - 1 zero columns
     cols = np.arange(n) + (w - 1) * (1 + np.repeat(np.arange(lengths.size), lengths))
-    padded = np.zeros((out_len + w - 1, d), dtype=x.dtype)
-    padded[cols] = x.T
-    win_mat = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), w * d)[::d]
-    )
+    padded = np.zeros((out_len + w, d), dtype=rows.dtype)  # one spare row: no text leaves no window
+    padded[cols] = rows
+    win_mat = np.empty((out_len, w * d + ones), dtype=rows.dtype)
+    win_mat[:, : w * d] = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), w * d)[::d][:out_len]
+    win_mat[:, w * d :] = 1
     return win_mat, cols
 
 
@@ -189,27 +190,40 @@ def _unwindow(win_grad: np.ndarray, cols: np.ndarray, w: int) -> np.ndarray:
     return padded[:, cols]
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
 def conv1d_wide(
-    words: Tensor, feats: Tensor, filters: Parameter, bias: Parameter, lengths, texts
+    words: Tensor, feat_table: Parameter, feat_ids, filters: Parameter, bias: Parameter, lengths, texts
 ) -> Tensor:
     """Wide (zero-padded) 1-d convolution over texts whose columns stack a
-    word part on top of an overlap-feature part, where one text can occur
+    word vector on top of an overlap-feature vector, where one text can occur
     several times with the same words but its own features.
 
-    ``words`` (d_w x n) packs the columns of the distinct texts side by side,
-    ``lengths`` giving each one's column count; ``feats`` (d_feat x n') packs
-    those of every occurrence, ``texts`` naming, for each occurrence, the
-    distinct text it repeats.  ``filters`` has shape (m, d_w + d_feat, w).
-    An occurrence of n_i columns gets n_i + w - 1 output columns, each a
-    filter response over a width-w window of the text zero-padded by w - 1
-    columns on both sides, plus bias; occurrences follow each other in order.
-    The word rows of the filters run once per distinct text, the feature
-    rows once per occurrence, and each occurrence adds its text's word map.
+    ``words`` (d_w x n) packs the word columns of the distinct texts side by
+    side, ``lengths`` giving each one's column count.  ``texts`` names, for
+    each occurrence, the distinct text it repeats, and every text occurs.
+    ``feat_ids`` holds the feature ids of every occurrence's columns, in
+    order: column j's feature vector is row feat_ids[j] of ``feat_table``
+    (v x d_feat).  ``filters`` has shape (m, d_w + d_feat, w).  An
+    occurrence of n_i columns gets n_i + w - 1 output columns, each a filter
+    response over a width-w window of the text zero-padded by w - 1 columns
+    on both sides, plus bias; occurrences follow each other in order.
+
+    The feature rows of the filters only ever meet the v rows of the table,
+    so they act as an (m, w, v) table of responses to one-hot ids.  One
+    im2col GEMM runs over the distinct texts, each with its words, the
+    one-hot ids of its first occurrence and a ones column for the bias.  A
+    repeat copies its text's output columns and adds the responses to how
+    its ids differ from the first occurrence's: a GEMM with w * v inner
+    terms over the repeats alone.
     """
     m, d, w = filters.data.shape
-    if words.data.ndim != 2 or feats.data.ndim != 2:
-        raise ValueError("conv1d_wide: words and feats must be 2-d")
-    d_w, d_feat = words.data.shape[0], feats.data.shape[0]
+    if words.data.ndim != 2 or feat_table.data.ndim != 2:
+        raise ValueError("conv1d_wide: words and feat_table must be 2-d")
+    d_w, (n_ids, d_feat) = words.data.shape[0], feat_table.data.shape
     if min(d_w, d_feat) < 1 or d_w + d_feat != d:
         raise ValueError(f"conv1d_wide: input rows {d_w} + {d_feat} do not split the filter depth {d}")
     if bias.data.shape != (m,):
@@ -218,50 +232,86 @@ def conv1d_wide(
     texts = np.asarray(texts, dtype=np.intp)
     if texts.ndim != 1 or texts.size < 1 or texts.min() < 0 or texts.max() >= lengths.size:
         raise ValueError(f"conv1d_wide: texts must be a non-empty 1-d index into the {lengths.size} texts")
-    _segments(lengths[texts], feats.data.shape[1], "conv1d_wide")
-    word_win, word_cols = _windows(words.data, lengths, w)
-    feat_win, feat_cols = _windows(feats.data, lengths[texts], w)
-    word_filt = filters.data[:, :d_w].transpose(0, 2, 1).reshape(m, w * d_w)
-    feat_filt = filters.data[:, d_w:].transpose(0, 2, 1).reshape(m, w * d_feat)
-    out = word_filt @ word_win.T
-    out += bias.data[:, None]  # on the word map, which is no wider than the output
-    # unless every text occurs once, in order, and the word map is already
-    # laid out as the output, output column t reads word-map column gather[t]
-    # (np.take, as out[:, gather] comes back column-major and slows what follows)
-    gather = None
+    first = np.unique(texts, return_index=True)[1]  # each text's first occurrence
+    if first.size != lengths.size:
+        raise ValueError("conv1d_wide: every text must occur in texts")
+    feat_ids = np.asarray(feat_ids, dtype=np.intp)
+    if feat_ids.ndim != 1 or feat_ids.size < 1 or feat_ids.min() < 0 or feat_ids.max() >= n_ids:
+        raise ValueError(f"conv1d_wide: feat_ids must be a non-empty 1-d index into the {n_ids} feature rows")
+    occ_lengths = _segments(lengths[texts], feat_ids.size, "conv1d_wide")
+    one_hot = np.eye(n_ids, dtype=words.data.dtype)
+    feat_filt = filters.data[:, d_w:].transpose(0, 2, 1)  # (m, w, d_feat)
+    resp = feat_filt @ feat_table.data.T  # (m, w, v)
+    filt = np.concatenate([filters.data[:, :d_w].transpose(0, 2, 1), resp], axis=2).reshape(m, -1)
+    filt = np.concatenate([filt, bias.data[:, None]], axis=1)
+    layout, first_ids = None, feat_ids
     if not np.array_equal(texts, np.arange(lengths.size)):
-        word_out = lengths + (w - 1)
-        occ_out = word_out[texts]
-        shift = np.cumsum(word_out)[texts] - word_out[texts] - (np.cumsum(occ_out) - occ_out)
-        gather = np.arange(occ_out.sum()) + np.repeat(shift, occ_out)
-        out = np.take(out, gather, axis=1)
-    out += feat_filt @ feat_win.T
+        occ_starts = np.cumsum(occ_lengths) - occ_lengths
+        first_ids = feat_ids[_ranges(occ_starts[first], lengths)]
+        repeat = np.ones(texts.size, dtype=bool)
+        repeat[first] = False
+        rep_texts = texts[repeat]
+        rep_ids = feat_ids[_ranges(occ_starts[repeat], lengths[rep_texts])]
+        rep_first_ids = first_ids[_ranges(np.cumsum(lengths)[rep_texts] - lengths[rep_texts], lengths[rep_texts])]
+        delta_win, _ = _windows(one_hot[rep_ids] - one_hot[rep_first_ids], lengths[rep_texts], w)
+        # each occurrence's output block copies a word-map block; first
+        # occurrences of texts that follow each other on the map copy as one run
+        width = lengths + (w - 1)
+        map_starts, occ_out = (np.cumsum(width) - width)[texts], width[texts]
+        out_starts = np.cumsum(occ_out) - occ_out
+        run = np.r_[True, repeat[1:] | repeat[:-1] | (map_starts[1:] != map_starts[:-1] + occ_out[:-1])]
+        runs = list(zip(repeat[run].tolist(), map_starts[run].tolist(), out_starts[run].tolist(),
+                        np.diff(np.r_[out_starts[run], occ_out.sum()]).tolist()))
+        layout = (runs, delta_win)
+    win, cols = _windows(np.concatenate([words.data.T, one_hot[first_ids]], axis=1), lengths, w, ones=1)
+    out = filt @ win.T
+    if layout is not None:
+        runs, delta_win = layout
+        delta = resp.reshape(m, -1) @ delta_win.T
+        blocks, at = [], 0
+        for again, a, _, n in runs:
+            blocks.append(out[:, a : a + n] + delta[:, at : at + n] if again else out[:, a : a + n])
+            at += n if again else 0
+        out = np.concatenate(blocks, axis=1)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _conv1d_wide_backward(
-            grad, filters, bias, gather,
-            (words, word_win, word_filt, word_cols), (feats, feat_win, feat_filt, feat_cols),
-        )
+        _conv1d_wide_backward(grad, words, feat_table, filters, bias, (win, filt, cols, resp, feat_filt), layout)
 
     return _record(out, backward_fn)
 
 
-def _conv1d_wide_backward(grad, filters, bias, gather, word_part, feat_part):
-    """Each part is (input, window rows, filter matrix, input positions); the
-    occurrences' gradients sum into the shared word map, text by text."""
-    m, d_w, w = filters.data.shape[0], word_part[0].data.shape[0], filters.data.shape[2]
-    bias.grad += grad.sum(axis=1)
+def _conv1d_wide_backward(grad, words, feat_table, filters, bias, shared, layout):
+    """``shared`` is the distinct texts' GEMM: (window rows, filter matrix,
+    input positions, (m, w, v) responses, feature filters as (m, w, d_feat)).
+    ``layout`` is None when every text occurs once, in order; otherwise it
+    is (runs, difference window rows), a run being (repeat?, word-map start,
+    output start, width), and the occurrences' gradients sum into the shared
+    word map."""
+    win, filt, cols, resp, feat_filt = shared
+    (m, w, _), d_w = resp.shape, words.data.shape[0]
     word_grad = grad
-    if gather is not None:
-        word_grad = np.zeros((m, word_part[1].shape[0]), dtype=grad.dtype)
-        _scatter_rows(word_grad.T, gather, grad.T)
-    for (x, win_mat, filt_mat, cols), part_grad, rows in (
-        (word_part, word_grad, slice(None, d_w)),
-        (feat_part, grad, slice(d_w, None)),
-    ):
-        filters.grad[:, rows] += (part_grad @ win_mat).reshape(m, w, -1).transpose(0, 2, 1)
-        if x.grad is not None:
-            x.grad += _unwindow(filt_mat.T @ part_grad, cols, w)
+    resp_grad = 0.0
+    if layout is not None:
+        runs, delta_win = layout
+        word_grad = np.empty((m, win.shape[0]), dtype=grad.dtype)
+        # a first occurrence precedes its repeats, which add to what it set
+        for again, a, o, n in runs:
+            if again:
+                word_grad[:, a : a + n] += grad[:, o : o + n]
+            else:
+                word_grad[:, a : a + n] = grad[:, o : o + n]
+        rep_grad = np.concatenate([grad[:, :0]] + [grad[:, o : o + n] for again, _, o, n in runs if again], axis=1)
+        resp_grad = (rep_grad @ delta_win).reshape(resp.shape)
+    filt_grad = word_grad @ win
+    bias.grad += filt_grad[:, -1]
+    filt_grad = filt_grad[:, :-1].reshape(m, w, -1)
+    filters.grad[:, :d_w] += filt_grad[:, :, :d_w].transpose(0, 2, 1)
+    resp_grad = resp_grad + filt_grad[:, :, d_w:]
+    filters.grad[:, d_w:] += (resp_grad @ feat_table.data).transpose(0, 2, 1)
+    if feat_table.grad is not None:
+        feat_table.grad += resp_grad.reshape(m * w, -1).T @ feat_filt.reshape(m * w, -1)
+    if words.grad is not None:
+        words.grad += _unwindow(filt[:, :-1].T @ word_grad, cols, w)[:d_w]
 
 
 def kmax_pool(x: Tensor, lengths=None) -> Tensor:

@@ -68,18 +68,20 @@ def test_criterion_2_layer_oracles_on_random_shapes():
     shapes = 0
     worst = 0.0
     for _ in range(40):
-        # a packed batch of 1-4 occurrences of 1-3 texts: each occurrence
-        # stacks its text's word rows on its own feature rows
+        # a packed batch of 1-4 occurrences of 1-3 texts, each text occurring:
+        # each occurrence stacks its text's word rows on its own feature rows
+        # (a feature table with a row per occurrence column)
         m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         lengths = rng.integers(1, 13, size=int(rng.integers(1, 4)))
-        texts = rng.integers(0, lengths.size, size=int(rng.integers(1, 5)))
+        extra = rng.integers(0, lengths.size, size=int(rng.integers(0, 5 - lengths.size)))
+        texts = rng.permutation(np.r_[np.arange(lengths.size), extra])
         words = nn.Parameter("words", rng.normal(size=(d_w, lengths.sum())))
-        feats = nn.Parameter("feats", rng.normal(size=(d_feat, lengths[texts].sum())))
+        feats = nn.Parameter("feats", rng.normal(size=(lengths[texts].sum(), d_feat)))
         filters = nn.Parameter("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = nn.Parameter("b", rng.normal(size=m))
-        got = nn.conv1d_wide(words, feats, filters, bias, lengths, texts).data
+        got = nn.conv1d_wide(words, feats, np.arange(lengths[texts].sum()), filters, bias, lengths, texts).data
         text_words = np.split(words.data, np.cumsum(lengths)[:-1], axis=1)
-        occurrences = np.split(feats.data, np.cumsum(lengths[texts])[:-1], axis=1)
+        occurrences = np.split(feats.data.T, np.cumsum(lengths[texts])[:-1], axis=1)
         stacked = [np.vstack([text_words[t], f]) for t, f in zip(texts, occurrences)]
         want = np.concatenate([naive_conv1d_wide(x, filters.data, bias.data) for x in stacked], axis=1)
         worst = max(worst, float(np.max(np.abs(got - want))))

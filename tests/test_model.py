@@ -250,15 +250,15 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
 def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
     # the candidates of a new question all repeat its text, so the question
     # encoder's word columns hold each distinct text once, in first-seen
-    # order, while the feature columns hold every occurrence
+    # order, while the feature ids cover every occurrence
     model = small_mtl(vocab)
     features = model.featurize_all(corpus)
     calls = []
     real_conv = nn.conv1d_wide
 
-    def spy(words, feats, filters, bias, lengths, texts):
-        calls.append((words.shape[1], feats.shape[1], list(lengths), list(texts)))
-        return real_conv(words, feats, filters, bias, lengths, texts)
+    def spy(words, feats, feat_ids, filters, bias, lengths, texts):
+        calls.append((words.shape[1], len(feat_ids), list(lengths), list(texts)))
+        return real_conv(words, feats, feat_ids, filters, bias, lengths, texts)
 
     monkeypatch.setattr(nn, "conv1d_wide", spy)
     model.predict(features)

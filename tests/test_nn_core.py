@@ -39,7 +39,8 @@ def test_conv1d_wide_matches_naive_loops():
         x = rng.normal(size=(d_w + d_feat, n))
         filters = param("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = param("b", rng.normal(size=m))
-        got = nn.conv1d_wide(param("words", x[:d_w]), param("feats", x[d_w:]), filters, bias, [n], [0])
+        # a feature table with a row per column gives each column its own features
+        got = nn.conv1d_wide(param("words", x[:d_w]), param("feats", x[d_w:].T), np.arange(n), filters, bias, [n], [0])
         assert got.shape == (m, n + w - 1)
         want = naive_conv1d_wide(x, filters.data, bias.data)
         assert np.max(np.abs(got.data - want)) < 1e-6
@@ -48,16 +49,18 @@ def test_conv1d_wide_matches_naive_loops():
     for _ in range(20):
         m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
-        texts = rng.integers(0, len(lengths), size=int(rng.integers(1, 8)))
+        # every text occurs, and up to three occur again
+        extra = rng.integers(0, len(lengths), size=int(rng.integers(0, 4)))
+        texts = rng.permutation(np.r_[np.arange(len(lengths)), extra])
         occ_lengths = [lengths[t] for t in texts]
         words = param("words", rng.normal(size=(d_w, sum(lengths))))
-        feats = param("feats", rng.normal(size=(d_feat, sum(occ_lengths))))
+        feats = param("feats", rng.normal(size=(sum(occ_lengths), d_feat)))  # a row per occurrence column
         filters = param("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = param("b", rng.normal(size=m))
         text_words = segments(words.data, lengths)
-        stacked = [np.vstack([text_words[t], part]) for t, part in zip(texts, segments(feats.data, occ_lengths))]
+        stacked = [np.vstack([text_words[t], part]) for t, part in zip(texts, segments(feats.data.T, occ_lengths))]
         with nn.recording():
-            got = nn.conv1d_wide(words, feats, filters, bias, lengths, texts)
+            got = nn.conv1d_wide(words, feats, np.arange(sum(occ_lengths)), filters, bias, lengths, texts)
             want = [naive_conv1d_wide(x, filters.data, bias.data) for x in stacked]
             assert got.shape == (m, sum(occ_lengths) + len(texts) * (w - 1))
             assert np.max(np.abs(got.data - np.concatenate(want, axis=1))) < 1e-6
@@ -72,10 +75,10 @@ def test_conv1d_wide_matches_naive_loops():
             for t, lo, g in zip(texts, np.cumsum(occ_lengths) - occ_lengths, segments(upstream, outs)):
                 n, at = lengths[t], word_starts[t]
                 piece_words = param("piece_words", words.data[:, at : at + n])
-                piece_feats = param("piece_feats", feats.data[:, lo : lo + n])
-                nn.conv1d_wide(piece_words, piece_feats, filters, bias, [n], [0]).backward_fn(g)
+                piece_feats = param("piece_feats", feats.data[lo : lo + n])
+                nn.conv1d_wide(piece_words, piece_feats, np.arange(n), filters, bias, [n], [0]).backward_fn(g)
                 words.grad[:, at : at + n] += piece_words.grad
-                feats.grad[:, lo : lo + n] += piece_feats.grad
+                feats.grad[lo : lo + n] += piece_feats.grad
         for got_grad, p in zip(packed, (words, feats, filters, bias)):
             assert np.max(np.abs(got_grad - p.grad)) < 1e-10
 
@@ -85,15 +88,16 @@ def test_conv1d_wide_matches_naive_loops():
 def test_conv1d_wide_matches_the_stacked_reference(width, data):
     """The shared-word convolution against one GEMM over whole stacked texts
     (float64): the output and the gradients of the filters, the bias, the
-    word columns and the feature columns agree to 1e-10.  Every case holds a
-    PAD-only text and runs twice: with a repeated text, and with every text
-    once, in order, as comments occur."""
+    word columns and the two-row feature table agree to 1e-10.  Every case
+    holds a PAD-only text and runs twice: with every text occurring, in any
+    order, and one at least twice; and with every text once, in order, as
+    comments occur."""
     m, d_w, d_feat = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     token_ids = st.lists(st.integers(PAD_ID + 1, 5), min_size=1, max_size=6).map(tuple)
     distinct = [(PAD_ID,)] + data.draw(st.lists(token_ids, max_size=3, unique=True))
-    repeated = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
-    repeated += [repeated[0], 0]
+    again = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
+    repeated = data.draw(st.permutations(list(range(len(distinct))) + again))
     lengths = [len(t) for t in distinct]
     word_starts = np.cumsum(lengths) - lengths
     table = rng.normal(size=(6, d_w))
@@ -103,16 +107,17 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
         occ_lengths = [lengths[t] for t in texts]
         words = param("words", table[[i for t in distinct for i in t]].T)
         overlaps = [rng.integers(0, 2, size=lengths[t]) * (t != 0) for t in texts]  # PAD has overlap 0
-        feats = param("feats", rng.normal(size=(2, d_feat))[np.concatenate(overlaps)].T)
+        ids = np.concatenate(overlaps)
+        feats = param("feats", rng.normal(size=(2, d_feat)))
         for p in (filters, bias):
             p.zero_grad()
 
         text_words = segments(words.data, lengths)
-        parts = segments(feats.data, occ_lengths)
+        parts = segments(feats.data[ids].T, occ_lengths)
         stacked = np.hstack([np.vstack([text_words[t], part]) for t, part in zip(texts, parts)])
         want, reference_backward = stacked_conv1d_wide(stacked, filters.data, bias.data, occ_lengths)
         with nn.recording():
-            got = nn.conv1d_wide(words, feats, filters, bias, lengths, texts)
+            got = nn.conv1d_wide(words, feats, ids, filters, bias, lengths, texts)
             upstream = rng.normal(size=got.shape)
             got.backward_fn(upstream)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
@@ -123,34 +128,42 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
         np.testing.assert_allclose(filters.grad, want_filters, rtol=0, atol=1e-10)
         np.testing.assert_allclose(bias.grad, want_bias, rtol=0, atol=1e-10)
         np.testing.assert_allclose(words.grad, want_words, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(feats.grad, want_x[d_w:], rtol=0, atol=1e-10)
+        want_feats = np.zeros_like(feats.data)
+        np.add.at(want_feats, ids, want_x[d_w:].T)
+        np.testing.assert_allclose(feats.grad, want_feats, rtol=0, atol=1e-10)
 
 
 def test_conv1d_wide_shape_validation():
     filters = param("f", np.zeros((2, 3, 2)))
     bias = param("b", np.zeros(2))
-    words, feats = param("w", np.zeros((2, 5))), param("x", np.zeros((1, 5)))
-    assert nn.conv1d_wide(words, feats, filters, bias, [5], [0]).shape == (2, 6)
-    # the word and feature rows must both be there and split the filter depth
-    for word_rows, feat_rows in ((3, 1), (3, 0), (0, 3), (1, 1)):
-        bad_words, bad_feats = param("w", np.zeros((word_rows, 5))), param("x", np.zeros((feat_rows, 5)))
+    words, feats, ids = param("w", np.zeros((2, 5))), param("x", np.zeros((2, 1))), [0, 1, 1, 0, 0]
+    assert nn.conv1d_wide(words, feats, ids, filters, bias, [5], [0]).shape == (2, 6)
+    # the word rows and the feature table's columns must both be there and split the filter depth
+    for word_rows, feat_cols in ((3, 1), (3, 0), (0, 3), (1, 1)):
+        bad_words, bad_feats = param("w", np.zeros((word_rows, 5))), param("x", np.zeros((2, feat_cols)))
         with pytest.raises(ValueError, match="filter depth"):
-            nn.conv1d_wide(bad_words, bad_feats, filters, bias, [5], [0])
+            nn.conv1d_wide(bad_words, bad_feats, ids, filters, bias, [5], [0])
     with pytest.raises(ValueError):
-        nn.conv1d_wide(words, feats, filters, param("b", np.zeros(3)), [5], [0])
+        nn.conv1d_wide(words, feats, ids, filters, param("b", np.zeros(3)), [5], [0])
     for lengths in ([2, 2], [5, 0], [6, -1]):  # must be positive and cover the 5 columns
         with pytest.raises(ValueError):
-            nn.conv1d_wide(words, feats, filters, bias, lengths, [0])
+            nn.conv1d_wide(words, feats, ids, filters, bias, lengths, [0])
         with pytest.raises(ValueError):
             nn.kmax_pool(param("x", np.zeros((3, 5))), lengths)
     for texts in ([], [1], [-1], [[0]]):  # a non-empty index into the one text
         with pytest.raises(ValueError, match="texts"):
-            nn.conv1d_wide(words, feats, filters, bias, [5], texts)
-    # the feature columns must be those of the occurrences: 5 for one, 10 for two
+            nn.conv1d_wide(words, feats, ids, filters, bias, [5], texts)
+    with pytest.raises(ValueError, match="every text"):  # the second text never occurs
+        nn.conv1d_wide(words, feats, ids[:2], filters, bias, [2, 3], [0])
+    # the feature ids must index the table's 2 rows
+    for bad_ids in ([0, 1, 2, 0, 0], [0, -1, 0, 0, 0], [], [ids]):
+        with pytest.raises(ValueError, match="feat_ids"):
+            nn.conv1d_wide(words, feats, bad_ids, filters, bias, [5], [0])
+    # and cover the occurrences' columns: 5 for one, 10 for two
     with pytest.raises(ValueError):
-        nn.conv1d_wide(words, param("x", np.zeros((1, 4))), filters, bias, [5], [0])
+        nn.conv1d_wide(words, feats, ids[:4], filters, bias, [5], [0])
     with pytest.raises(ValueError):
-        nn.conv1d_wide(words, feats, filters, bias, [5], [0, 0])
+        nn.conv1d_wide(words, feats, ids, filters, bias, [5], [0, 0])
 
 
 def test_dense_matches_naive_loops():
@@ -411,17 +424,18 @@ def encoder_like_loss(words, feats, filters, bias, weight, out_b):
     over two texts of 4 and 3 columns, the first occurring twice."""
     lengths, texts = [4, 3], [0, 1, 0]
     width = filters.data.shape[2]
-    fmap = nn.conv1d_wide(words, feats, filters, bias, lengths, texts)
+    fmap = nn.conv1d_wide(words, feats, np.arange(11), filters, bias, lengths, texts)
     pooled = nn.kmax_pool(fmap, [lengths[t] + width - 1 for t in texts])
     prob = nn.dense(pooled, weight, out_b, "sigmoid")
     return nn.bce_loss(prob, [[1], [0], [1]])
 
 
 def conv_chain_params(rng):
-    """words, feats, filters, bias, weight and out_b for encoder_like_loss."""
+    """words, feats (a feature table with a row per occurrence column),
+    filters, bias, weight and out_b for encoder_like_loss."""
     return [
         param("words", rng.normal(size=(3, 7))),
-        param("feats", rng.normal(size=(1, 11))),
+        param("feats", rng.normal(size=(11, 1))),
         param("f", rng.normal(size=(3, 4, 2)) * 0.3),
         param("cb", rng.normal(size=3) * 0.1),
         param("w", rng.normal(size=(1, 3)) * 0.3),
@@ -470,8 +484,7 @@ def test_grad_check_embedding_and_rank_row():
     def loss():
         # one text, ids 1 4 1, in two triples that give it other overlaps
         text = nn.embedding_lookup(words, [1, 4, 1])
-        overlaps = nn.embedding_lookup(feats, [0, 1, 1, 1, 0, 0])
-        pooled = nn.kmax_pool(nn.conv1d_wide(text, overlaps, filters, bias, [3], [0, 0]), [4, 4])
+        pooled = nn.kmax_pool(nn.conv1d_wide(text, feats, [0, 1, 1, 1, 0, 0], filters, bias, [3], [0, 0]), [4, 4])
         joined = nn.concat([pooled, nn.row_lookup(table, [2, 3])])
         return nn.bce_loss(nn.dense(joined, weight, out_b, "sigmoid"), [[1], [0]])
 
