@@ -14,10 +14,8 @@ from .dataset import (
 )
 from .evaluation import (
     EvalResult,
-    average_precision,
     evaluate,
     evaluate_scores,
-    reciprocal_rank,
     tune_alpha,
 )
 from .model import CqaModel, rank_bin
@@ -49,7 +47,6 @@ __all__ = [
     "TrainReport",
     "Triple",
     "Vocabulary",
-    "average_precision",
     "binarize",
     "build_vocabulary",
     "evaluate",
@@ -61,7 +58,6 @@ __all__ = [
     "positive_rates",
     "preprocess",
     "rank_bin",
-    "reciprocal_rank",
     "save_checkpoint",
     "save_corpus",
     "tokenize",

@@ -33,28 +33,6 @@ from .nn_core import NumericError
 GroupedRow = tuple[str, str, float, int, int]  # group_key, doc_id, score, google_rank, relevance
 
 
-def average_precision(relevances: Sequence[int]) -> float:
-    """AP of one ranked list of 0/1 relevance judgements."""
-    total = sum(relevances)
-    if total == 0:
-        raise ValueError("average_precision: no relevant items in ranking")
-    hits = 0
-    acc = 0.0
-    for i, rel in enumerate(relevances, start=1):
-        if rel:
-            hits += 1
-            acc += hits / i
-    return acc / total
-
-
-def reciprocal_rank(relevances: Sequence[int]) -> float:
-    """1/rank of the first relevant item in one ranked list."""
-    for i, rel in enumerate(relevances, start=1):
-        if rel:
-            return 1.0 / i
-    raise ValueError("reciprocal_rank: no relevant items in ranking")
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """MAP and MRR as percentages, with the per-query APs behind the mean."""
@@ -152,7 +130,7 @@ class RankTable:
         hits = np.arange(1, len(block) + 1)
         hits -= np.repeat(first, np.diff(first, append=len(block)))
         # np.add.at adds in index order, so each query's precisions are summed
-        # first to last, as average_precision sums them
+        # first to last, in rank order
         total = np.zeros((len(ranked), count))
         np.add.at(total.reshape(-1), block, hits / place[at])
         return total / positives[judged], place[at[first]].reshape(total.shape)

@@ -272,6 +272,7 @@ class CqaModel:
         return compute_features(triples, self.vocab, self.task, self.max_len)
 
     def featurize(self, triple: Triple) -> Features:
+        # kept because benchmarks/checks.py calls it and benchmarks/tracer.py patches it
         return self.featurize_all([triple])[0]
 
     def predict(
@@ -287,6 +288,7 @@ class CqaModel:
         ``Features`` is a batch of one.  Dropout applies only when
         ``training`` is set (rate ``dropout_input`` on the shared layer's
         input, ``dropout_hidden`` after each tanh layer)."""
+        # one Features is kept because benchmarks/checks.py scores model.featurize(probe)
         batch = [features] if isinstance(features, Features) else list(features)
         rows = len(batch)
         parts = []

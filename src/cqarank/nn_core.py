@@ -122,13 +122,10 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 #
 # The encoder ops take a packed batch: the texts of a batch concatenated
 # along the column axis, with ``lengths`` giving each text's column count.
-# Without ``lengths`` the whole input is one text.
 # ---------------------------------------------------------------------------
 
 
 def _segments(lengths, total: int, what: str) -> np.ndarray:
-    if lengths is None:
-        return np.array([total], dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1 or lengths.sum() != total:
         raise ValueError(f"{what}: lengths must be positive and sum to the {total} input columns")
@@ -314,13 +311,13 @@ def _conv1d_wide_backward(grad, words, feat_table, filters, bias, shared, layout
         words.grad += _unwindow(filt[:, :-1].T @ word_grad, cols, w)[:d_w]
 
 
-def kmax_pool(x: Tensor, lengths=None) -> Tensor:
-    """Max over the columns of an m x L map (k-max pooling with k=1); ties
-    route the gradient to the first maximal column.  A packed map pools each
-    text's columns on their own into one row of an (n_texts, m) output."""
+def kmax_pool(x: Tensor, lengths) -> Tensor:
+    """Max over each text's columns of a packed m x L map (k-max pooling
+    with k=1), one row per text of an (n_texts, m) output; ties route the
+    gradient to the first maximal column."""
     if x.data.ndim != 2 or x.data.shape[1] < 1:
         raise ValueError("kmax_pool: input must be a non-empty 2-d map")
-    m, n = x.data.shape
+    n = x.data.shape[1]
     segments = _segments(lengths, n, "kmax_pool")
     peak = np.maximum.reduceat(x.data, np.cumsum(segments) - segments, axis=1)
     out = np.ascontiguousarray(peak.T)
@@ -333,9 +330,9 @@ def kmax_pool(x: Tensor, lengths=None) -> Tensor:
         segs = np.repeat(np.arange(segments.size), segments)[cols]
         first = np.r_[True, (rows[1:] != rows[:-1]) | (segs[1:] != segs[:-1])]
         rows, cols, segs = rows[first], cols[first], segs[first]
-        x.grad[rows, cols] += grad.reshape(-1, m)[segs, rows]
+        x.grad[rows, cols] += grad[segs, rows]
 
-    return _record(out if lengths is not None else out[0], backward_fn)
+    return _record(out, backward_fn)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -355,57 +352,53 @@ _ACTIVATIONS = {
 
 
 def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str = "identity") -> Tensor:
-    """activation(W @ x + b) for a vector input, or for each row of a
-    (B, D) batch."""
+    """activation(W @ x + b) for each row x of a (B, D) batch."""
     if activation not in _ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {activation!r}")
-    if x.data.ndim not in (1, 2):
-        raise ValueError("dense: input must be a vector or a batch of row vectors")
-    if weight.data.ndim != 2 or weight.data.shape[1] != x.data.shape[-1]:
-        raise ValueError(
-            f"dense: weight shape {weight.data.shape} does not accept input of length {x.data.shape[-1]}"
-        )
+    if x.data.ndim != 2:
+        raise ValueError("dense: input must be a batch of row vectors")
+    if weight.data.ndim != 2 or weight.data.shape[1] != x.data.shape[1]:
+        raise ValueError(f"dense: weight shape {weight.data.shape} does not accept rows of length {x.data.shape[1]}")
     if bias.data.shape != (weight.data.shape[0],):
         raise ValueError("dense: bias shape does not match weight rows")
     act, act_grad = _ACTIVATIONS[activation]
     out = act(x.data @ weight.data.T + bias.data)
 
     def backward_fn(grad: np.ndarray) -> None:
-        dz = (grad * act_grad(out)).reshape(-1, weight.data.shape[0])
-        weight.grad += dz.T @ x.data.reshape(dz.shape[0], -1)
+        dz = grad * act_grad(out)
+        weight.grad += dz.T @ x.data
         bias.grad += dz.sum(axis=0)
         if x.grad is not None:
-            x.grad += (dz @ weight.data).reshape(x.data.shape)
+            x.grad += dz @ weight.data
 
     return _record(out, backward_fn)
 
 
 def row_lookup(table: Parameter, index) -> Tensor:
-    """Select one row of an embedding table, or one row per entry of an index
-    vector; the gradient scatters back."""
+    """Select one row of an embedding table per entry of an index vector;
+    the gradient scatters back."""
     index = np.asarray(index, dtype=np.intp)
-    if index.ndim > 1 or index.size < 1 or index.min() < 0 or index.max() >= table.data.shape[0]:
+    if index.ndim != 1 or index.size < 1 or index.min() < 0 or index.max() >= table.data.shape[0]:
         raise ValueError(f"row_lookup: index {index.tolist()} out of range")
     out = np.take(table.data, index, axis=0)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _scatter_rows(table.grad, index.reshape(-1), grad.reshape(index.size, -1))
+        _scatter_rows(table.grad, index, grad)
 
     return _record(out, backward_fn)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector, or batches of row vectors row by
-    row, along the last axis."""
+    """Join batches of as many row vectors row by row."""
     datas = [t.data for t in tensors]
-    if any(d.ndim not in (1, 2) for d in datas) or len({d.shape[:-1] for d in datas}) != 1:
-        raise ValueError("concat: inputs must all be vectors or all batches of as many rows")
-    out = np.concatenate(datas, axis=-1)
-    offsets = np.cumsum([0] + [d.shape[-1] for d in datas])
+    if any(d.ndim != 2 for d in datas) or len({d.shape[0] for d in datas}) != 1:
+        raise ValueError("concat: inputs must be batches of as many row vectors")
+    out = np.concatenate(datas, axis=1)
+    offsets = np.cumsum([0] + [d.shape[1] for d in datas])
 
     def backward_fn(grad: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, grad[..., lo:hi])
+            _accumulate(t, grad[:, lo:hi])
 
     return _record(out, backward_fn)
 
@@ -449,10 +442,10 @@ def clamped_bce(p: np.ndarray, y) -> np.ndarray:
 
 def bce_loss(p: Tensor, y) -> Tensor:
     """Binary cross-entropy -[y ln p + (1-y) ln(1-p)] with p clamped to
-    [1e-7, 1 - 1e-7] before the logs, summed over a vector of probabilities
-    and their 0/1 labels (or one probability and its label)."""
+    [1e-7, 1 - 1e-7] before the logs, summed over an array of probabilities
+    and the 0/1 labels in its shape."""
     labels = np.asarray(y)
-    if labels.shape != p.data.shape and not (labels.ndim == 0 and p.data.size == 1):
+    if labels.shape != p.data.shape:
         raise ValueError(f"bce_loss: need one label per probability, got {y!r} for shape {p.data.shape}")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError(f"bce_loss: labels must be 0 or 1, got {y!r}")

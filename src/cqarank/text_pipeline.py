@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from .dataset import Triple
@@ -135,8 +135,10 @@ def vocabulary_for(
     triples: Iterable[Triple], min_count: int = 1, max_len: int = DEFAULT_MAX_LEN
 ) -> Vocabulary:
     """Vocabulary over every text of every triple in a corpus, each text cut
-    to the ``max_len`` tokens the network reads."""
-    texts = (preprocess(*source, max_len) for t in triples for source in triple_sources(t).values())
+    to the ``max_len`` tokens the network reads.  Each distinct (subject,
+    body) is tokenized once and counted as often as it occurs."""
+    sources = Counter(source for t in triples for source in triple_sources(t).values())
+    texts = chain.from_iterable(repeat(preprocess(*source, max_len), n) for source, n in sources.items())
     return build_vocabulary(texts, min_count=min_count)
 
 

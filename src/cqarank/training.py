@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,16 +66,11 @@ class TrainConfig:
         check_tasks(self.tasks)
 
 
-def joint_loss(
-    preds: dict[str, nn.Tensor],
-    labels: Union[dict[str, int], Sequence[dict[str, int]]],
-    tasks: Sequence[str],
-) -> nn.Tensor:
+def joint_loss(preds: dict[str, nn.Tensor], labels: Sequence[dict[str, int]], tasks: Sequence[str]) -> nn.Tensor:
     """Sum of the per-task cross-entropies for the active tasks over a batch
-    of predictions and its :func:`~cqarank.dataset.binarize` labels; one
-    label dict is a batch of one."""
-    batch = [labels] if isinstance(labels, dict) else labels
-    return nn.add_n([nn.bce_loss(preds[t], [y[t] for y in batch]) for t in tasks])
+    of predictions and its :func:`~cqarank.dataset.binarize` labels, one
+    dict per triple."""
+    return nn.add_n([nn.bce_loss(preds[t], [y[t] for y in labels]) for t in tasks])
 
 
 class EarlyStopper:

@@ -7,7 +7,7 @@ relevance)`` tuples."""
 
 import numpy as np
 
-from cqarank.evaluation import EvalResult, average_precision, reciprocal_rank
+from cqarank.evaluation import EvalResult
 
 
 def naive_conv1d_wide(x, filters, bias):
@@ -78,6 +78,28 @@ def naive_kmax(x):
                 best = x[i, j]
         out[i] = best
     return out
+
+
+def average_precision(relevances):
+    """AP of one ranked list of 0/1 relevance judgements."""
+    total = sum(relevances)
+    if total == 0:
+        raise ValueError("average_precision: no relevant items in ranking")
+    hits = 0
+    acc = 0.0
+    for i, rel in enumerate(relevances, start=1):
+        if rel:
+            hits += 1
+            acc += hits / i
+    return acc / total
+
+
+def reciprocal_rank(relevances):
+    """1/rank of the first relevant item in one ranked list."""
+    for i, rel in enumerate(relevances, start=1):
+        if rel:
+            return 1.0 / i
+    raise ValueError("reciprocal_rank: no relevant items in ranking")
 
 
 def naive_rank_rows(rows):

@@ -13,7 +13,7 @@ import pytest
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import binarize, extend_dataset, load_corpus, positive_rates
-from cqarank.evaluation import RankTable, average_precision, evaluate_scores, reciprocal_rank
+from cqarank.evaluation import RankTable, evaluate_scores
 from cqarank.model import CqaModel, rank_bin
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
 from cqarank.text_pipeline import vocabulary_for
@@ -40,7 +40,7 @@ def test_criterion_1_full_model_gradient_check():
 
     def loss_fn():
         return nn.add_n(
-            [joint_loss(model.predict(f), g, ("A", "B", "C")) for f, g in zip(features, gold)]
+            [joint_loss(model.predict(f), [g], ("A", "B", "C")) for f, g in zip(features, gold)]
         )
 
     max_err = nn.grad_check(
@@ -89,16 +89,16 @@ def test_criterion_2_layer_oracles_on_random_shapes():
     for act in ("identity", "tanh", "sigmoid"):
         for _ in range(14):
             i, j = rng.integers(1, 9), rng.integers(1, 9)
-            x = nn.Parameter("x", rng.normal(size=j))
+            x = nn.Parameter("x", rng.normal(size=(1, j)))
             weight = nn.Parameter("w", rng.normal(size=(i, j)))
             bias = nn.Parameter("b", rng.normal(size=i))
-            got = nn.dense(x, weight, bias, act).data
-            worst = max(worst, float(np.max(np.abs(got - naive_dense(x.data, weight.data, bias.data, act)))))
+            got = nn.dense(x, weight, bias, act).data[0]
+            worst = max(worst, float(np.max(np.abs(got - naive_dense(x.data[0], weight.data, bias.data, act)))))
             shapes += 1
     for _ in range(40):
         m, n = rng.integers(1, 9), rng.integers(1, 14)
         x = nn.Parameter("x", rng.normal(size=(m, n)))
-        worst = max(worst, float(np.max(np.abs(nn.kmax_pool(x).data - naive_kmax(x.data)))))
+        worst = max(worst, float(np.max(np.abs(nn.kmax_pool(x, [n]).data[0] - naive_kmax(x.data)))))
         shapes += 1
     elapsed = time.monotonic() - started
     assert shapes >= 100
@@ -124,19 +124,30 @@ def test_criterion_3_ranking_metric_oracles():
         rel = [int(rng.random() < 0.35) for _ in range(n)]
         if sum(rel) == 0:
             rel[int(rng.integers(n))] = 1
-        assert average_precision(rel) == brute_force_ap(rel)
-        assert reciprocal_rank(rel) == 1.0 / (rel.index(1) + 1)
+        # one query whose descending scores rank its rows in list order
+        result = evaluate_scores(RankTable.of([("q", f"d{k}", float(n - k), 1, r) for k, r in enumerate(rel)]))
+        assert result.per_query_ap == (brute_force_ap(rel),)
+        assert result.mrr == 100.0 * (1.0 / (rel.index(1) + 1))
 
     # one relevant document among ten, placed uniformly at random: the MAP
-    # expectation is H_10 / 10 = 0.2928968...
+    # expectation is H_10 / 10 = 0.2928968...  The queries form one table,
+    # built from its columns: query q ranks documents d0..d9 in that order.
     queries = 100_000
     positions = rng.integers(10, size=queries)
-    total = 0.0
-    for pos in positions:
-        rel = [0] * 10
-        rel[pos] = 1
-        total += average_precision(rel)
-    mean_ap = total / queries
+    doc = np.tile(np.arange(10), queries)
+    table = RankTable(
+        keys=tuple(f"q{q:06d}" for q in range(queries)),
+        ids=tuple(f"d{k}" for k in range(10)),
+        ranks=(1,),
+        group=np.repeat(np.arange(queries), 10),
+        doc=doc,
+        rank=np.zeros(doc.size, dtype=np.intp),
+        score=np.tile(np.arange(10, 0, -1.0), queries),
+        rel=doc == np.repeat(positions, 10),
+    )
+    result = evaluate_scores(table)
+    assert result.query_count == queries
+    mean_ap = sum(result.per_query_ap) / queries
     expected = 0.2928968253968254
     assert abs(mean_ap - expected) < 0.01, f"random MAP {mean_ap:.6f} not within 0.01 of {expected:.6f}"
     report(3, f"1000 rankings exact, random MAP {mean_ap:.4f} vs {expected:.4f}")

@@ -103,7 +103,7 @@ def test_every_label_combination_follows_the_relevance_rule(tmp_path):
     preds = {task: Tensor(np.array([0.8])) for task in "ABC"}
     for t, y in zip(data, gold):
         expected = sum(-math.log(0.8 if y[task] else 0.2) for task in "ABC")
-        assert joint_loss(preds, binarize(t), "ABC").data[0] == pytest.approx(expected, rel=1e-12)
+        assert joint_loss(preds, [binarize(t)], "ABC").data[0] == pytest.approx(expected, rel=1e-12)
     batch = {task: Tensor(np.full(27, 0.8)) for task in "ABC"}
     expected = sum(-math.log(0.8 if y[task] else 0.2) for y in gold for task in "AC")
     assert joint_loss(batch, [binarize(t) for t in data], "AC").data[0] == pytest.approx(expected, rel=1e-12)

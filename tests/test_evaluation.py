@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 
 from cqarank.evaluation import (
     RankTable,
-    average_precision,
     build_rows,
     check_alpha,
     evaluate,
     evaluate_scores,
     rank_rows,
-    reciprocal_rank,
     score_triples,
     task_group_key,
     tune_alpha,
@@ -29,7 +27,15 @@ from cqarank.model import CqaModel
 from cqarank.nn_core import NumericError
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
 from cqarank.text_pipeline import vocabulary_for
-from oracles import blend_rows, naive_evaluate_scores, naive_predictions_tsv, naive_rank_rows, naive_tune_alpha
+from oracles import (
+    average_precision,
+    blend_rows,
+    naive_evaluate_scores,
+    naive_predictions_tsv,
+    naive_rank_rows,
+    naive_tune_alpha,
+    reciprocal_rank,
+)
 
 
 def brute_force_ap(relevances):
@@ -45,11 +51,18 @@ def brute_force_rr(relevances):
     return 1.0 / (list(relevances).index(1) + 1)
 
 
+def ranked_in_order(relevances):
+    """evaluate_scores of one query whose descending scores rank its rows in
+    the order of ``relevances``."""
+    n = len(relevances)
+    return evaluate_scores(RankTable.of([("q", f"d{k}", float(n - k), 1, r) for k, r in enumerate(relevances)]))
+
+
 def test_average_precision_frozen_values():
-    assert average_precision([1, 0, 1]) == pytest.approx(5 / 6, rel=1e-12)
-    assert average_precision([0, 1]) == 0.5
-    assert average_precision([1, 1, 1]) == 1.0
-    assert average_precision([0, 0, 1]) == pytest.approx(1 / 3, rel=1e-12)
+    assert ranked_in_order([1, 0, 1]).per_query_ap[0] == pytest.approx(5 / 6, rel=1e-12)
+    assert ranked_in_order([0, 1]).per_query_ap == (0.5,)
+    assert ranked_in_order([1, 1, 1]).per_query_ap == (1.0,)
+    assert ranked_in_order([0, 0, 1]).per_query_ap[0] == pytest.approx(1 / 3, rel=1e-12)
 
 
 def test_ap_and_rr_match_brute_force_on_random_rankings():
@@ -59,15 +72,22 @@ def test_ap_and_rr_match_brute_force_on_random_rankings():
         rel = [int(rng.random() < 0.4) for _ in range(n)]
         if sum(rel) == 0:
             rel[int(rng.integers(n))] = 1
+        result = ranked_in_order(rel)
+        assert result.per_query_ap == (brute_force_ap(rel),)
+        assert result.mrr == 100.0 * brute_force_rr(rel)
+        # the per-row oracles the other ranking tests compare against
         assert average_precision(rel) == brute_force_ap(rel)
         assert reciprocal_rank(rel) == brute_force_rr(rel)
 
 
 def test_ap_and_rr_reject_rankings_without_positives():
-    with pytest.raises(ValueError):
-        average_precision([0, 0, 0])
-    with pytest.raises(ValueError):
-        reciprocal_rank([0])
+    for rel in ([0, 0, 0], [0]):
+        with pytest.raises(ValueError, match="every group lacks relevant candidates"):
+            ranked_in_order(rel)
+        with pytest.raises(ValueError):
+            average_precision(rel)
+        with pytest.raises(ValueError):
+            reciprocal_rank(rel)
 
 
 def test_evaluate_scores_grouping_and_skipping():

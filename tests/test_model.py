@@ -239,7 +239,7 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
     feats = model.featurize(corpus[0])
     with nn.recording():
         preds = model.predict(feats)
-        loss = joint_loss(preds, binarize(corpus[0]), ("A", "B", "C"))
+        loss = joint_loss(preds, [binarize(corpus[0])], ("A", "B", "C"))
         for p in model.parameters():
             p.zero_grad()
         loss.backward()
@@ -495,7 +495,7 @@ def test_batched_predict_and_gradients_match_batch_of_one_passes(task, width, se
     with nn.recording():  # each backward differentiates only its own pass
         for f, y in zip(features, labels):
             preds = model.predict(f, training=True, rng=rng)
-            joint_loss(preds, y, model.tasks).backward()
+            joint_loss(preds, [y], model.tasks).backward()
             singles.append(preds)
 
     for t in model.tasks:

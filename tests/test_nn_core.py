@@ -171,12 +171,13 @@ def test_dense_matches_naive_loops():
     for act in ("identity", "tanh", "sigmoid"):
         for _ in range(15):
             i, j = rng.integers(1, 8), rng.integers(1, 8)
-            x = param("x", rng.normal(size=j))
+            x = param("x", rng.normal(size=(1, j)))
             weight = param("w", rng.normal(size=(i, j)))
             bias = param("b", rng.normal(size=i))
             got = nn.dense(x, weight, bias, act)
-            want = naive_dense(x.data, weight.data, bias.data, act)
-            assert np.max(np.abs(got.data - want)) < 1e-6
+            want = naive_dense(x.data[0], weight.data, bias.data, act)
+            assert got.shape == (1, i)
+            assert np.max(np.abs(got.data[0] - want)) < 1e-6
             # a (B, D) batch: one output row per input row
             rows = param("rows", rng.normal(size=(int(rng.integers(1, 6)), j)))
             got = nn.dense(rows, weight, bias, act)
@@ -190,9 +191,9 @@ def test_kmax_pool_matches_naive_loops():
     for _ in range(40):
         m, n = rng.integers(1, 9), rng.integers(1, 12)
         x = param("x", rng.normal(size=(m, n)))
-        got = nn.kmax_pool(x)
-        assert got.shape == (m,)
-        assert np.max(np.abs(got.data - naive_kmax(x.data))) < 1e-6
+        got = nn.kmax_pool(x, [n])
+        assert got.shape == (1, m)
+        assert np.max(np.abs(got.data[0] - naive_kmax(x.data))) < 1e-6
     # a packed map pools each segment into its own row
     for _ in range(20):
         m = rng.integers(1, 9)
@@ -207,7 +208,7 @@ def test_kmax_pool_matches_naive_loops():
 def test_kmax_pool_gradient_goes_to_first_max():
     x = param("x", [[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 1.0, 2.0]])
     with nn.recording():
-        pooled = nn.kmax_pool(x)
+        pooled = nn.kmax_pool(x, [4])
         out = nn.dense(pooled, param("w", np.ones((1, 2))), param("b", np.zeros(1)))
         out.backward()
     assert x.grad.tolist() == [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
@@ -261,15 +262,32 @@ def test_embedding_lookup_validates_ranges():
 def test_row_lookup_and_concat():
     table = param("t", np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
-        nn.row_lookup(table, 2)
+        nn.row_lookup(table, [2])
     with nn.recording():
-        row = nn.row_lookup(table, 1)
-        np.testing.assert_array_equal(row.data, [3.0, 4.0])
-        joined = nn.concat([row, nn.Tensor(np.array([9.0]))])
-        np.testing.assert_array_equal(joined.data, [3.0, 4.0, 9.0])
+        row = nn.row_lookup(table, [1])
+        np.testing.assert_array_equal(row.data, [[3.0, 4.0]])
+        joined = nn.concat([row, nn.Tensor(np.array([[9.0]]))])
+        np.testing.assert_array_equal(joined.data, [[3.0, 4.0, 9.0]])
         out = nn.dense(joined, param("w", np.array([[1.0, 2.0, 5.0]])), param("b2", np.zeros(1)))
         out.backward()
     np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: nn.dense(param("x", np.ones(2)), param("w", np.ones((1, 2))), param("b", np.zeros(1))), ValueError),
+        (lambda: nn.concat([param("a", np.ones(2)), param("b", np.ones(1))]), ValueError),
+        (lambda: nn.row_lookup(param("t", np.ones((3, 2))), 1), ValueError),
+        (lambda: nn.bce_loss(param("p", np.array([0.5])), 1), ValueError),
+        (lambda: nn.kmax_pool(param("x", np.ones((2, 3)))), TypeError),
+    ],
+    ids=["dense_vector", "concat_vectors", "row_lookup_scalar", "bce_loss_scalar_label", "kmax_pool_no_lengths"],
+)
+def test_single_forms_are_refused(call, error):
+    """The ops take batches only; a batch of one is written as one."""
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +336,9 @@ def test_dropout_fixed_mask_and_validation():
 
 
 def test_bce_loss_frozen_values():
-    half = nn.bce_loss(param("p", np.array([0.5])), 1)
+    half = nn.bce_loss(param("p", np.array([0.5])), [1])
     assert math.isclose(half.data[0], 0.6931471805599453, rel_tol=1e-12)
-    low = nn.bce_loss(param("p", np.array([0.2])), 0)
+    low = nn.bce_loss(param("p", np.array([0.2])), [0])
     assert math.isclose(low.data[0], 0.2231435513142097, rel_tol=1e-12)
     # a label vector sums the per-probability losses
     both = nn.bce_loss(param("p", np.array([0.5, 0.2])), [1, 0])
@@ -330,11 +348,11 @@ def test_bce_loss_frozen_values():
 
 def test_bce_loss_clamps_extremes():
     for p, y in ((0.0, 1), (1.0, 0)):
-        loss = nn.bce_loss(param("p", np.array([p])), y)
+        loss = nn.bce_loss(param("p", np.array([p])), [y])
         assert np.isfinite(loss.data[0])
         assert loss.data[0] == pytest.approx(-math.log(1e-7), rel=1e-6)
     with pytest.raises(ValueError):
-        nn.bce_loss(param("p", np.array([0.5])), 2)
+        nn.bce_loss(param("p", np.array([0.5])), [2])
     with pytest.raises(ValueError):
         nn.bce_loss(param("p", np.array([0.5, 0.5])), [1, 2])
     with pytest.raises(ValueError):
@@ -344,7 +362,7 @@ def test_bce_loss_clamps_extremes():
 def test_bce_loss_gradient_value():
     p = param("p", np.array([0.8]))
     with nn.recording():
-        loss = nn.bce_loss(p, 1)
+        loss = nn.bce_loss(p, [1])
         loss.backward()
     # d/dp of -ln p at 0.8
     assert p.grad[0] == pytest.approx(-1.0 / 0.8, rel=1e-9)
@@ -387,7 +405,7 @@ def test_rmsprop_optimizer_matches_manual_updates():
 
 
 def test_backward_requires_scalar():
-    x = param("x", np.array([1.0, 2.0]))
+    x = param("x", np.array([[1.0, 2.0]]))
     with nn.recording(), pytest.raises(ValueError, match="single-element"):
         nn.concat([x]).backward()
 
@@ -401,15 +419,15 @@ def test_fanout_accumulates_gradients():
 
 
 def test_scale_and_add_n():
-    a = param("a", np.array([1.0, 2.0]))
-    b = param("b", np.array([10.0, 20.0]))
+    a = param("a", np.array([[1.0, 2.0]]))
+    b = param("b", np.array([[10.0, 20.0]]))
     with nn.recording():
         out = nn.scale(nn.add_n([a, b]), 0.5)
-        np.testing.assert_allclose(out.data, [5.5, 11.0])
+        np.testing.assert_allclose(out.data, [[5.5, 11.0]])
         total = nn.dense(out, param("w", np.ones((1, 2))), param("b2", np.zeros(1)))
         total.backward()
-    np.testing.assert_allclose(a.grad, [0.5, 0.5])
-    np.testing.assert_allclose(b.grad, [0.5, 0.5])
+    np.testing.assert_allclose(a.grad, [[0.5, 0.5]])
+    np.testing.assert_allclose(b.grad, [[0.5, 0.5]])
     with pytest.raises(ValueError):
         nn.add_n([])
 
@@ -457,7 +475,7 @@ def test_grad_check_conv_chain():
 def test_grad_check_dense_activations():
     rng = np.random.default_rng(22)
     for act in ("identity", "tanh", "sigmoid"):
-        x = param("x", rng.normal(size=5))
+        x = param("x", rng.normal(size=(1, 5)))
         w1 = param("w1", rng.normal(size=(4, 5)) * 0.4)
         b1 = param("b1", rng.normal(size=4) * 0.1)
         w2 = param("w2", rng.normal(size=(1, 4)) * 0.4)
@@ -465,7 +483,7 @@ def test_grad_check_dense_activations():
 
         def loss():
             h = nn.dense(x, w1, b1, act)
-            return nn.bce_loss(nn.dense(h, w2, b2, "sigmoid"), 0)
+            return nn.bce_loss(nn.dense(h, w2, b2, "sigmoid"), [[0]])
 
         err = nn.grad_check(loss, [x, w1, b1, w2, b2], probe_count=40, rng=np.random.default_rng(2))
         assert err < 1e-4
@@ -495,14 +513,14 @@ def test_grad_check_embedding_and_rank_row():
 
 def test_grad_check_dropout_with_fixed_mask():
     rng = np.random.default_rng(24)
-    x = param("x", rng.normal(size=6))
+    x = param("x", rng.normal(size=(1, 6)))
     weight = param("w", rng.normal(size=(1, 6)) * 0.4)
     out_b = param("ob", np.zeros(1))
-    mask = np.array([True, False, True, True, False, True])
+    mask = np.array([[True, False, True, True, False, True]])
 
     def loss():
         dropped = nn.dropout(x, 0.4, mask)
-        return nn.bce_loss(nn.dense(dropped, weight, out_b, "sigmoid"), 1)
+        return nn.bce_loss(nn.dense(dropped, weight, out_b, "sigmoid"), [[1]])
 
     err = nn.grad_check(loss, [x, weight, out_b], probe_count=30, rng=np.random.default_rng(4))
     assert err < 1e-4
@@ -511,10 +529,10 @@ def test_grad_check_dropout_with_fixed_mask():
 def test_grad_check_rejects_bad_inputs():
     x = param("x", np.ones(2))
     with pytest.raises(ValueError, match="probes must be >= 1"):
-        nn.grad_check(lambda: nn.bce_loss(x, 1), [x], probe_count=0)
+        nn.grad_check(lambda: nn.bce_loss(x, [1, 1]), [x], probe_count=0)
     f32 = nn.Parameter("f32", np.ones(2, dtype=np.float32))
     with pytest.raises(ValueError, match="float64"):
-        nn.grad_check(lambda: nn.bce_loss(f32, 1), [f32], probe_count=1)
+        nn.grad_check(lambda: nn.bce_loss(f32, [1, 1]), [f32], probe_count=1)
 
 
 def test_grad_check_catches_corrupted_conv_backward(monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqarank.dataset import Triple
+from cqarank.synthetic import conjunction_corpus
 from cqarank.text_pipeline import (
     PAD_ID,
     PAD_TOKEN,
@@ -17,6 +19,8 @@ from cqarank.text_pipeline import (
     overlap_indicators,
     preprocess,
     tokenize,
+    triple_sources,
+    vocabulary_for,
 )
 
 
@@ -195,6 +199,26 @@ def test_build_vocabulary_min_count():
     assert "solo" not in vocab
     with pytest.raises(ValueError):
         build_vocabulary(texts, min_count=0)
+
+
+def test_vocabulary_for_counts_every_occurrence_of_a_text():
+    # "zebra" is in one comment only, which two triples share: each
+    # occurrence counts, so the token reaches min_count=2
+    triples = [
+        Triple(id=str(k), group="g", q_new_subject=None, q_new_body=f"new{k}", q_rel_subject="s",
+               q_rel_body=f"rel{k}", c_rel="zebra", google_rank=1, label_A="good", label_B="relevant",
+               label_C="bad")
+        for k in range(2)
+    ]
+    vocab = vocabulary_for(triples, min_count=2)
+    assert vocab.tokens[2:] == ("s", "zebra")
+
+
+@pytest.mark.parametrize("min_count, max_len", [(1, 100), (2, 100), (3, 4)])
+def test_vocabulary_for_matches_building_from_every_text(min_count, max_len):
+    triples = conjunction_corpus(12, seed=0)
+    texts = [preprocess(*source, max_len) for t in triples for source in triple_sources(t).values()]
+    assert vocabulary_for(triples, min_count, max_len).tokens == build_vocabulary(texts, min_count).tokens
 
 
 def test_overlap_indicators_basic():

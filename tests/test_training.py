@@ -56,7 +56,7 @@ def small_model(vocab, **kw):
 
 def test_joint_loss_sums_active_tasks():
     preds = {t: nn.Tensor(np.array([0.5])) for t in ("A", "B", "C")}
-    labels = {"A": 1, "B": 1, "C": 1}
+    labels = [{"A": 1, "B": 1, "C": 1}]
     total = joint_loss(preds, labels, ("A", "B", "C"))
     assert total.data[0] == pytest.approx(2.0794415416798357, rel=1e-12)
     single = joint_loss(preds, labels, ("A",))
@@ -66,7 +66,7 @@ def test_joint_loss_sums_active_tasks():
 def test_joint_loss_masks_gradients_of_inactive_tasks():
     params = {t: nn.Parameter(t, np.array([0.4])) for t in ("A", "B", "C")}
     with nn.recording():
-        loss = joint_loss(params, {"A": 1, "B": 0, "C": 1}, ("A", "C"))
+        loss = joint_loss(params, [{"A": 1, "B": 0, "C": 1}], ("A", "C"))
         loss.backward()
     assert params["A"].grad[0] != 0.0
     assert params["C"].grad[0] != 0.0
@@ -266,7 +266,7 @@ def test_batched_training_matches_the_per_example_loop(corpus, vocab):
         opt.zero_grads()
         with nn.recording():
             losses = [
-                joint_loss(oracle.predict(features[i], training=True, rng=drop_rng), binarize(corpus[i]), TASKS)
+                joint_loss(oracle.predict(features[i], training=True, rng=drop_rng), [binarize(corpus[i])], TASKS)
                 for i in batch
             ]
             nn.scale(nn.add_n(losses), 1.0 / len(batch)).backward()
