@@ -108,7 +108,7 @@ def encode_texts(
 ) -> nn.Tensor:
     """Run the encoder over texts, given as their id and overlap tuples (see
     :func:`compute_features`); returns their encodings as the rows of a
-    (len(ids), m) matrix.  Texts with equal ids share their word columns, in
+    (len(ids), m) matrix.  Texts with equal ids share their word rows, in
     first-seen order, and the convolution's big GEMM runs once per distinct
     text; each text keeps its own overlaps, since the same words can carry
     other overlaps in another triple."""
@@ -316,8 +316,9 @@ MtlModel = CqaModel  # kept because the benchmark harness builds and patches thi
 
 def apply_word_vectors(model: CqaModel, path: str) -> int:
     """Overwrite word-embedding rows with the vectors of a text file (one
-    ``token v1 ... v_{d_w}`` line per word), skipping tokens outside the
-    vocabulary; returns the number of rows replaced per table.  The file is
+    ``token v1 ... v_{d_w}`` line per word, after word2vec's optional
+    ``<count> <dim>`` header), skipping tokens outside the vocabulary and
+    blank lines; returns the number of rows replaced per table.  The file is
     read whole first: a malformed file, or an in-vocabulary line with a
     component that is not a number or not finite in float32, raises
     :class:`CorpusError` naming the path and the line, and leaves the model
@@ -327,7 +328,11 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
-                if len(parts) < 2:
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+                    if int(parts[1]) != model.d_w:
+                        raise ValueError(f"line 1 is a header for {parts[1]} components, expected {model.d_w}")
                     continue
                 token, values = parts[0], parts[1:]
                 if len(values) != model.d_w:

@@ -6,7 +6,7 @@ a topological order, which ``Tensor.backward`` walks in reverse.  Outside a
 recording an operation returns a plain value.  Parameters are persistent
 leaves whose gradient buffers accumulate across backward calls until zeroed.
 The ops take a batch of rows or a packed batch of texts.  The wide
-convolution takes the word columns of each distinct text once and the
+convolution takes the word rows of each distinct text once and the
 overlap-feature ids of every occurrence, so a text repeated across a batch
 runs the big GEMM once.  Everything runs in float32 by default and float64
 when verifying gradients.
@@ -120,16 +120,23 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # layer operations
 #
-# The encoder ops take a packed batch: the texts of a batch concatenated
-# along the column axis, with ``lengths`` giving each text's column count.
+# The encoder ops take a packed batch, the texts of a batch one after another
+# with ``lengths`` giving each text's length: word rows in, an m x L map out.
 # ---------------------------------------------------------------------------
 
 
 def _segments(lengths, total: int, what: str) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1 or lengths.sum() != total:
-        raise ValueError(f"{what}: lengths must be positive and sum to the {total} input columns")
+        raise ValueError(f"{what}: lengths must be positive and sum to the {total} inputs")
     return lengths
+
+
+def _index(index, size: int, what: str) -> np.ndarray:
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1 or index.size < 1 or index.min() < 0 or index.max() >= size:
+        raise ValueError(f"{what} must be a non-empty 1-d index into {size} entries")
+    return index
 
 
 def _scatter_rows(table_grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
@@ -141,32 +148,32 @@ def _scatter_rows(table_grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -
     table_grad[ordered[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def embedding_lookup(table: Parameter, ids: Sequence[int]) -> Tensor:
-    """Stack the rows of ``table`` named by ``ids`` into a d x n matrix:
-    column j holds the row of ids[j], and gradients scatter back."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ValueError("embedding_lookup: ids must be a non-empty 1-d sequence")
-    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
-        raise ValueError(f"embedding_lookup: id out of range for a table of {table.data.shape[0]} rows")
-    out = table.data[ids].T
+def _gather(table: Parameter, index, what: str) -> Tensor:
+    """Rows ``index`` of ``table`` as an (n, d) batch; gradients scatter back."""
+    index = _index(index, table.data.shape[0], what)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _scatter_rows(table.grad, ids, grad.T)
+        _scatter_rows(table.grad, index, grad)
 
-    return _record(out, backward_fn)
+    return _record(table.data[index], backward_fn)
+
+
+def embedding_lookup(table: Parameter, ids: Sequence[int]) -> Tensor:
+    """The word rows of a packed batch: row j of the (n, d) output is row
+    ids[j] of ``table``, and gradients scatter back."""
+    return _gather(table, ids, "embedding_lookup: ids")
 
 
 def _windows(rows: np.ndarray, lengths: np.ndarray, w: int, ones: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """im2col of a packed input given as its n x d rows, one per input column:
-    row t holds, flattened, the width-w window that output column t reads,
-    then ``ones`` columns of 1 (a bias input).  The texts are laid out with
-    w - 1 zero columns before each and after the last, so text i owns the
-    next n_i + w - 1 output columns and no window reaches into a neighbour.
-    Also returns the position of each input column in that layout."""
+    """im2col of a packed input of n x d rows, one per position: row t holds,
+    flattened, the width-w window that output position t reads, then
+    ``ones`` columns of 1 (a bias input).  The texts are laid out with w - 1
+    zero rows before each and after the last, so text i owns the next
+    n_i + w - 1 output positions and no window reaches into a neighbour.
+    Also returns the position of each input row in that layout."""
     n, d = rows.shape
     out_len = n + lengths.size * (w - 1)
-    # text i starts after (i + 1) gaps of w - 1 zero columns
+    # text i starts after (i + 1) gaps of w - 1 zero rows
     cols = np.arange(n) + (w - 1) * (1 + np.repeat(np.arange(lengths.size), lengths))
     padded = np.zeros((out_len + w, d), dtype=rows.dtype)  # one spare row: no text leaves no window
     padded[cols] = rows
@@ -177,14 +184,14 @@ def _windows(rows: np.ndarray, lengths: np.ndarray, w: int, ones: int = 0) -> tu
 
 
 def _unwindow(win_grad: np.ndarray, cols: np.ndarray, w: int) -> np.ndarray:
-    """The input-column gradient (d x n) from the window-row gradient
-    (w * d x out_len) of :func:`_windows`."""
-    out_len = win_grad.shape[1]
-    win_grad = win_grad.reshape(w, -1, out_len)
-    padded = np.zeros((win_grad.shape[1], out_len + w - 1), dtype=win_grad.dtype)
+    """The inverse of :func:`_windows` for gradients: the input row gradient
+    (n x d) from the window-row gradient (out_len x w * d)."""
+    out_len = win_grad.shape[0]
+    win_grad = win_grad.reshape(out_len, w, -1)
+    padded = np.zeros((out_len + w - 1, win_grad.shape[2]), dtype=win_grad.dtype)
     for k in range(w):
-        padded[:, k : k + out_len] += win_grad[k]
-    return padded[:, cols]
+        padded[k : k + out_len] += win_grad[:, k]
+    return padded[cols]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -195,19 +202,19 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def conv1d_wide(
     words: Tensor, feat_table: Parameter, feat_ids, filters: Parameter, bias: Parameter, lengths, texts
 ) -> Tensor:
-    """Wide (zero-padded) 1-d convolution over texts whose columns stack a
-    word vector on top of an overlap-feature vector, where one text can occur
+    """Wide (zero-padded) 1-d convolution over texts whose positions join a
+    word vector and an overlap-feature vector, where one text can occur
     several times with the same words but its own features.
 
-    ``words`` (d_w x n) packs the word columns of the distinct texts side by
-    side, ``lengths`` giving each one's column count.  ``texts`` names, for
+    ``words`` (n x d_w) packs the word rows of the distinct texts one after
+    another, ``lengths`` giving each one's word count.  ``texts`` names, for
     each occurrence, the distinct text it repeats, and every text occurs.
-    ``feat_ids`` holds the feature ids of every occurrence's columns, in
-    order: column j's feature vector is row feat_ids[j] of ``feat_table``
-    (v x d_feat).  ``filters`` has shape (m, d_w + d_feat, w).  An
-    occurrence of n_i columns gets n_i + w - 1 output columns, each a filter
-    response over a width-w window of the text zero-padded by w - 1 columns
-    on both sides, plus bias; occurrences follow each other in order.
+    ``feat_ids`` holds the feature ids of every occurrence's words, in
+    order: word j's feature vector is row feat_ids[j] of ``feat_table``
+    (v x d_feat).  ``filters`` has shape (m, d_w + d_feat, w).  In the m x L
+    output map an occurrence of n_i words gets n_i + w - 1 columns, each a
+    filter response over a width-w window of the text zero-padded by w - 1
+    positions on both sides, plus bias; occurrences follow in order.
 
     The feature rows of the filters only ever meet the v rows of the table,
     so they act as an (m, w, v) table of responses to one-hot ids.  One
@@ -220,21 +227,17 @@ def conv1d_wide(
     m, d, w = filters.data.shape
     if words.data.ndim != 2 or feat_table.data.ndim != 2:
         raise ValueError("conv1d_wide: words and feat_table must be 2-d")
-    d_w, (n_ids, d_feat) = words.data.shape[0], feat_table.data.shape
+    d_w, (n_ids, d_feat) = words.data.shape[1], feat_table.data.shape
     if min(d_w, d_feat) < 1 or d_w + d_feat != d:
-        raise ValueError(f"conv1d_wide: input rows {d_w} + {d_feat} do not split the filter depth {d}")
+        raise ValueError(f"conv1d_wide: input widths {d_w} + {d_feat} do not split the filter depth {d}")
     if bias.data.shape != (m,):
         raise ValueError("conv1d_wide: bias shape must be (m,)")
-    lengths = _segments(lengths, words.data.shape[1], "conv1d_wide")
-    texts = np.asarray(texts, dtype=np.intp)
-    if texts.ndim != 1 or texts.size < 1 or texts.min() < 0 or texts.max() >= lengths.size:
-        raise ValueError(f"conv1d_wide: texts must be a non-empty 1-d index into the {lengths.size} texts")
+    lengths = _segments(lengths, words.data.shape[0], "conv1d_wide")
+    texts = _index(texts, lengths.size, "conv1d_wide: texts")
     first = np.unique(texts, return_index=True)[1]  # each text's first occurrence
     if first.size != lengths.size:
         raise ValueError("conv1d_wide: every text must occur in texts")
-    feat_ids = np.asarray(feat_ids, dtype=np.intp)
-    if feat_ids.ndim != 1 or feat_ids.size < 1 or feat_ids.min() < 0 or feat_ids.max() >= n_ids:
-        raise ValueError(f"conv1d_wide: feat_ids must be a non-empty 1-d index into the {n_ids} feature rows")
+    feat_ids = _index(feat_ids, n_ids, "conv1d_wide: feat_ids")
     occ_lengths = _segments(lengths[texts], feat_ids.size, "conv1d_wide")
     one_hot = np.eye(n_ids, dtype=words.data.dtype)
     feat_filt = filters.data[:, d_w:].transpose(0, 2, 1)  # (m, w, d_feat)
@@ -260,7 +263,7 @@ def conv1d_wide(
         runs = list(zip(repeat[run].tolist(), map_starts[run].tolist(), out_starts[run].tolist(),
                         np.diff(np.r_[out_starts[run], occ_out.sum()]).tolist()))
         layout = (runs, delta_win)
-    win, cols = _windows(np.concatenate([words.data.T, one_hot[first_ids]], axis=1), lengths, w, ones=1)
+    win, cols = _windows(np.concatenate([words.data, one_hot[first_ids]], axis=1), lengths, w, ones=1)
     out = filt @ win.T
     if layout is not None:
         runs, delta_win = layout
@@ -285,7 +288,7 @@ def _conv1d_wide_backward(grad, words, feat_table, filters, bias, shared, layout
     output start, width), and the occurrences' gradients sum into the shared
     word map."""
     win, filt, cols, resp, feat_filt = shared
-    (m, w, _), d_w = resp.shape, words.data.shape[0]
+    (m, w, _), d_w = resp.shape, words.data.shape[1]
     word_grad = grad
     resp_grad = 0.0
     if layout is not None:
@@ -305,10 +308,8 @@ def _conv1d_wide_backward(grad, words, feat_table, filters, bias, shared, layout
     filters.grad[:, :d_w] += filt_grad[:, :, :d_w].transpose(0, 2, 1)
     resp_grad = resp_grad + filt_grad[:, :, d_w:]
     filters.grad[:, d_w:] += (resp_grad @ feat_table.data).transpose(0, 2, 1)
-    if feat_table.grad is not None:
-        feat_table.grad += resp_grad.reshape(m * w, -1).T @ feat_filt.reshape(m * w, -1)
-    if words.grad is not None:
-        words.grad += _unwindow(filt[:, :-1].T @ word_grad, cols, w)[:d_w]
+    _accumulate(feat_table, resp_grad.reshape(m * w, -1).T @ feat_filt.reshape(m * w, -1))
+    _accumulate(words, _unwindow(word_grad.T @ filt[:, :-1], cols, w)[:, :d_w])
 
 
 def kmax_pool(x: Tensor, lengths) -> Tensor:
@@ -368,24 +369,14 @@ def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str = "iden
         dz = grad * act_grad(out)
         weight.grad += dz.T @ x.data
         bias.grad += dz.sum(axis=0)
-        if x.grad is not None:
-            x.grad += dz @ weight.data
+        _accumulate(x, dz @ weight.data)
 
     return _record(out, backward_fn)
 
 
 def row_lookup(table: Parameter, index) -> Tensor:
-    """Select one row of an embedding table per entry of an index vector;
-    the gradient scatters back."""
-    index = np.asarray(index, dtype=np.intp)
-    if index.ndim != 1 or index.size < 1 or index.min() < 0 or index.max() >= table.data.shape[0]:
-        raise ValueError(f"row_lookup: index {index.tolist()} out of range")
-    out = np.take(table.data, index, axis=0)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        _scatter_rows(table.grad, index, grad)
-
-    return _record(out, backward_fn)
+    """One row of ``table`` per entry of ``index``; gradients scatter back."""
+    return _gather(table, index, "row_lookup: index")
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -453,10 +444,9 @@ def bce_loss(p: Tensor, y) -> Tensor:
     out = clamped_bce(p.data, labels).sum().reshape(1)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if p.grad is not None:
-            pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
-            inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
-            p.grad += grad * inside * (pc - labels) / (pc * (1.0 - pc))
+        pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
+        _accumulate(p, grad * inside * (pc - labels) / (pc * (1.0 - pc)))
 
     return _record(out, backward_fn)
 

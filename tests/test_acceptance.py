@@ -75,12 +75,12 @@ def test_criterion_2_layer_oracles_on_random_shapes():
         lengths = rng.integers(1, 13, size=int(rng.integers(1, 4)))
         extra = rng.integers(0, lengths.size, size=int(rng.integers(0, 5 - lengths.size)))
         texts = rng.permutation(np.r_[np.arange(lengths.size), extra])
-        words = nn.Parameter("words", rng.normal(size=(d_w, lengths.sum())))
+        words = nn.Parameter("words", rng.normal(size=(d_w, lengths.sum())).T)
         feats = nn.Parameter("feats", rng.normal(size=(lengths[texts].sum(), d_feat)))
         filters = nn.Parameter("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = nn.Parameter("b", rng.normal(size=m))
         got = nn.conv1d_wide(words, feats, np.arange(lengths[texts].sum()), filters, bias, lengths, texts).data
-        text_words = np.split(words.data, np.cumsum(lengths)[:-1], axis=1)
+        text_words = np.split(words.data.T, np.cumsum(lengths)[:-1], axis=1)
         occurrences = np.split(feats.data.T, np.cumsum(lengths[texts])[:-1], axis=1)
         stacked = [np.vstack([text_words[t], f]) for t, f in zip(texts, occurrences)]
         want = np.concatenate([naive_conv1d_wide(x, filters.data, bias.data) for x in stacked], axis=1)

@@ -249,7 +249,7 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
 
 def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
     # the candidates of a new question all repeat its text, so the question
-    # encoder's word columns hold each distinct text once, in first-seen
+    # encoder's word rows hold each distinct text once, in first-seen
     # order, while the feature ids cover every occurrence
     model = small_mtl(vocab)
     features = model.featurize_all(corpus)
@@ -257,7 +257,7 @@ def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
     real_conv = nn.conv1d_wide
 
     def spy(words, feats, feat_ids, filters, bias, lengths, texts):
-        calls.append((words.shape[1], len(feat_ids), list(lengths), list(texts)))
+        calls.append((words.shape[0], len(feat_ids), list(lengths), list(texts)))
         return real_conv(words, feats, feat_ids, filters, bias, lengths, texts)
 
     monkeypatch.setattr(nn, "conv1d_wide", spy)
@@ -387,6 +387,12 @@ def test_word_vectors_round_trip(tmp_path, vocab):
     for idx, vec in zip(ids, vectors.values()):
         np.testing.assert_allclose(model.q_encoder.word_emb.data[idx], vec, rtol=1e-6)
         np.testing.assert_allclose(model.c_encoder.word_emb.data[idx], vec, rtol=1e-6)
+    # word2vec's text writer starts the file with a "<count> <dim>" line
+    path.write_text(f"4 {d_w}\n" + path.read_text())
+    headed = small_mtl(vocab)
+    assert apply_word_vectors(headed, str(path)) == 3
+    for p, q in zip(model.parameters(), headed.parameters()):
+        np.testing.assert_array_equal(q.data, p.data, err_msg=p.name)
     for p in model.parameters():
         if p.name.endswith(".word_emb"):
             p.data[ids] = before[p.name][ids]
@@ -400,18 +406,23 @@ def test_word_vectors_dimension_mismatch(tmp_path, vocab):
         apply_word_vectors(small_mtl(vocab), str(path))
 
 
-# a bad second line of a vectors file, with the error it gives after the path
+# a bad line of a vectors file, with the error it gives after the path; the
+# file's other line is a good one, after a bad first line and before any other
 BAD_VECTOR_LINES = {
     "wifi 1.0 2.0": "line 2 has 2 components, expected 8",
     "drops " + " ".join(["1e39"] * 8): "line 2 component 1 is '1e39', not finite in float32",
     "drops " + " ".join(["x"] * 8): "line 2 component 1 is 'x', not a number",
+    "2 6": "line 1 is a header for 6 components, expected 8",
+    "wifi": "line 2 has 0 components, expected 8",
 }
 
 
 @pytest.mark.parametrize("bad", list(BAD_VECTOR_LINES))
 def test_word_vectors_leave_the_model_unchanged_on_a_bad_line(tmp_path, vocab, bad):
     path = tmp_path / "vectors.txt"
-    path.write_text("upgrade " + " ".join(["0.5"] * 8) + "\n" + bad + "\n")
+    good = "upgrade " + " ".join(["0.5"] * 8)
+    lines = [bad, good] if BAD_VECTOR_LINES[bad].startswith("line 1 ") else [good, bad]
+    path.write_text("\n".join(lines) + "\n")
     model = small_mtl(vocab)
     before = snapshot(model)
     with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: {BAD_VECTOR_LINES[bad]}") + "$"):

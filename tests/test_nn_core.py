@@ -40,12 +40,13 @@ def test_conv1d_wide_matches_naive_loops():
         filters = param("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = param("b", rng.normal(size=m))
         # a feature table with a row per column gives each column its own features
-        got = nn.conv1d_wide(param("words", x[:d_w]), param("feats", x[d_w:].T), np.arange(n), filters, bias, [n], [0])
+        words, feats = param("words", x[:d_w].T), param("feats", x[d_w:].T)
+        got = nn.conv1d_wide(words, feats, np.arange(n), filters, bias, [n], [0])
         assert got.shape == (m, n + w - 1)
         want = naive_conv1d_wide(x, filters.data, bias.data)
         assert np.max(np.abs(got.data - want)) < 1e-6
     # packed batches with repeated texts: each occurrence owns its n_i + w - 1
-    # output columns and reads the word columns of the text it repeats
+    # output columns and reads the word rows of the text it repeats
     for _ in range(20):
         m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
@@ -53,11 +54,11 @@ def test_conv1d_wide_matches_naive_loops():
         extra = rng.integers(0, len(lengths), size=int(rng.integers(0, 4)))
         texts = rng.permutation(np.r_[np.arange(len(lengths)), extra])
         occ_lengths = [lengths[t] for t in texts]
-        words = param("words", rng.normal(size=(d_w, sum(lengths))))
+        words = param("words", rng.normal(size=(d_w, sum(lengths))).T)
         feats = param("feats", rng.normal(size=(sum(occ_lengths), d_feat)))  # a row per occurrence column
         filters = param("f", rng.normal(size=(m, d_w + d_feat, w)))
         bias = param("b", rng.normal(size=m))
-        text_words = segments(words.data, lengths)
+        text_words = segments(words.data.T, lengths)
         stacked = [np.vstack([text_words[t], part]) for t, part in zip(texts, segments(feats.data.T, occ_lengths))]
         with nn.recording():
             got = nn.conv1d_wide(words, feats, np.arange(sum(occ_lengths)), filters, bias, lengths, texts)
@@ -74,10 +75,10 @@ def test_conv1d_wide_matches_naive_loops():
             outs = [n + w - 1 for n in occ_lengths]
             for t, lo, g in zip(texts, np.cumsum(occ_lengths) - occ_lengths, segments(upstream, outs)):
                 n, at = lengths[t], word_starts[t]
-                piece_words = param("piece_words", words.data[:, at : at + n])
+                piece_words = param("piece_words", words.data[at : at + n])
                 piece_feats = param("piece_feats", feats.data[lo : lo + n])
                 nn.conv1d_wide(piece_words, piece_feats, np.arange(n), filters, bias, [n], [0]).backward_fn(g)
-                words.grad[:, at : at + n] += piece_words.grad
+                words.grad[at : at + n] += piece_words.grad
                 feats.grad[lo : lo + n] += piece_feats.grad
         for got_grad, p in zip(packed, (words, feats, filters, bias)):
             assert np.max(np.abs(got_grad - p.grad)) < 1e-10
@@ -88,7 +89,7 @@ def test_conv1d_wide_matches_naive_loops():
 def test_conv1d_wide_matches_the_stacked_reference(width, data):
     """The shared-word convolution against one GEMM over whole stacked texts
     (float64): the output and the gradients of the filters, the bias, the
-    word columns and the two-row feature table agree to 1e-10.  Every case
+    word rows and the two-row feature table agree to 1e-10.  Every case
     holds a PAD-only text and runs twice: with every text occurring, in any
     order, and one at least twice; and with every text once, in order, as
     comments occur."""
@@ -105,14 +106,14 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
     bias = param("b", rng.normal(size=m))
     for texts in (repeated, list(range(len(distinct)))):
         occ_lengths = [lengths[t] for t in texts]
-        words = param("words", table[[i for t in distinct for i in t]].T)
+        words = param("words", table[[i for t in distinct for i in t]])
         overlaps = [rng.integers(0, 2, size=lengths[t]) * (t != 0) for t in texts]  # PAD has overlap 0
         ids = np.concatenate(overlaps)
         feats = param("feats", rng.normal(size=(2, d_feat)))
         for p in (filters, bias):
             p.zero_grad()
 
-        text_words = segments(words.data, lengths)
+        text_words = segments(words.data.T, lengths)
         parts = segments(feats.data[ids].T, occ_lengths)
         stacked = np.hstack([np.vstack([text_words[t], part]) for t, part in zip(texts, parts)])
         want, reference_backward = stacked_conv1d_wide(stacked, filters.data, bias.data, occ_lengths)
@@ -122,12 +123,12 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
             got.backward_fn(upstream)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
         want_x, want_filters, want_bias = reference_backward(upstream)
-        want_words = np.zeros_like(words.data)
+        want_words = np.zeros_like(words.data.T)
         for t, part in zip(texts, segments(want_x[:d_w], occ_lengths)):
             want_words[:, word_starts[t] : word_starts[t] + lengths[t]] += part
         np.testing.assert_allclose(filters.grad, want_filters, rtol=0, atol=1e-10)
         np.testing.assert_allclose(bias.grad, want_bias, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(words.grad, want_words, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(words.grad, want_words.T, rtol=0, atol=1e-10)
         want_feats = np.zeros_like(feats.data)
         np.add.at(want_feats, ids, want_x[d_w:].T)
         np.testing.assert_allclose(feats.grad, want_feats, rtol=0, atol=1e-10)
@@ -136,11 +137,11 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
 def test_conv1d_wide_shape_validation():
     filters = param("f", np.zeros((2, 3, 2)))
     bias = param("b", np.zeros(2))
-    words, feats, ids = param("w", np.zeros((2, 5))), param("x", np.zeros((2, 1))), [0, 1, 1, 0, 0]
+    words, feats, ids = param("w", np.zeros((5, 2))), param("x", np.zeros((2, 1))), [0, 1, 1, 0, 0]
     assert nn.conv1d_wide(words, feats, ids, filters, bias, [5], [0]).shape == (2, 6)
-    # the word rows and the feature table's columns must both be there and split the filter depth
-    for word_rows, feat_cols in ((3, 1), (3, 0), (0, 3), (1, 1)):
-        bad_words, bad_feats = param("w", np.zeros((word_rows, 5))), param("x", np.zeros((2, feat_cols)))
+    # the word rows' and the feature table's widths must both be there and split the filter depth
+    for word_cols, feat_cols in ((3, 1), (3, 0), (0, 3), (1, 1)):
+        bad_words, bad_feats = param("w", np.zeros((5, word_cols))), param("x", np.zeros((2, feat_cols)))
         with pytest.raises(ValueError, match="filter depth"):
             nn.conv1d_wide(bad_words, bad_feats, ids, filters, bias, [5], [0])
     with pytest.raises(ValueError):
@@ -222,15 +223,16 @@ def test_kmax_pool_gradient_goes_to_first_max():
     assert x.grad.tolist() == [[0.0, 1.0, 2.0, 0.0, 0.0, 3.0], [10.0, 0.0, 0.0, 20.0, 0.0, 30.0]]
 
 
-def test_embedding_lookup_forward_and_scatter():
+@pytest.mark.parametrize("lookup", [nn.embedding_lookup, nn.row_lookup], ids=["embedding_lookup", "row_lookup"])
+def test_embedding_lookup_forward_and_scatter(lookup):
     words = param("w", np.arange(12.0).reshape(4, 3))
     with nn.recording():
-        out = nn.embedding_lookup(words, [2, 0, 2])
+        out = lookup(words, [2, 0, 2])
         # repeated ids must accumulate their gradients
         out.backward_fn(np.ones_like(out.data))
     assert out.shape == (3, 3)
-    np.testing.assert_array_equal(out.data[:, 0], words.data[2])
-    np.testing.assert_array_equal(out.data[:, 1], words.data[0])
+    np.testing.assert_array_equal(out.data[0], words.data[2])
+    np.testing.assert_array_equal(out.data[1], words.data[0])
     np.testing.assert_array_equal(words.grad[2], [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(words.grad[0], [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(words.grad[[1, 3]], 0.0)
@@ -243,20 +245,36 @@ def test_embedding_lookup_forward_and_scatter():
     overlaps = rng.integers(0, 2, size=ids.size)
     for table, index in ((words, ids), (feats, overlaps)):
         with nn.recording():
-            out = nn.embedding_lookup(table, index)
+            out = lookup(table, index)
             upstream = rng.normal(size=out.shape)
             out.backward_fn(upstream)
-        np.testing.assert_array_equal(out.data, table.data[index].T)
+        np.testing.assert_array_equal(out.data, table.data[index])
         want = np.zeros_like(table.data)
-        np.add.at(want, index, upstream.T)
+        np.add.at(want, index, upstream)
         np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-12)
 
 
-def test_embedding_lookup_validates_ranges():
-    words = param("w", np.zeros((4, 3)))
-    for ids in ([4], [-1], [], [[0]]):
-        with pytest.raises(ValueError):
-            nn.embedding_lookup(words, ids)
+def conv_with(texts=(0,), feat_ids=(0, 1, 1)):
+    """A one-text conv over 3 words and a 2-row feature table."""
+    words, feats = param("w", np.zeros((3, 2))), param("x", np.zeros((2, 1)))
+    return nn.conv1d_wide(words, feats, feat_ids, param("f", np.zeros((2, 3, 2))), param("b", np.zeros(2)), [3], texts)
+
+
+@pytest.mark.parametrize(
+    "what, size, call",
+    [
+        ("embedding_lookup: ids", 4, lambda index: nn.embedding_lookup(param("w", np.zeros((4, 3))), index)),
+        ("row_lookup: index", 4, lambda index: nn.row_lookup(param("t", np.zeros((4, 2))), index)),
+        ("conv1d_wide: texts", 1, lambda index: conv_with(texts=index)),
+        ("conv1d_wide: feat_ids", 2, lambda index: conv_with(feat_ids=index)),
+    ],
+    ids=["embedding_ids", "row_lookup_index", "conv_texts", "conv_feat_ids"],
+)
+def test_embedding_lookup_validates_ranges(what, size, call):
+    """Every index an op takes must be a non-empty 1-d index into its range."""
+    for index in ([size], [-1], [], [[0]], 0):
+        with pytest.raises(ValueError, match=f"^{what} must be a non-empty 1-d index into {size} entries"):
+            call(index)
 
 
 def test_row_lookup_and_concat():
@@ -452,7 +470,7 @@ def conv_chain_params(rng):
     """words, feats (a feature table with a row per occurrence column),
     filters, bias, weight and out_b for encoder_like_loss."""
     return [
-        param("words", rng.normal(size=(3, 7))),
+        param("words", rng.normal(size=(3, 7)).T),
         param("feats", rng.normal(size=(11, 1))),
         param("f", rng.normal(size=(3, 4, 2)) * 0.3),
         param("cb", rng.normal(size=3) * 0.1),
