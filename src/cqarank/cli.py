@@ -12,6 +12,7 @@ tolerance).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import inspect
 import os
@@ -356,7 +357,34 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_NUMERIC
 
 
+# glibc's mallopt parameters, and the values the CLI sets.  The mmap threshold
+# is glibc's 64-bit maximum.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a training batch or scoring chunk frees in the process
+    for the next one to reuse.  By default glibc trims the heap and unmaps
+    large blocks after every batch, so the next batch page-faults the same
+    memory back in.  The CLI owns its process, so it sets this; importing
+    cqarank does not.  Without glibc's ``mallopt`` it does nothing."""
+    try:
+        libc = ctypes.CDLL(None)  # the symbols already loaded into the process
+    except TypeError:  # Windows: CDLL takes no None there
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

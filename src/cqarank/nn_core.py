@@ -133,10 +133,11 @@ def _segments(lengths, total: int, what: str) -> np.ndarray:
 
 
 def _index(index, size: int, what: str) -> np.ndarray:
-    index = np.asarray(index, dtype=np.intp)
-    if index.ndim != 1 or index.size < 1 or index.min() < 0 or index.max() >= size:
+    index = np.asarray(index)
+    # a float or bool index would cast to integers silently; [] arrives as float
+    if index.dtype.kind not in "iu" or index.ndim != 1 or index.size < 1 or index.min() < 0 or index.max() >= size:
         raise ValueError(f"{what} must be a non-empty 1-d index into {size} entries")
-    return index
+    return index.astype(np.intp, copy=False)
 
 
 def _scatter_rows(table_grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:

@@ -272,7 +272,7 @@ def conv_with(texts=(0,), feat_ids=(0, 1, 1)):
 )
 def test_embedding_lookup_validates_ranges(what, size, call):
     """Every index an op takes must be a non-empty 1-d index into its range."""
-    for index in ([size], [-1], [], [[0]], 0):
+    for index in ([size], [-1], [], [[0]], 0, [1.7], [True]):
         with pytest.raises(ValueError, match=f"^{what} must be a non-empty 1-d index into {size} entries"):
             call(index)
 
