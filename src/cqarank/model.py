@@ -111,17 +111,20 @@ def encode_texts(
     (len(ids), m) matrix.  Texts with equal ids share their word rows, in
     first-seen order, and the convolution's big GEMM runs once per distinct
     text; each text keeps its own overlaps, since the same words can carry
-    other overlaps in another triple."""
+    other overlaps in another triple.  The convolution reads each text's first
+    occurrence, then the other occurrences grouped by text; one permutation
+    of the pooled rows restores the input order."""
     distinct: dict[tuple[int, ...], int] = {}
     texts = np.fromiter((distinct.setdefault(t, len(distinct)) for t in ids), np.intp, len(ids))
     lengths = np.array([len(t) for t in distinct], dtype=np.intp)
+    by_text = np.argsort(texts, kind="stable")  # each text's occurrences in turn
+    first = np.r_[True, np.diff(texts[by_text]) > 0]
+    order = np.r_[by_text[first], by_text[~first]]
+    grouped = texts[order]
     words = nn.embedding_lookup(encoder.word_emb, np.fromiter(chain.from_iterable(distinct), np.intp))
-    overlap_ids = np.fromiter(chain.from_iterable(overlaps), np.intp)
-    fmap = nn.conv1d_wide(
-        words, encoder.feat_emb, overlap_ids, encoder.filters, encoder.conv_bias, lengths, texts
-    )
-    width = encoder.filters.data.shape[2]
-    return nn.kmax_pool(fmap, lengths[texts] + width - 1)
+    overlap_ids = np.fromiter(chain.from_iterable(overlaps[k] for k in order.tolist()), np.intp)
+    fmap = nn.conv1d_wide(words, encoder.feat_emb, overlap_ids, encoder.filters, encoder.conv_bias, lengths, grouped)
+    return nn.permute_rows(nn.kmax_pool(fmap, lengths[grouped] + encoder.filters.data.shape[2] - 1), order)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,10 @@ recording an operation returns a plain value.  Parameters are persistent
 leaves whose gradient buffers accumulate across backward calls until zeroed.
 The ops take a batch of rows or a packed batch of texts.  The wide
 convolution takes the word rows of each distinct text once and the
-overlap-feature ids of every occurrence, so a text repeated across a batch
-runs the big GEMM once.  Everything runs in float32 by default and float64
-when verifying gradients.
+overlap-feature ids of every occurrence, first occurrences first and then
+each text's repeats side by side, so a text repeated across a batch runs the
+big GEMM once and its repeats cost one broadcast add.  Everything runs in
+float32 by default and float64 when verifying gradients.
 """
 
 from __future__ import annotations
@@ -209,21 +210,23 @@ def conv1d_wide(
 
     ``words`` (n x d_w) packs the word rows of the distinct texts one after
     another, ``lengths`` giving each one's word count.  ``texts`` names, for
-    each occurrence, the distinct text it repeats, and every text occurs.
-    ``feat_ids`` holds the feature ids of every occurrence's words, in
-    order: word j's feature vector is row feat_ids[j] of ``feat_table``
-    (v x d_feat).  ``filters`` has shape (m, d_w + d_feat, w).  In the m x L
-    output map an occurrence of n_i words gets n_i + w - 1 columns, each a
-    filter response over a width-w window of the text zero-padded by w - 1
-    positions on both sides, plus bias; occurrences follow in order.
+    each occurrence, the distinct text it repeats: first every text once, in
+    order, then the repeats grouped by text, in text order.  ``feat_ids``
+    holds the feature ids of every occurrence's words, in order: word j's
+    feature vector is row feat_ids[j] of ``feat_table`` (v x d_feat).
+    ``filters`` has shape (m, d_w + d_feat, w).  In the m x L output map an
+    occurrence of n_i words gets n_i + w - 1 columns, each a filter response
+    over a width-w window of the text zero-padded by w - 1 positions on both
+    sides, plus bias; occurrences follow in order.
 
     The feature rows of the filters only ever meet the v rows of the table,
     so they act as an (m, w, v) table of responses to one-hot ids.  One
-    im2col GEMM runs over the distinct texts, each with its words, the
-    one-hot ids of its first occurrence and a ones column for the bias.  A
-    repeat copies its text's output columns and adds the responses to how
-    its ids differ from the first occurrence's: a GEMM with w * v inner
-    terms over the repeats alone.
+    im2col GEMM over the distinct texts, each with its words, the one-hot
+    ids of its first occurrence and a ones column for the bias, writes the
+    front of the map.  A second GEMM, with w * v inner terms, writes into
+    the back the responses to how each repeat's ids differ from its first
+    occurrence's; then one broadcast add per repeated text adds the text's
+    columns to its block of repeats.
     """
     m, d, w = filters.data.shape
     if words.data.ndim != 2 or feat_table.data.ndim != 2:
@@ -235,74 +238,54 @@ def conv1d_wide(
         raise ValueError("conv1d_wide: bias shape must be (m,)")
     lengths = _segments(lengths, words.data.shape[0], "conv1d_wide")
     texts = _index(texts, lengths.size, "conv1d_wide: texts")
-    first = np.unique(texts, return_index=True)[1]  # each text's first occurrence
-    if first.size != lengths.size:
-        raise ValueError("conv1d_wide: every text must occur in texts")
+    rep_texts = texts[lengths.size :]
+    if not np.array_equal(texts[: lengths.size], np.arange(lengths.size)) or np.any(np.diff(rep_texts) < 0):
+        raise ValueError("conv1d_wide: texts must name every text once, in order, then the repeats grouped by text")
     feat_ids = _index(feat_ids, n_ids, "conv1d_wide: feat_ids")
-    occ_lengths = _segments(lengths[texts], feat_ids.size, "conv1d_wide")
+    _segments(lengths[texts], feat_ids.size, "conv1d_wide")
     one_hot = np.eye(n_ids, dtype=words.data.dtype)
     feat_filt = filters.data[:, d_w:].transpose(0, 2, 1)  # (m, w, d_feat)
     resp = feat_filt @ feat_table.data.T  # (m, w, v)
     filt = np.concatenate([filters.data[:, :d_w].transpose(0, 2, 1), resp], axis=2).reshape(m, -1)
     filt = np.concatenate([filt, bias.data[:, None]], axis=1)
-    layout, first_ids = None, feat_ids
-    if not np.array_equal(texts, np.arange(lengths.size)):
-        occ_starts = np.cumsum(occ_lengths) - occ_lengths
-        first_ids = feat_ids[_ranges(occ_starts[first], lengths)]
-        repeat = np.ones(texts.size, dtype=bool)
-        repeat[first] = False
-        rep_texts = texts[repeat]
-        rep_ids = feat_ids[_ranges(occ_starts[repeat], lengths[rep_texts])]
-        rep_first_ids = first_ids[_ranges(np.cumsum(lengths)[rep_texts] - lengths[rep_texts], lengths[rep_texts])]
-        delta_win, _ = _windows(one_hot[rep_ids] - one_hot[rep_first_ids], lengths[rep_texts], w)
-        # each occurrence's output block copies a word-map block; first
-        # occurrences of texts that follow each other on the map copy as one run
-        width = lengths + (w - 1)
-        map_starts, occ_out = (np.cumsum(width) - width)[texts], width[texts]
-        out_starts = np.cumsum(occ_out) - occ_out
-        run = np.r_[True, repeat[1:] | repeat[:-1] | (map_starts[1:] != map_starts[:-1] + occ_out[:-1])]
-        runs = list(zip(repeat[run].tolist(), map_starts[run].tolist(), out_starts[run].tolist(),
-                        np.diff(np.r_[out_starts[run], occ_out.sum()]).tolist()))
-        layout = (runs, delta_win)
+    first_ids, rep_ids = np.split(feat_ids, [words.data.shape[0]])
+    rep_lengths = lengths[rep_texts]
+    rep_first_ids = first_ids[_ranges(np.cumsum(lengths)[rep_texts] - rep_lengths, rep_lengths)]
+    delta_win, _ = _windows(one_hot[rep_ids] - one_hot[rep_first_ids], rep_lengths, w)
     win, cols = _windows(np.concatenate([words.data, one_hot[first_ids]], axis=1), lengths, w, ones=1)
-    out = filt @ win.T
-    if layout is not None:
-        runs, delta_win = layout
-        delta = resp.reshape(m, -1) @ delta_win.T
-        blocks, at = [], 0
-        for again, a, _, n in runs:
-            blocks.append(out[:, a : a + n] + delta[:, at : at + n] if again else out[:, a : a + n])
-            at += n if again else 0
-        out = np.concatenate(blocks, axis=1)
+    out = np.empty((m, win.shape[0] + delta_win.shape[0]), dtype=win.dtype)
+    word_map, rep_map = np.split(out, [win.shape[0]], axis=1)
+    np.matmul(filt, win.T, out=word_map)
+    np.matmul(resp.reshape(m, -1), delta_win.T, out=rep_map)
+    # each repeated text's block: (word-map start, block start, repeats, width)
+    width = lengths + (w - 1)
+    repeated, at, count = np.unique(rep_texts, return_index=True, return_counts=True)
+    groups = list(zip((np.cumsum(width) - width)[repeated].tolist(),
+                      (np.cumsum(width[rep_texts]) - width[rep_texts])[at].tolist(),
+                      count.tolist(), width[repeated].tolist()))
+    for a, r, c, n in groups:
+        block = rep_map[:, r : r + c * n].reshape(m, c, n)
+        block += word_map[:, None, a : a + n]
+    saved = (win, filt, cols, resp, feat_filt, groups, delta_win)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _conv1d_wide_backward(grad, words, feat_table, filters, bias, (win, filt, cols, resp, feat_filt), layout)
+        _conv1d_wide_backward(grad, words, feat_table, filters, bias, saved)
 
     return _record(out, backward_fn)
 
 
-def _conv1d_wide_backward(grad, words, feat_table, filters, bias, shared, layout):
-    """``shared`` is the distinct texts' GEMM: (window rows, filter matrix,
-    input positions, (m, w, v) responses, feature filters as (m, w, d_feat)).
-    ``layout`` is None when every text occurs once, in order; otherwise it
-    is (runs, difference window rows), a run being (repeat?, word-map start,
-    output start, width), and the occurrences' gradients sum into the shared
-    word map."""
-    win, filt, cols, resp, feat_filt = shared
+def _conv1d_wide_backward(grad, words, feat_table, filters, bias, saved):
+    """``saved`` is the distinct texts' GEMM (window rows, filter matrix,
+    input positions, (m, w, v) responses, feature filters as (m, w, d_feat)),
+    then the repeated texts' groups and the repeats' difference window rows;
+    each group's repeat block sums into its text's word-map columns."""
+    win, filt, cols, resp, feat_filt, groups, delta_win = saved
     (m, w, _), d_w = resp.shape, words.data.shape[1]
-    word_grad = grad
-    resp_grad = 0.0
-    if layout is not None:
-        runs, delta_win = layout
-        word_grad = np.empty((m, win.shape[0]), dtype=grad.dtype)
-        # a first occurrence precedes its repeats, which add to what it set
-        for again, a, o, n in runs:
-            if again:
-                word_grad[:, a : a + n] += grad[:, o : o + n]
-            else:
-                word_grad[:, a : a + n] = grad[:, o : o + n]
-        rep_grad = np.concatenate([grad[:, :0]] + [grad[:, o : o + n] for again, _, o, n in runs if again], axis=1)
-        resp_grad = (rep_grad @ delta_win).reshape(resp.shape)
+    word_grad, rep_grad = np.split(grad, [win.shape[0]], axis=1)
+    word_grad = word_grad.copy() if groups else word_grad
+    for a, r, c, n in groups:
+        word_grad[:, a : a + n] += rep_grad[:, r : r + c * n].reshape(m, c, n).sum(axis=1)
+    resp_grad = (rep_grad @ delta_win).reshape(resp.shape)
     filt_grad = word_grad @ win
     bias.grad += filt_grad[:, -1]
     filt_grad = filt_grad[:, :-1].reshape(m, w, -1)
@@ -335,6 +318,20 @@ def kmax_pool(x: Tensor, lengths) -> Tensor:
         x.grad[rows, cols] += grad[segs, rows]
 
     return _record(out, backward_fn)
+
+
+def permute_rows(x: Tensor, dest) -> Tensor:
+    """Row k of ``x`` moved to row dest[k], ``dest`` a permutation of its
+    rows; both passes are gathers."""
+    dest = _index(dest, x.data.shape[0], "permute_rows: dest")
+    src = np.argsort(dest, kind="stable")  # like the other sorts here; the default pages in more numpy code
+    if not np.array_equal(dest[src], np.arange(x.data.shape[0])):
+        raise ValueError(f"permute_rows: dest must be a permutation of the {x.data.shape[0]} rows")
+
+    def backward_fn(grad: np.ndarray) -> None:
+        _accumulate(x, grad[dest])
+
+    return _record(x.data[src], backward_fn)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

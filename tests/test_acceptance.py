@@ -68,13 +68,14 @@ def test_criterion_2_layer_oracles_on_random_shapes():
     shapes = 0
     worst = 0.0
     for _ in range(40):
-        # a packed batch of 1-4 occurrences of 1-3 texts, each text occurring:
-        # each occurrence stacks its text's word rows on its own feature rows
-        # (a feature table with a row per occurrence column)
+        # a packed batch of 1-4 occurrences of 1-3 texts: each text once, in
+        # order, then the repeats grouped by text; each occurrence stacks its
+        # text's word rows on its own feature rows (a feature table with a row
+        # per occurrence column)
         m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         lengths = rng.integers(1, 13, size=int(rng.integers(1, 4)))
         extra = rng.integers(0, lengths.size, size=int(rng.integers(0, 5 - lengths.size)))
-        texts = rng.permutation(np.r_[np.arange(lengths.size), extra])
+        texts = np.r_[np.arange(lengths.size), np.sort(extra)]
         words = nn.Parameter("words", rng.normal(size=(d_w, lengths.sum())).T)
         feats = nn.Parameter("feats", rng.normal(size=(lengths[texts].sum(), d_feat)))
         filters = nn.Parameter("f", rng.normal(size=(m, d_w + d_feat, w)))

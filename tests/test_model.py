@@ -12,8 +12,10 @@ from cqarank.model import (
     INPUTS,
     CqaModel,
     Features,
+    SentenceEncoder,
     apply_word_vectors,
     compute_features,
+    encode_texts,
     rank_bin,
 )
 from cqarank.synthetic import gradcheck_corpus
@@ -28,6 +30,7 @@ from cqarank.text_pipeline import (
     vocabulary_for,
 )
 from cqarank.training import joint_loss, snapshot
+from oracles import naive_kmax, stacked_conv1d_wide
 
 
 @pytest.fixture(scope="module")
@@ -250,28 +253,152 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
 def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
     # the candidates of a new question all repeat its text, so the question
     # encoder's word rows hold each distinct text once, in first-seen
-    # order, while the feature ids cover every occurrence
+    # order, while the feature ids cover every occurrence: first each text's
+    # first occurrence, then the other occurrences grouped by text
     model = small_mtl(vocab)
     features = model.featurize_all(corpus)
     calls = []
     real_conv = nn.conv1d_wide
 
     def spy(words, feats, feat_ids, filters, bias, lengths, texts):
-        calls.append((words.shape[0], len(feat_ids), list(lengths), list(texts)))
+        calls.append((words.shape[0], list(feat_ids), list(lengths), list(texts)))
         return real_conv(words, feats, feat_ids, filters, bias, lengths, texts)
 
     monkeypatch.setattr(nn, "conv1d_wide", spy)
     model.predict(features)
     assert len(calls) == len(model.encoder_runs) == 2
-    for (_, positions), (word_cols, feat_cols, lengths, texts) in zip(model.encoder_runs, calls):
+    for (_, positions), (word_cols, feat_ids, lengths, texts) in zip(model.encoder_runs, calls):
         occurrences = [f.ids[k] for f in features for k in positions]
+        overlaps = [f.overlaps[k] for f in features for k in positions]
         distinct = list(dict.fromkeys(occurrences))
         assert lengths == [len(t) for t in distinct]
         assert word_cols == sum(map(len, distinct))
-        assert feat_cols == sum(map(len, occurrences))
-        assert [distinct[t] for t in texts] == occurrences
-    question_words, question_feats = calls[0][:2]
+        firsts = [occurrences.index(t) for t in distinct]
+        grouped = firsts + [k for t in distinct for k, o in enumerate(occurrences) if o == t and k not in firsts]
+        assert texts == [distinct.index(occurrences[k]) for k in grouped]
+        assert feat_ids == [i for k in grouped for i in overlaps[k]]
+    question_words, question_feats = calls[0][0], len(calls[0][1])
     assert question_words < question_feats
+
+
+def random_encoder(rng, width, dtype=np.float64, vocab_size=8, m=3, d_w=4, d_feat=2):
+    return SentenceEncoder(
+        nn.Parameter("word_emb", rng.normal(size=(vocab_size, d_w)).astype(dtype)),
+        nn.Parameter("feat_emb", rng.normal(size=(2, d_feat)).astype(dtype)),
+        nn.Parameter("filters", rng.normal(size=(m, d_w + d_feat, width)).astype(dtype)),
+        nn.Parameter("conv_bias", rng.normal(size=m).astype(dtype)),
+    )
+
+
+@st.composite
+def encoder_runs(draw):
+    """The texts of one encoder run, with an overlap tuple per occurrence, in
+    one of three patterns: a scoring chunk's questions in corpus order (the
+    new question and a related question interleaved, the related question
+    once per comment); texts repeated side by side; or no repeats."""
+    tokens = st.lists(st.integers(PAD_ID + 1, 7), min_size=1, max_size=6).map(tuple)
+    pool = [(PAD_ID,)] + draw(st.lists(tokens, min_size=1, max_size=4, unique=True))
+    pattern = draw(st.sampled_from(["corpus order", "side by side", "distinct"]))
+    if pattern == "corpus order":
+        new = draw(st.sampled_from(pool))
+        related = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=1, max_size=3))
+        ids = [text for r, comments in related for _ in range(comments) for text in (new, r)]
+    elif pattern == "side by side":
+        runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=1, max_size=4))
+        ids = [text for text, count in runs for _ in range(count)]
+    else:
+        ids = draw(st.permutations(pool))
+    overlaps = [(0,) if t == (PAD_ID,) else tuple(draw(st.lists(st.integers(0, 1), min_size=len(t), max_size=len(t))))
+                for t in ids]
+    return ids, overlaps
+
+
+def one_occurrence_at_a_time(encoder, ids, overlaps, upstream):
+    """Each occurrence's encoding through the stacked-text conv oracle and a
+    max over its columns, and the encoder's gradients of
+    sum(upstream * encodings), the max routing to its first maximal column."""
+    filters, bias = encoder.filters.data, encoder.conv_bias.data
+    d_w, m = encoder.word_emb.data.shape[1], bias.size
+    grads = [np.zeros_like(p.data) for p in (encoder.word_emb, encoder.feat_emb, encoder.filters, encoder.conv_bias)]
+    rows = []
+    for text, overlap, g in zip(ids, overlaps, upstream):
+        x = np.vstack([encoder.word_emb.data[list(text)].T, encoder.feat_emb.data[list(overlap)].T])
+        fmap, backward = stacked_conv1d_wide(x, filters, bias, [len(text)])
+        rows.append(naive_kmax(fmap))
+        fmap_grad = np.zeros_like(fmap)
+        fmap_grad[np.arange(m), fmap.argmax(axis=1)] = g
+        x_grad, filters_grad, bias_grad = backward(fmap_grad)
+        np.add.at(grads[0], list(text), x_grad[:d_w].T)
+        np.add.at(grads[1], list(overlap), x_grad[d_w:].T)
+        grads[2] += filters_grad
+        grads[3] += bias_grad
+    return np.array(rows), grads
+
+
+def weighted_sum(encodings, upstream):
+    """sum(upstream * encodings) as a one-value loss."""
+    weight = nn.Parameter("upstream", upstream.reshape(1, -1))
+    return nn.dense(nn.reshape(encodings, (1, -1)), weight, nn.Parameter("zero", np.zeros(1, weight.data.dtype)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=encoder_runs(), width=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+def test_encode_texts_matches_one_occurrence_at_a_time(run, width, seed, data):
+    """float64: every occurrence's encoding and the word, feature, filter and
+    bias gradients match the per-occurrence oracle to 1e-10.  float32:
+    re-interleaving the occurrences of different texts, each text keeping
+    its own occurrence order, leaves every pooled row bitwise unchanged."""
+    ids, overlaps = run
+    rng = np.random.default_rng(seed)
+    encoder = random_encoder(rng, width)
+    upstream = rng.normal(size=(len(ids), encoder.conv_bias.data.size))
+    with nn.recording():
+        encodings = encode_texts(encoder, ids, overlaps)
+        weighted_sum(encodings, upstream).backward()
+    want, want_grads = one_occurrence_at_a_time(encoder, ids, overlaps, upstream)
+    np.testing.assert_allclose(encodings.data, want, rtol=0, atol=1e-10)
+    for p, want_grad in zip((encoder.word_emb, encoder.feat_emb, encoder.filters, encoder.conv_bias), want_grads):
+        np.testing.assert_allclose(p.grad, want_grad, rtol=0, atol=1e-10, err_msg=p.name)
+
+    single = random_encoder(np.random.default_rng(seed), width, np.float32)
+    pooled = encode_texts(single, ids, overlaps).data
+    # deal each text's occurrences, in their order, into a shuffled sequence of texts
+    queues = {t: [k for k, o in enumerate(ids) if o == t] for t in dict.fromkeys(ids)}
+    moved = [queues[t].pop(0) for t in data.draw(st.permutations(ids))]
+    again = encode_texts(single, [ids[k] for k in moved], [overlaps[k] for k in moved]).data
+    assert again.dtype == np.float32
+    np.testing.assert_array_equal(again, pooled[moved])
+
+
+def test_the_pooled_rows_go_back_by_a_pure_permutation(monkeypatch):
+    """The reorder of the pooled rows scatters nothing: the only scatter of
+    an encoder run is the word-embedding one.  A finite-difference check
+    through encode_texts on an interleaved batch passes."""
+    rng = np.random.default_rng(31)
+    encoder = random_encoder(rng, 3)
+    new, related, other = (1, 2, 3), (4, 5), (6, 1, 7, 2)
+    ids = [new, related, new, related, new, other, new, other, new, (PAD_ID,)]
+    overlaps = [tuple(int(b) for b in rng.integers(0, 2, size=len(t))) for t in ids]
+    weight = nn.Parameter("w", rng.normal(size=(1, 3)) * 0.3)
+    out_b = nn.Parameter("ob", np.zeros(1))
+    labels = rng.integers(0, 2, size=(len(ids), 1))
+
+    def loss():
+        return nn.bce_loss(nn.dense(encode_texts(encoder, ids, overlaps), weight, out_b, "sigmoid"), labels)
+
+    scattered = []
+    real_scatter = nn._scatter_rows
+
+    def spy(table_grad, index, rows):
+        scattered.append(list(index))
+        real_scatter(table_grad, index, rows)
+
+    monkeypatch.setattr(nn, "_scatter_rows", spy)
+    with nn.recording():
+        loss().backward()
+    assert scattered == [[i for t in dict.fromkeys(ids) for i in t]]
+    params = [encoder.word_emb, encoder.feat_emb, encoder.filters, encoder.conv_bias, weight, out_b]
+    assert nn.grad_check(loss, params, probe_count=60, rng=np.random.default_rng(6)) < 1e-4
 
 
 def test_pair_model_task_b_shares_one_encoder(vocab):

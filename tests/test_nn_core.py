@@ -50,9 +50,9 @@ def test_conv1d_wide_matches_naive_loops():
     for _ in range(20):
         m, d_w, d_feat, w = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 6)
         lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
-        # every text occurs, and up to three occur again
+        # every text occurs once, in order, then up to three repeats, grouped by text
         extra = rng.integers(0, len(lengths), size=int(rng.integers(0, 4)))
-        texts = rng.permutation(np.r_[np.arange(len(lengths)), extra])
+        texts = np.r_[np.arange(len(lengths)), np.sort(extra)]
         occ_lengths = [lengths[t] for t in texts]
         words = param("words", rng.normal(size=(d_w, sum(lengths))).T)
         feats = param("feats", rng.normal(size=(sum(occ_lengths), d_feat)))  # a row per occurrence column
@@ -90,15 +90,15 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
     """The shared-word convolution against one GEMM over whole stacked texts
     (float64): the output and the gradients of the filters, the bias, the
     word rows and the two-row feature table agree to 1e-10.  Every case
-    holds a PAD-only text and runs twice: with every text occurring, in any
-    order, and one at least twice; and with every text once, in order, as
-    comments occur."""
+    holds a PAD-only text and runs twice: with every text once, in order,
+    then at least one repeat, the repeats grouped by text; and with every
+    text once, in order, as comments occur."""
     m, d_w, d_feat = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     token_ids = st.lists(st.integers(PAD_ID + 1, 5), min_size=1, max_size=6).map(tuple)
     distinct = [(PAD_ID,)] + data.draw(st.lists(token_ids, max_size=3, unique=True))
     again = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
-    repeated = data.draw(st.permutations(list(range(len(distinct))) + again))
+    repeated = list(range(len(distinct))) + sorted(again)
     lengths = [len(t) for t in distinct]
     word_starts = np.cumsum(lengths) - lengths
     table = rng.normal(size=(6, d_w))
@@ -156,6 +156,16 @@ def test_conv1d_wide_shape_validation():
             nn.conv1d_wide(words, feats, ids, filters, bias, [5], texts)
     with pytest.raises(ValueError, match="every text"):  # the second text never occurs
         nn.conv1d_wide(words, feats, ids[:2], filters, bias, [2, 3], [0])
+    # every text once, in order, then the repeats grouped by text, in text order
+    for texts in ([1, 0], [0, 0, 1], [1, 0, 0]):
+        with pytest.raises(ValueError, match="every text once"):
+            nn.conv1d_wide(words, feats, ids + ids[:2], filters, bias, [2, 3], texts)
+    for texts in ([0, 1, 1, 0], [0, 1, 0, 1, 0]):
+        with pytest.raises(ValueError, match="grouped by text"):
+            nn.conv1d_wide(words, feats, ids * 2, filters, bias, [2, 3], texts)
+    for texts in ([0, 1, 2], [0, 1, 0, -1]):  # a repeat of a text that is not there
+        with pytest.raises(ValueError, match="texts must be a non-empty 1-d index into 2"):
+            nn.conv1d_wide(words, feats, ids * 2, filters, bias, [2, 3], texts)
     # the feature ids must index the table's 2 rows
     for bad_ids in ([0, 1, 2, 0, 0], [0, -1, 0, 0, 0], [], [ids]):
         with pytest.raises(ValueError, match="feat_ids"):
@@ -254,6 +264,19 @@ def test_embedding_lookup_forward_and_scatter(lookup):
         np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-12)
 
 
+def test_permute_rows_forward_and_inverse_gather():
+    x = param("x", np.arange(8.0).reshape(4, 2))
+    with nn.recording():
+        out = nn.permute_rows(x, [2, 0, 3, 1])
+        out.backward_fn(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]]))
+    # row k moves to row dest[k], and its gradient comes back from there
+    np.testing.assert_array_equal(out.data, x.data[[1, 3, 0, 2]])
+    np.testing.assert_array_equal(x.grad, [[3.0, 30.0], [1.0, 10.0], [4.0, 40.0], [2.0, 20.0]])
+    for dest in ([0, 0, 1, 2], [0, 1, 2], [3, 2, 1, 0, 0]):  # each row exactly once
+        with pytest.raises(ValueError, match="permutation of the 4 rows"):
+            nn.permute_rows(x, dest)
+
+
 def conv_with(texts=(0,), feat_ids=(0, 1, 1)):
     """A one-text conv over 3 words and a 2-row feature table."""
     words, feats = param("w", np.zeros((3, 2))), param("x", np.zeros((2, 1)))
@@ -267,8 +290,9 @@ def conv_with(texts=(0,), feat_ids=(0, 1, 1)):
         ("row_lookup: index", 4, lambda index: nn.row_lookup(param("t", np.zeros((4, 2))), index)),
         ("conv1d_wide: texts", 1, lambda index: conv_with(texts=index)),
         ("conv1d_wide: feat_ids", 2, lambda index: conv_with(feat_ids=index)),
+        ("permute_rows: dest", 1, lambda index: nn.permute_rows(param("x", np.zeros((1, 2))), index)),
     ],
-    ids=["embedding_ids", "row_lookup_index", "conv_texts", "conv_feat_ids"],
+    ids=["embedding_ids", "row_lookup_index", "conv_texts", "conv_feat_ids", "permute_dest"],
 )
 def test_embedding_lookup_validates_ranges(what, size, call):
     """Every index an op takes must be a non-empty 1-d index into its range."""
