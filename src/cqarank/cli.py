@@ -269,15 +269,16 @@ def _task_out_path(out: str, task: str, multi: bool) -> str:
 
 
 def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
-    """Each task's ranking table from one scoring pass, once every task is
-    known to be one the checkpoint scores: the model's table, and the final
-    table (its scores blended with the search rank when ``alpha`` is given)."""
+    """Each task's ranking table from one scoring pass that runs only those
+    tasks' heads, once every task is known to be one the checkpoint scores:
+    the model's table, and the final table (its scores blended with the
+    search rank when ``alpha`` is given)."""
     for t in tasks:
         if t not in model.tasks:
             raise ValueError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
     # score_triples reports an overflow's non-finite score, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = score_triples(model, data)
+        scores = score_triples(model, data, tasks)
     tables = {t: build_rows(data, scores[t], t) for t in tasks}
     if alpha is None:
         return tables, tables

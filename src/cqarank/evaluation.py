@@ -23,7 +23,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -196,28 +196,32 @@ def task_group_key(triple: Triple, task: str) -> str:
     raise ValueError(f"unknown task {task!r}")
 
 
-# Triples scored per forward pass; the repeated questions of a chunk share
-# the word part of the convolution (see ``model.encode_texts``).
-SCORE_CHUNK = 64
+# Triples scored per forward pass.  One chunk holds a whole candidate list
+# (at most 100 triples in SemEval-2016 Task 3), so its new question is encoded
+# once and its repeats share the word part of the convolution (see
+# ``model.encode_texts``).  Memory bounds the chunk: at paper sizes a pass
+# allocates up to about 0.1 MB per triple (tracemalloc peaks of 5-11 MB per
+# 128-triple chunk, 4-6.5 MB per 64).
+SCORE_CHUNK = 128
 
 
-def score_features(model, features: Iterable) -> dict[str, list[float]]:
+def score_features(model, features: Iterable, tasks: Optional[Sequence[str]] = None) -> dict[str, list[float]]:
     """Forward featurized triples through the model in inference mode, one
-    pass per chunk of ``SCORE_CHUNK``; returns one score list per task the
-    model produces, in input order."""
-    scores: dict[str, list[float]] = {t: [] for t in model.tasks}
+    pass per chunk of ``SCORE_CHUNK``; returns one score list per task of
+    ``tasks`` (None: every task the model has), in the model's task order
+    and input order.  Only the heads of those tasks run."""
+    scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}
     pending = iter(features)
     while chunk := list(islice(pending, SCORE_CHUNK)):
-        values = {t: p.data.tolist() for t, p in model.predict(chunk, training=False).items()}
-        for task, chunk_scores in values.items():
-            scores[task].extend(chunk_scores)
+        for task, chunk_scores in model.predict(chunk, training=False, tasks=tasks).items():
+            scores[task].extend(chunk_scores.data.tolist())
     return scores
 
 
-def score_triples(model, triples: Sequence[Triple]) -> dict[str, list[float]]:
+def score_triples(model, triples: Sequence[Triple], tasks: Optional[Sequence[str]] = None) -> dict[str, list[float]]:
     """:func:`score_features` over the triples, featurized in one call; a
     score that is not finite raises :class:`NumericError`."""
-    scores = score_features(model, model.featurize_all(triples))
+    scores = score_features(model, model.featurize_all(triples), tasks)
     for task, values in scores.items():
         if not all(map(math.isfinite, values)):
             k = next(k for k, v in enumerate(values) if not math.isfinite(v))

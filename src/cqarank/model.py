@@ -285,12 +285,18 @@ class CqaModel:
         rng: Optional[np.random.Generator] = None,
         dropout_input: float = 0.4,
         dropout_hidden: float = 0.7,
+        tasks: Optional[Sequence[str]] = None,
     ) -> dict[str, nn.Tensor]:
-        """Score a batch of featurized triples in one pass on every task the
-        network has: returns ``{task: Tensor of shape (len(batch),)}``.  One
-        ``Features`` is a batch of one.  Dropout applies only when
-        ``training`` is set (rate ``dropout_input`` on the shared layer's
-        input, ``dropout_hidden`` after each tanh layer)."""
+        """Score a batch of featurized triples in one pass: returns ``{task:
+        Tensor of shape (len(batch),)}`` for each of ``tasks`` (None: every
+        task the network has), in the network's task order; only those
+        heads run.  An empty ``tasks``, or one naming a task the network does
+        not score, raises ValueError.  One ``Features`` is a batch of one.
+        Dropout applies only when ``training`` is set (rate ``dropout_input``
+        on the shared layer's input, ``dropout_hidden`` after each tanh
+        layer); its draws cover every head, whichever run."""
+        if tasks is not None and (not tasks or not set(tasks) <= set(self.tasks)):
+            raise ValueError(f"model scores tasks {self.tasks}, not {list(tasks)}")
         # one Features is kept because benchmarks/checks.py scores model.featurize(probe)
         batch = [features] if isinstance(features, Features) else list(features)
         rows = len(batch)
@@ -311,6 +317,7 @@ class CqaModel:
         return {
             t: nn.reshape(head.forward(h, dropout_hidden, mask), (rows,))
             for (t, head), mask in zip(self.heads.items(), keep[2:])
+            if tasks is None or t in tasks
         }
 
 

@@ -249,20 +249,24 @@ def conv1d_wide(
     filt = np.concatenate([filters.data[:, :d_w].transpose(0, 2, 1), resp], axis=2).reshape(m, -1)
     filt = np.concatenate([filt, bias.data[:, None]], axis=1)
     first_ids, rep_ids = np.split(feat_ids, [words.data.shape[0]])
-    rep_lengths = lengths[rep_texts]
-    rep_first_ids = first_ids[_ranges(np.cumsum(lengths)[rep_texts] - rep_lengths, rep_lengths)]
-    delta_win, _ = _windows(one_hot[rep_ids] - one_hot[rep_first_ids], rep_lengths, w)
     win, cols = _windows(np.concatenate([words.data, one_hot[first_ids]], axis=1), lengths, w, ones=1)
+    if rep_texts.size:
+        rep_lengths = lengths[rep_texts]
+        rep_first_ids = first_ids[_ranges(np.cumsum(lengths)[rep_texts] - rep_lengths, rep_lengths)]
+        delta_win, _ = _windows(one_hot[rep_ids] - one_hot[rep_first_ids], rep_lengths, w)
+        # each repeated text's block: (word-map start, block start, repeats, width)
+        width = lengths + (w - 1)
+        repeated, at, count = np.unique(rep_texts, return_index=True, return_counts=True)
+        groups = list(zip((np.cumsum(width) - width)[repeated].tolist(),
+                          (np.cumsum(width[rep_texts]) - width[rep_texts])[at].tolist(),
+                          count.tolist(), width[repeated].tolist()))
+    else:  # no repeats, as in every comment-encoder call: the word map is the output
+        delta_win, groups = np.zeros((0, w * n_ids), dtype=win.dtype), []
     out = np.empty((m, win.shape[0] + delta_win.shape[0]), dtype=win.dtype)
-    word_map, rep_map = np.split(out, [win.shape[0]], axis=1)
+    word_map, rep_map = out[:, : win.shape[0]], out[:, win.shape[0] :]
     np.matmul(filt, win.T, out=word_map)
-    np.matmul(resp.reshape(m, -1), delta_win.T, out=rep_map)
-    # each repeated text's block: (word-map start, block start, repeats, width)
-    width = lengths + (w - 1)
-    repeated, at, count = np.unique(rep_texts, return_index=True, return_counts=True)
-    groups = list(zip((np.cumsum(width) - width)[repeated].tolist(),
-                      (np.cumsum(width[rep_texts]) - width[rep_texts])[at].tolist(),
-                      count.tolist(), width[repeated].tolist()))
+    if groups:
+        np.matmul(resp.reshape(m, -1), delta_win.T, out=rep_map)
     for a, r, c, n in groups:
         block = rep_map[:, r : r + c * n].reshape(m, c, n)
         block += word_map[:, None, a : a + n]

@@ -152,7 +152,7 @@ def _dev_pass(
     mean loss and its MAP percentage.  The MAP is nan when no dev group has a
     positive, and when a score is not finite, which makes the loss nan too."""
     features, tables = dev
-    scores = score_features(model, features)
+    scores = score_features(model, features, tasks)
     task_loss = {}
     task_map = {}
     for t in tasks:

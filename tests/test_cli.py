@@ -437,15 +437,41 @@ def test_non_finite_scores_exit_3_with_one_error_line_and_no_tsv(tmp_path, capsy
     for p in model.parameters():
         p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -1e30, 1e30)
     save_checkpoint(str(ckpt), model)
-    for argv in (
-        ["evaluate", "--tune-alpha", "--out", str(tmp_path / "e.tsv")],
-        ["predict", "--task", "C", "--out", str(tmp_path / "p.tsv")],
+    # evaluate scores every task and names the first, A; predict --task C scores C alone
+    for argv, task in (
+        (["evaluate", "--tune-alpha", "--out", str(tmp_path / "e.tsv")], "A"),
+        (["predict", "--task", "C", "--out", str(tmp_path / "p.tsv")], "C"),
     ):
         assert main([*argv[:1], "--model", str(ckpt), "--corpus", str(corpus), *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: non-finite score nan for task A on triple {data[0].id!r}"]
+        assert captured.err.splitlines() == [f"error: non-finite score nan for task {task} on triple {data[0].id!r}"]
     assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_a_non_finite_head_that_is_not_requested_does_not_fail_the_command(tmp_path, capsys, monkeypatch):
+    # a checkpoint holds only finite weights, and finite head weights give
+    # finite scores (a head reads tanh outputs), so the loaded model's head A
+    # is made non-finite in place: its scores are nan, B's and C's finite
+    data = conjunction_corpus(4, seed=0)
+    corpus, ckpt = tmp_path / "dev.jsonl", tmp_path / "model.ckpt"
+    save_corpus(str(corpus), data)
+    save_checkpoint(str(ckpt), CqaModel(vocabulary_for(data), m=4, d_w=3, d_feat=2))
+
+    def load_with_head_a_nan(path):
+        model = load_checkpoint(path)
+        model.heads["A"].out_b.data[...] = np.nan
+        return model
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_with_head_a_nan)
+    out = tmp_path / "p.tsv"
+    assert main(["predict", "--model", str(ckpt), "--corpus", str(corpus), "--task", "C", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 1 + len(data)
+    assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus), "--tasks", "A"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: non-finite score nan for task A on triple {data[0].id!r}"]
 
 
 VECTOR_FILES = {

@@ -210,6 +210,32 @@ def test_score_triples_refuses_non_finite_scores():
             score_triples(model, data)
 
 
+def test_a_candidate_list_of_up_to_128_triples_is_scored_in_one_pass(monkeypatch):
+    data = conjunction_corpus(33, seed=0)  # 132 triples
+    model = CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2, seed=0)
+    # lists of 100, 15 and 17 candidates, each under one new question
+    lists = [data[:100], data[100:115], data[115:]]
+    lists = [[dataclasses.replace(t, group=f"list{k}") for t in triples] for k, triples in enumerate(lists)]
+    alone = [score_triples(model, triples) for triples in lists]
+    sizes = []
+    predict = CqaModel.predict
+
+    def spy(self, features, *args, **kwargs):
+        sizes.append(len(features))
+        return predict(self, features, *args, **kwargs)
+
+    monkeypatch.setattr(CqaModel, "predict", spy)
+    assert score_triples(model, lists[0], ("C",)).keys() == {"C"}
+    assert sizes == [100]
+    sizes.clear()
+    everything = [t for triples in lists for t in triples]
+    together = score_triples(model, everything[:129])
+    assert sizes == [128, 1]
+    for task in model.tasks:
+        want = [s for scores in alone for s in scores[task]][:129]
+        np.testing.assert_allclose(together[task], want, rtol=0, atol=1e-6)
+
+
 def blended(score, google_rank, alpha):
     """The blended score of one row, which keeps its key, id, rank and relevance."""
     table = RankTable.of([("q", "d", score, google_rank, 1)])

@@ -29,7 +29,7 @@ from cqarank.text_pipeline import (
     triple_sources,
     vocabulary_for,
 )
-from cqarank.training import joint_loss, snapshot
+from cqarank.training import TrainConfig, joint_loss, snapshot, train
 from oracles import naive_kmax, stacked_conv1d_wide
 
 
@@ -418,6 +418,35 @@ def test_pair_model_predict_scores_only_its_task(corpus, vocab):
     preds = model.predict(model.featurize(corpus[0]))
     assert set(preds) == {"C"}
     assert 0.0 < preds["C"].data[0] < 1.0
+
+
+def test_predict_runs_only_the_requested_heads(corpus, vocab, monkeypatch):
+    model = small_mtl(vocab)
+    features = model.featurize_all(corpus)
+    every = model.predict(features)
+    runs = []  # per head run: its task, and whether it is a training pass (dropout on)
+    forward = model_module.TaskHead.forward
+
+    def spy(head, x, dropout_hidden, mask):
+        runs.append((next(t for t, h in model.heads.items() if h is head), mask is not None))
+        return forward(head, x, dropout_hidden, mask)
+
+    monkeypatch.setattr(model_module.TaskHead, "forward", spy)
+    only_c = model.predict(features, tasks=("C",))
+    assert runs == [("C", False)]
+    assert list(only_c) == ["C"]
+    assert only_c["C"].data.tobytes() == every["C"].data.tobytes()
+    assert list(model.predict(features, tasks=("C", "A"))) == ["A", "C"]  # the network's order
+    for bad in ((), ("Z",), ("A", "Z")):
+        with pytest.raises(ValueError, match=r"^model scores tasks \('A', 'B', 'C'\), not "):
+            model.predict(features, tasks=bad)
+    with pytest.raises(ValueError, match="model scores tasks"):
+        CqaModel(vocab, task="C", m=6, d_w=8, d_feat=3).predict(features[:1], tasks=("A",))
+    # a training step runs every head, so its dropout draws and gradients do
+    # not depend on the trained tasks; the dev pass runs only the trained one
+    runs.clear()
+    train(model, corpus, corpus, TrainConfig(epochs=1, batch_size=len(corpus), tasks=("C",)))
+    assert runs == [("A", True), ("B", True), ("C", True), ("C", False)]
 
 
 def test_inference_builds_no_graph(corpus, vocab):

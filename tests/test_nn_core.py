@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +93,8 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
     word rows and the two-row feature table agree to 1e-10.  Every case
     holds a PAD-only text and runs twice: with every text once, in order,
     then at least one repeat, the repeats grouped by text; and with every
-    text once, in order, as comments occur."""
+    text once, in order, as comments occur, where the call builds only the
+    distinct texts' window matrix."""
     m, d_w, d_feat = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     token_ids = st.lists(st.integers(PAD_ID + 1, 5), min_size=1, max_size=6).map(tuple)
@@ -117,10 +119,11 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
         parts = segments(feats.data[ids].T, occ_lengths)
         stacked = np.hstack([np.vstack([text_words[t], part]) for t, part in zip(texts, parts)])
         want, reference_backward = stacked_conv1d_wide(stacked, filters.data, bias.data, occ_lengths)
-        with nn.recording():
+        with nn.recording(), mock.patch.object(nn, "_windows", wraps=nn._windows) as windows:
             got = nn.conv1d_wide(words, feats, ids, filters, bias, lengths, texts)
             upstream = rng.normal(size=got.shape)
             got.backward_fn(upstream)
+        assert windows.call_count == (1 if len(texts) == len(distinct) else 2)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
         want_x, want_filters, want_bias = reference_backward(upstream)
         want_words = np.zeros_like(words.data.T)

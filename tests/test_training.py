@@ -230,11 +230,11 @@ def test_dev_pass_map_is_nan_without_a_positive_or_a_finite_score(corpus, vocab,
     assert task_map["B"] == evaluate(model, dev, "B").map
     assert task_map["C"] == evaluate(model, dev, "C").map
     # nan scores: the loss shows them, and no ranking is attempted
-    monkeypatch.setattr(training, "score_features", lambda m, f: {t: [math.nan] * len(dev) for t in TASKS})
+    monkeypatch.setattr(training, "score_features", lambda m, f, tasks: {t: [math.nan] * len(dev) for t in TASKS})
     task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
     assert all(math.isnan(v) for v in [*task_loss.values(), *task_map.values()])
     # any other ranking error is raised, not read as a nan MAP
-    monkeypatch.setattr(training, "score_features", lambda m, f: {t: [0.5] for t in TASKS})
+    monkeypatch.setattr(training, "score_features", lambda m, f, tasks: {t: [0.5] for t in TASKS})
     with pytest.raises(ValueError, match=f"^1 scores for {len(dev)} rows$"):
         training._dev_pass(model, dev_set, ("C",))
 
