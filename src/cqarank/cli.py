@@ -238,10 +238,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"loaded pretrained vectors for {n} tokens")
 
-    # a diverging run overflows before its loss turns non-finite; train()
-    # reports that loss as one error line instead of numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = train(model, train_data, dev_data, train_conf, log=None if args.quiet else _print_epoch)
+    report = train(model, train_data, dev_data, train_conf, log=None if args.quiet else _print_epoch)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_history_csv(os.path.join(args.out_dir, "history.csv"), report.history)
@@ -276,9 +273,7 @@ def _task_rows(model, data, tasks, alpha) -> tuple[dict, dict]:
     for t in tasks:
         if t not in model.tasks:
             raise ValueError(f"checkpoint scores tasks {model.tasks}, not {t!r}")
-    # score_triples reports an overflow's non-finite score, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = score_triples(model, data, tasks)
+    scores = score_triples(model, data, tasks)
     tables = {t: build_rows(data, scores[t], t) for t in tasks}
     if alpha is None:
         return tables, tables
@@ -392,7 +387,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.handler(args)
+        # a diverging run or an overflowing head overflows before its loss or
+        # score turns non-finite; the command reports that value as one error
+        # line instead of numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (CorpusError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

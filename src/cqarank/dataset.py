@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -73,8 +74,9 @@ class Triple:
         for name in ("id", "group"):  # each is one field of a prediction TSV row
             if re.search("[\t\n\r]", getattr(self, name)):
                 raise CorpusError(f"triple {self.id!r}: {name} must not hold a tab or line break")
-        if self.google_rank < 1:
-            raise CorpusError(f"triple {self.id!r}: google_rank must be >= 1")
+        # the search-rank prior takes 1 / rank, which needs a float-sized rank
+        if not 1 <= self.google_rank <= sys.float_info.max:
+            raise CorpusError(f"triple {self.id!r}: google_rank must be >= 1 and at most {sys.float_info.max:.3e}")
         for task in TASKS:
             label = getattr(self, f"label_{task}")
             if label not in LABELS[task]:

@@ -244,7 +244,7 @@ def evaluate(model, triples: Sequence[Triple], task: str) -> EvalResult:
         raise ValueError("evaluate: no triples to evaluate")
     if task not in model.tasks:
         raise ValueError(f"model does not score task {task!r}")
-    return evaluate_scores(build_rows(triples, score_triples(model, triples)[task], task))
+    return evaluate_scores(build_rows(triples, score_triples(model, triples, (task,))[task], task))
 
 
 # The blend weights the alpha search tries, as step / 100.0 for step 0..100.

@@ -112,8 +112,8 @@ def encode_texts(
     first-seen order, and the convolution's big GEMM runs once per distinct
     text; each text keeps its own overlaps, since the same words can carry
     other overlaps in another triple.  The convolution reads each text's first
-    occurrence, then the other occurrences grouped by text; one permutation
-    of the pooled rows restores the input order."""
+    occurrence, then the other occurrences grouped by text; pooling writes
+    each occurrence's encoding to its input row."""
     distinct: dict[tuple[int, ...], int] = {}
     texts = np.fromiter((distinct.setdefault(t, len(distinct)) for t in ids), np.intp, len(ids))
     lengths = np.array([len(t) for t in distinct], dtype=np.intp)
@@ -124,7 +124,7 @@ def encode_texts(
     words = nn.embedding_lookup(encoder.word_emb, np.fromiter(chain.from_iterable(distinct), np.intp))
     overlap_ids = np.fromiter(chain.from_iterable(overlaps[k] for k in order.tolist()), np.intp)
     fmap = nn.conv1d_wide(words, encoder.feat_emb, overlap_ids, encoder.filters, encoder.conv_bias, lengths, grouped)
-    return nn.permute_rows(nn.kmax_pool(fmap, lengths[grouped] + encoder.filters.data.shape[2] - 1), order)
+    return nn.kmax_pool(fmap, lengths[grouped] + encoder.filters.data.shape[2] - 1, order)
 
 
 @dataclass(frozen=True, eq=False)

@@ -300,16 +300,21 @@ def _conv1d_wide_backward(grad, words, feat_table, filters, bias, saved):
     _accumulate(words, _unwindow(word_grad.T @ filt[:, :-1], cols, w)[:, :d_w])
 
 
-def kmax_pool(x: Tensor, lengths) -> Tensor:
+def kmax_pool(x: Tensor, lengths, dest) -> Tensor:
     """Max over each text's columns of a packed m x L map (k-max pooling
-    with k=1), one row per text of an (n_texts, m) output; ties route the
-    gradient to the first maximal column."""
+    with k=1): text k's maxima are row dest[k] of the (n_texts, m) output,
+    ``dest`` a permutation of the texts.  Ties route the gradient to the
+    first maximal column."""
     if x.data.ndim != 2 or x.data.shape[1] < 1:
         raise ValueError("kmax_pool: input must be a non-empty 2-d map")
     n = x.data.shape[1]
     segments = _segments(lengths, n, "kmax_pool")
+    dest = _index(dest, segments.size, "kmax_pool: dest")
+    src = np.argsort(dest, kind="stable")  # like the other sorts here; the default pages in more numpy code
+    if not np.array_equal(dest[src], np.arange(segments.size)):
+        raise ValueError(f"kmax_pool: dest must be a permutation of the {segments.size} texts")
     peak = np.maximum.reduceat(x.data, np.cumsum(segments) - segments, axis=1)
-    out = np.ascontiguousarray(peak.T)
+    out = np.ascontiguousarray(peak.T[src])
 
     def backward_fn(grad: np.ndarray) -> None:
         if x.grad is None:
@@ -319,23 +324,9 @@ def kmax_pool(x: Tensor, lengths) -> Tensor:
         segs = np.repeat(np.arange(segments.size), segments)[cols]
         first = np.r_[True, (rows[1:] != rows[:-1]) | (segs[1:] != segs[:-1])]
         rows, cols, segs = rows[first], cols[first], segs[first]
-        x.grad[rows, cols] += grad[segs, rows]
+        x.grad[rows, cols] += grad[dest[segs], rows]
 
     return _record(out, backward_fn)
-
-
-def permute_rows(x: Tensor, dest) -> Tensor:
-    """Row k of ``x`` moved to row dest[k], ``dest`` a permutation of its
-    rows; both passes are gathers."""
-    dest = _index(dest, x.data.shape[0], "permute_rows: dest")
-    src = np.argsort(dest, kind="stable")  # like the other sorts here; the default pages in more numpy code
-    if not np.array_equal(dest[src], np.arange(x.data.shape[0])):
-        raise ValueError(f"permute_rows: dest must be a permutation of the {x.data.shape[0]} rows")
-
-    def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, grad[dest])
-
-    return _record(x.data[src], backward_fn)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

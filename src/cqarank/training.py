@@ -49,14 +49,17 @@ class TrainConfig:
     tasks: tuple[str, ...] = TASKS
 
     def __post_init__(self):
+        # lr and eps act on float32 arrays, where 1e-46 is 0 and 1e300 is inf
+        with np.errstate(over="ignore"):
+            lr, eps = np.float32(self.lr), np.float32(self.eps)
         for name, ok, rule in (
             ("stopping", self.stopping in STOPPING, " or ".join(map(repr, STOPPING))),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("patience", self.patience >= 1, ">= 1"),
-            ("lr", 0 < self.lr < math.inf, "positive and finite"),
+            ("lr", 0 < lr < math.inf, "positive and finite in float32"),
             ("rho", 0 <= self.rho < 1, "in [0, 1)"),
-            ("eps", 0 < self.eps < math.inf, "positive and finite"),
+            ("eps", 0 < eps < math.inf, "positive and finite in float32"),
             ("dropout_input", 0 <= self.dropout_input < 1, "in [0, 1)"),
             ("dropout_hidden", 0 <= self.dropout_hidden < 1, "in [0, 1)"),
             ("seed", self.seed >= 0, ">= 0"),

@@ -1,19 +1,24 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqarank
 import cqarank.cli as cli
 from cqarank.cli import main
 from cqarank.dataset import load_corpus, save_corpus, task_relevance
 from cqarank.evaluation import RankTable, evaluate_scores, score_triples, task_group_key
-from cqarank.model import CqaModel
+from cqarank.model import SIZES, CqaModel
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus
 from cqarank.text_pipeline import PAD_TOKEN, UNK_TOKEN, preprocess, triple_sources, vocabulary_for
 from cqarank.training import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -427,6 +432,155 @@ def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# Random malformed inputs at main: one mutation of a valid corpus record or
+# of a valid checkpoint.  Unless a test says otherwise, a mutation always
+# makes the input malformed, so the command must exit 2 with one error line,
+# raise nothing and write nothing under its --out or --out-dir.
+NULLABLE = ("q_new_subject", "q_rel_subject")
+BAD_RANKS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "0", "-2", "2.0")
+NOT_UTF8 = (b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80")  # the last: a surrogate, UTF-8 encoded
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid corpus, which every command accepts, and a valid checkpoint."""
+    data = gradcheck_corpus()
+    base = tmp_path_factory.mktemp("valid")
+    corpus, ckpt = base / "corpus.jsonl", base / "model.ckpt"
+    save_corpus(str(corpus), data)
+    save_checkpoint(str(ckpt), CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2))
+    return base, corpus, ckpt
+
+
+def run_on(base, command, data):
+    """Run main on ``data`` written to a file in a fresh directory, the
+    command's {bad} and {work}; returns the exit code, the stderr lines and
+    the files the run left beside the input.  An exception main lets out
+    fails the test."""
+    with tempfile.TemporaryDirectory(dir=base) as work:
+        bad = os.path.join(work, "bad")
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        argv = [arg.format(bad=bad, work=work) for arg in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        return code, err.getvalue().splitlines(), sorted(set(os.listdir(work)) - {"bad"})
+
+
+def assert_refused(code, err, written):
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert written == []
+
+
+def corpus_mutation(draw, lines, labelled):
+    """The corpus's JSONL ``lines`` with one record made malformed, as bytes;
+    ``labelled`` says whether the reading command needs the labels."""
+    k = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[k])
+    fields = [f for f in record if labelled or not f.startswith("label_")]
+    kind = draw(st.sampled_from(["drop", "type", "surrogate", "rank", "duplicate_id", "not_utf8"]))
+    if kind == "drop":
+        del record[draw(st.sampled_from([f for f in fields if f not in NULLABLE]))]
+    elif kind == "type":
+        field = draw(st.sampled_from(fields))
+        wrong = [1.5, True, [], {"a": 1}, "1" if field == "google_rank" else 7]
+        record[field] = draw(st.sampled_from(wrong + ([] if field in NULLABLE else [None])))
+    elif kind == "surrogate":  # json.dumps writes it as a \udXXX escape
+        field = draw(st.sampled_from([f for f in fields if f != "google_rank"]))
+        record[field] = (record[field] or "") + draw(st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"]))
+    elif kind == "rank":
+        record["google_rank"] = "RANK"
+    elif kind == "duplicate_id":
+        record["id"] = json.loads(lines[draw(st.sampled_from([j for j in range(len(lines)) if j != k]))])["id"]
+    text = json.dumps(record)
+    if kind == "rank":
+        text = text.replace('"RANK"', draw(st.sampled_from(BAD_RANKS)))
+    data = "\n".join(lines[:k] + [text] + lines[k + 1 :]).encode("utf-8") + b"\n"
+    if kind == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+TRAIN_SIZES = ("--epochs", "1", "--m", "4", "--d-w", "4", "--d-feat", "2", "--quiet")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(draw=st.data())
+def test_a_malformed_corpus_exits_2_with_one_error_line_and_writes_nothing(valid_inputs, draw):
+    base, corpus, ckpt = valid_inputs
+    command = draw.draw(st.sampled_from([
+        ("train", "--corpus", "{bad}", "--dev", str(corpus), "--out-dir", "{work}/run", *TRAIN_SIZES),
+        ("train", "--corpus", str(corpus), "--dev", "{bad}", "--out-dir", "{work}/run", *TRAIN_SIZES),
+        ("extend", "--corpus", "{bad}", "--out", "{work}/out"),
+        ("evaluate", "--model", str(ckpt), "--corpus", "{bad}", "--out", "{work}/out"),
+        ("predict", "--model", str(ckpt), "--corpus", "{bad}", "--task", "C", "--out", "{work}/out"),
+    ]))
+    lines = corpus.read_text("utf-8").splitlines()
+    assert_refused(*run_on(base, command, corpus_mutation(draw.draw, lines, command[0] != "predict")))
+
+
+def index_edits(index, entry, token):
+    """Edits of a checkpoint's JSON index that each leave it malformed:
+    ``entry`` is one of its array entries and ``token`` one vocabulary token."""
+    meta, params, vocab = index["meta"], index["params"], index["vocab"]
+    return [
+        *(lambda key=key: index.pop(key) for key in ("meta", "params", "vocab")),
+        *(lambda key=key: meta.pop(key) for key in ("kind", "dtype", *SIZES)),
+        *(lambda key=key, v=v: meta.update({key: v}) for key in SIZES for v in (0, -1, "4", 4.5, True)),
+        # every size but max_len shapes an array
+        *(lambda key=key: meta.update({key: meta[key] + 1}) for key in SIZES if key != "max_len"),
+        *(lambda v=v: meta.update(kind=v) for v in ("tree", None, "pair")),
+        *(lambda v=v: meta.update(dtype=v) for v in ("int32", "garbage", "float64", ",f4")),
+        *(lambda key=key: entry.pop(key) for key in ("name", "dtype", "shape", "offset", "nbytes")),
+        *(lambda v=v: entry.update(dtype=v) for v in ("<f8", "<i4", ">f4")),
+        *(lambda v=v: entry.update(offset=v) for v in (-4, 10**9, "0")),
+        lambda: entry.update(name="nope"),
+        lambda: entry.update(shape=[n + 1 for n in entry["shape"]]),
+        lambda: entry.update(nbytes=entry["nbytes"] + 4),
+        lambda: params.remove(entry),
+        lambda: params.append(dict(entry)),
+        lambda: vocab.remove(token),
+        lambda: vocab.append(token),
+        lambda: vocab.append(5),
+        lambda: index.update(vocab="tokens"),
+    ]
+
+
+def checkpoint_mutation(draw, data, kind):
+    """The checkpoint bytes ``data`` with one mutation of ``kind``."""
+    head_len = int.from_bytes(data[8:16], "little")
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "index":
+        index = json.loads(data[16 : 16 + head_len])
+        edits = index_edits(index, draw(st.sampled_from(index["params"])), draw(st.sampled_from(index["vocab"])))
+        draw(st.sampled_from(edits))()
+        head = json.dumps(index).encode("utf-8")
+        return data[:8] + len(head).to_bytes(8, "little") + head + data[16 + head_len :]
+    # flip one byte: of the header (the magic and the index length), or of the index and arrays
+    at = draw(st.integers(0, 15) if kind == "header" else st.integers(16, len(data) - 1))
+    return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["truncate", "header", "index", "flip"]), draw=st.data())
+def test_a_malformed_checkpoint_exits_2_with_one_error_line_and_writes_nothing(valid_inputs, kind, draw):
+    base, corpus, ckpt = valid_inputs
+    command = draw.draw(st.sampled_from([
+        ("evaluate", "--model", "{bad}", "--corpus", str(corpus), "--tune-alpha", "--out", "{work}/out"),
+        ("predict", "--model", "{bad}", "--corpus", str(corpus), "--task", "B", "--out", "{work}/out"),
+    ]))
+    code, err, written = run_on(base, command, checkpoint_mutation(draw.draw, ckpt.read_bytes(), kind))
+    # the format has no checksum: a flipped index or array byte can leave a
+    # valid checkpoint (another token, or other finite weights), which runs
+    if kind == "flip" and code == 0:
+        assert err == [] and written
+        return
+    assert_refused(code, err, written)
+
+
 def test_non_finite_scores_exit_3_with_one_error_line_and_no_tsv(tmp_path, capsys):
     # finite weights that overflow: every score is nan
     data = conjunction_corpus(4, seed=0)
@@ -522,6 +676,9 @@ BAD_TRAIN_OPTIONS = {
     "rho_above_one": (["--rho", "1.5"], None),
     "zero_eps": (["--eps", "0"], None),
     "infinite_eps": (["--eps", "inf"], None),
+    "eps_zero_in_float32": (["--eps", "1e-46"], None),
+    "eps_infinite_in_float32": (["--eps", "1e300"], None),
+    "lr_zero_in_float32": (["--lr", "1e-50"], None),
     "dropout_input_above_one": (["--dropout-input", "1.5"], None),
     "dropout_hidden_one": (["--dropout-hidden", "1"], None),
     "negative_seed": (["--seed", "-1"], None),
@@ -550,7 +707,8 @@ def test_bad_train_options_exit_1_with_one_error_line(tmp_path, corpus_path, cap
 
 
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--rho", "1.5"], ["--eps", "0"], ["--dropout-input", "1.5"],
-                                   ["--dropout-hidden", "-0.1"], ["--seed", "-1"], ["--eps", "inf"]])
+                                   ["--dropout-hidden", "-0.1"], ["--seed", "-1"], ["--eps", "inf"],
+                                   ["--eps", "1e-46"], ["--eps", "1e300"], ["--lr", "1e-50"]])
 def test_optimizer_values_are_refused_before_the_corpus_is_read(tmp_path, flags):
     # a missing corpus would exit 2 if it were read first
     assert main(train_args(str(tmp_path / "missing.jsonl"), tmp_path / "run", *flags)) == 1

@@ -69,6 +69,8 @@ def record(**overrides):
 def test_triple_validation():
     with pytest.raises(CorpusError):
         make_triple(google_rank=0)
+    with pytest.raises(CorpusError, match="google_rank must be >= 1 and at most 1.798e"):
+        make_triple(google_rank=2**1024)
     with pytest.raises(CorpusError):
         make_triple(label_A="great")
     with pytest.raises(CorpusError):
@@ -211,6 +213,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         {"id": "x"},
         record(c_rel="caf\udce9"),  # a lone surrogate: JSON can escape it, UTF-8 cannot hold it
         record(id="\ud800"),
+        record(google_rank=10**400),  # an integer too large for a float, whose reciprocal the prior needs
     ],
 )
 def test_load_corpus_rejects_bad_records(tmp_path, bad):

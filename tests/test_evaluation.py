@@ -23,6 +23,7 @@ from cqarank.evaluation import (
     write_predictions,
 )
 import cqarank.evaluation as evaluation
+import cqarank.model as model_module
 from cqarank.model import CqaModel
 from cqarank.nn_core import NumericError
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
@@ -161,6 +162,26 @@ def test_task_group_keys():
     assert task_group_key(t, "C") == t.group
     with pytest.raises(ValueError):
         task_group_key(t, "Z")
+
+
+def test_evaluate_runs_only_the_task_head(monkeypatch):
+    data = overfit_corpus()
+    model = CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2, seed=0)
+    every = score_triples(model, data)  # all three heads, bit-equal to one head's scores
+    runs = []
+    forward = model_module.TaskHead.forward
+
+    def spy(head, *args):
+        runs.append(next(t for t, h in model.heads.items() if h is head))
+        return forward(head, *args)
+
+    monkeypatch.setattr(model_module.TaskHead, "forward", spy)
+    monkeypatch.setattr(evaluation, "SCORE_CHUNK", 5)
+    chunks = math.ceil(len(data) / 5)
+    for t in model.tasks:
+        runs.clear()
+        assert evaluate(model, data, t) == evaluate_scores(build_rows(data, every[t], t))
+        assert runs == [t] * chunks
 
 
 def test_build_rows_validates_lengths():

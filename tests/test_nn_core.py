@@ -153,7 +153,7 @@ def test_conv1d_wide_shape_validation():
         with pytest.raises(ValueError):
             nn.conv1d_wide(words, feats, ids, filters, bias, lengths, [0])
         with pytest.raises(ValueError):
-            nn.kmax_pool(param("x", np.zeros((3, 5))), lengths)
+            nn.kmax_pool(param("x", np.zeros((3, 5))), lengths, np.arange(len(lengths)))
     for texts in ([], [1], [-1], [[0]]):  # a non-empty index into the one text
         with pytest.raises(ValueError, match="texts"):
             nn.conv1d_wide(words, feats, ids, filters, bias, [5], texts)
@@ -205,7 +205,7 @@ def test_kmax_pool_matches_naive_loops():
     for _ in range(40):
         m, n = rng.integers(1, 9), rng.integers(1, 12)
         x = param("x", rng.normal(size=(m, n)))
-        got = nn.kmax_pool(x, [n])
+        got = nn.kmax_pool(x, [n], [0])
         assert got.shape == (1, m)
         assert np.max(np.abs(got.data[0] - naive_kmax(x.data))) < 1e-6
     # a packed map pools each segment into its own row
@@ -213,7 +213,7 @@ def test_kmax_pool_matches_naive_loops():
         m = rng.integers(1, 9)
         lengths = list(rng.permutation(random_lengths(rng, int(rng.integers(1, 6)))))
         x = param("x", rng.normal(size=(m, sum(lengths))))
-        got = nn.kmax_pool(x, lengths)
+        got = nn.kmax_pool(x, lengths, np.arange(len(lengths)))
         want = np.stack([naive_kmax(part) for part in segments(x.data, lengths)])
         assert got.shape == (len(lengths), m)
         assert np.max(np.abs(got.data - want)) < 1e-6
@@ -222,7 +222,7 @@ def test_kmax_pool_matches_naive_loops():
 def test_kmax_pool_gradient_goes_to_first_max():
     x = param("x", [[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 1.0, 2.0]])
     with nn.recording():
-        pooled = nn.kmax_pool(x, [4])
+        pooled = nn.kmax_pool(x, [4], [0])
         out = nn.dense(pooled, param("w", np.ones((1, 2))), param("b", np.zeros(1)))
         out.backward()
     assert x.grad.tolist() == [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
@@ -230,7 +230,7 @@ def test_kmax_pool_gradient_goes_to_first_max():
     # also when a tie spans the boundary between two segments
     x = param("x", [[1.0, 3.0, 3.0, 3.0, 0.0, 5.0], [2.0, 2.0, 1.0, 2.0, 2.0, 2.0]])
     with nn.recording():
-        pooled = nn.kmax_pool(x, [2, 3, 1])
+        pooled = nn.kmax_pool(x, [2, 3, 1], [0, 1, 2])
         pooled.backward_fn(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
     np.testing.assert_array_equal(pooled.data, [[3.0, 2.0], [3.0, 2.0], [5.0, 2.0]])
     assert x.grad.tolist() == [[0.0, 1.0, 2.0, 0.0, 0.0, 3.0], [10.0, 0.0, 0.0, 20.0, 0.0, 30.0]]
@@ -267,17 +267,44 @@ def test_embedding_lookup_forward_and_scatter(lookup):
         np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-12)
 
 
-def test_permute_rows_forward_and_inverse_gather():
-    x = param("x", np.arange(8.0).reshape(4, 2))
+def test_kmax_pool_writes_each_text_to_its_dest_row():
+    x = param("x", [[1.0, 4.0, 2.0, 7.0, 0.0, 5.0], [3.0, 3.0, 6.0, 1.0, 8.0, 8.0]])
     with nn.recording():
-        out = nn.permute_rows(x, [2, 0, 3, 1])
+        out = nn.kmax_pool(x, [2, 1, 2, 1], [2, 0, 3, 1])
         out.backward_fn(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]]))
-    # row k moves to row dest[k], and its gradient comes back from there
-    np.testing.assert_array_equal(out.data, x.data[[1, 3, 0, 2]])
-    np.testing.assert_array_equal(x.grad, [[3.0, 30.0], [1.0, 10.0], [4.0, 40.0], [2.0, 20.0]])
-    for dest in ([0, 0, 1, 2], [0, 1, 2], [3, 2, 1, 0, 0]):  # each row exactly once
-        with pytest.raises(ValueError, match="permutation of the 4 rows"):
-            nn.permute_rows(x, dest)
+    # text k's maxima are row dest[k], and its gradient comes back from there
+    np.testing.assert_array_equal(out.data, [[2.0, 6.0], [5.0, 8.0], [4.0, 3.0], [7.0, 8.0]])
+    np.testing.assert_array_equal(x.grad, [[0.0, 3.0, 1.0, 4.0, 0.0, 2.0], [30.0, 0.0, 10.0, 0.0, 40.0, 20.0]])
+    # random permutations of packed maps with ties, in both dtypes: each row
+    # holds the naive maxima of the text that dest sends there, and that
+    # row's gradient reaches the text's first maximal column
+    rng = np.random.default_rng(46)
+    for dtype in (np.float32, np.float64):
+        for _ in range(20):
+            m = int(rng.integers(1, 6))
+            lengths = random_lengths(rng, int(rng.integers(2, 7)))
+            dest = rng.permutation(len(lengths))
+            x = nn.Parameter("x", rng.integers(0, 3, size=(m, sum(lengths))).astype(dtype))
+            upstream = rng.normal(size=(len(lengths), m)).astype(dtype)
+            with nn.recording():
+                out = nn.kmax_pool(x, lengths, dest)
+                out.backward_fn(upstream)
+            assert out.data.dtype == dtype and out.shape == (len(lengths), m)
+            want_grad = np.zeros_like(x.data)
+            for k, (start, part) in enumerate(zip(np.cumsum(lengths) - lengths, segments(x.data, lengths))):
+                np.testing.assert_array_equal(out.data[dest[k]], naive_kmax(part))
+                for r in range(m):
+                    want_grad[r, start + int(np.argmax(part[r]))] = upstream[dest[k], r]
+            np.testing.assert_array_equal(x.grad, want_grad)
+    x = param("x", np.zeros((2, 4)))
+    for dest in ([0, 0, 1, 2], [1, 3, 3, 2], [0, 1, 2], [0, 1, 2, 3, 0]):  # each text exactly once
+        with pytest.raises(ValueError, match="dest must be"):
+            nn.kmax_pool(x, [1, 1, 1, 1], dest)
+    for dest in ([0.0, 1.0, 2.0, 3.0], [4, 2, 1, 0], [-1, 0, 1, 2]):  # an index into the 4 texts
+        with pytest.raises(ValueError, match="dest must be a non-empty 1-d index into 4 entries"):
+            nn.kmax_pool(x, [1, 1, 1, 1], dest)
+    with pytest.raises(TypeError):  # dest is required
+        nn.kmax_pool(x, [1, 1, 1, 1])
 
 
 def conv_with(texts=(0,), feat_ids=(0, 1, 1)):
@@ -293,9 +320,9 @@ def conv_with(texts=(0,), feat_ids=(0, 1, 1)):
         ("row_lookup: index", 4, lambda index: nn.row_lookup(param("t", np.zeros((4, 2))), index)),
         ("conv1d_wide: texts", 1, lambda index: conv_with(texts=index)),
         ("conv1d_wide: feat_ids", 2, lambda index: conv_with(feat_ids=index)),
-        ("permute_rows: dest", 1, lambda index: nn.permute_rows(param("x", np.zeros((1, 2))), index)),
+        ("kmax_pool: dest", 1, lambda index: nn.kmax_pool(param("x", np.zeros((1, 2))), [2], index)),
     ],
-    ids=["embedding_ids", "row_lookup_index", "conv_texts", "conv_feat_ids", "permute_dest"],
+    ids=["embedding_ids", "row_lookup_index", "conv_texts", "conv_feat_ids", "kmax_dest"],
 )
 def test_embedding_lookup_validates_ranges(what, size, call):
     """Every index an op takes must be a non-empty 1-d index into its range."""
@@ -484,11 +511,12 @@ def test_scale_and_add_n():
 
 def encoder_like_loss(words, feats, filters, bias, weight, out_b):
     """conv -> kmax -> dense(sigmoid) -> bce, the encoder computation chain,
-    over two texts of 4 and 3 columns, the first occurring twice."""
+    over two texts of 4 and 3 columns, the first occurring twice; pooling
+    writes the occurrences to rows 1, 2 and 0."""
     lengths, texts = [4, 3], [0, 1, 0]
     width = filters.data.shape[2]
     fmap = nn.conv1d_wide(words, feats, np.arange(11), filters, bias, lengths, texts)
-    pooled = nn.kmax_pool(fmap, [lengths[t] + width - 1 for t in texts])
+    pooled = nn.kmax_pool(fmap, [lengths[t] + width - 1 for t in texts], [1, 2, 0])
     prob = nn.dense(pooled, weight, out_b, "sigmoid")
     return nn.bce_loss(prob, [[1], [0], [1]])
 
@@ -547,7 +575,7 @@ def test_grad_check_embedding_and_rank_row():
     def loss():
         # one text, ids 1 4 1, in two triples that give it other overlaps
         text = nn.embedding_lookup(words, [1, 4, 1])
-        pooled = nn.kmax_pool(nn.conv1d_wide(text, feats, [0, 1, 1, 1, 0, 0], filters, bias, [3], [0, 0]), [4, 4])
+        pooled = nn.kmax_pool(nn.conv1d_wide(text, feats, [0, 1, 1, 1, 0, 0], filters, bias, [3], [0, 0]), [4, 4], [1, 0])
         joined = nn.concat([pooled, nn.row_lookup(table, [2, 3])])
         return nn.bce_loss(nn.dense(joined, weight, out_b, "sigmoid"), [[1], [0]])
 

@@ -94,15 +94,20 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     # rmsprop needs a positive finite step, a decay in [0, 1) and a positive
-    # eps; dropout rates lie in [0, 1) and the seed is not negative
-    for bad in (dict(lr=-1.0), dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan),
-                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0), dict(eps=math.inf), dict(dropout_input=1.0),
-                dict(dropout_hidden=-0.1), dict(dropout_hidden=math.nan), dict(seed=-1)):
+    # eps, lr and eps in float32 too; dropout rates lie in [0, 1) and the
+    # seed is not negative
+    for bad in (dict(lr=-1.0), dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan), dict(lr=1e-50),
+                dict(rho=1.0), dict(rho=-0.1), dict(eps=0.0), dict(eps=math.inf), dict(eps=1e-46),
+                dict(eps=1e300), dict(dropout_input=1.0), dict(dropout_hidden=-0.1),
+                dict(dropout_hidden=math.nan), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     # an infinite eps would divide every rmsprop step down to nothing
-    with pytest.raises(ValueError, match=r"^eps must be positive and finite, got inf$"):
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite in float32, got inf$"):
         TrainConfig(eps=math.inf)
+    # and an eps that is 0 in float32 divides 0 by 0 on every untouched row
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite in float32, got 1e-46$"):
+        TrainConfig(eps=1e-46)
 
 
 def test_early_stopper_counts_non_improvements():
