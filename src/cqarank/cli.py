@@ -72,6 +72,8 @@ def read_config_file(path: str) -> dict[str, str]:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return values
 
 
@@ -400,6 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -480,7 +480,7 @@ class RmsProp:
     acc <- rho*acc + (1-rho)*g^2;  value <- value - lr * g / sqrt(acc+eps).
     """
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 0.001, rho: float = 0.9, eps: float = 1e-6):
+    def __init__(self, params: Iterable[Parameter], lr: float, rho: float, eps: float):
         self.params = list(params)
         self.lr = lr
         self.rho = rho
@@ -508,8 +508,8 @@ def grad_check(
     loss_fn: Callable[[], Tensor],
     params: Sequence[Parameter],
     probe_count: int,
+    rng: np.random.Generator,
     delta: float = 1e-4,
-    rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
@@ -527,8 +527,6 @@ def grad_check(
     for p in params:
         if p.data.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters ({p.name} is {p.data.dtype})")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     for p in params:
         p.zero_grad()

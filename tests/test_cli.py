@@ -4,6 +4,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -101,6 +102,22 @@ def test_train_writes_model_and_history(tmp_path, corpus_path):
     assert len(lines) == 3  # header + 2 epochs
 
 
+def test_train_prints_one_line_per_epoch(tmp_path, corpus_path, capsys):
+    # without --quiet; with --vectors, a line for the loaded vectors comes first
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("wifi 0.1 0.2 0.3 0.4\nvisa 0.5 0.6 0.7 0.8\nnot_a_token 1 2 3 4\n")
+    epoch = r"epoch {}: loss_train=\d+\.\d{{6}} loss_dev=\d+\.\d{{6}} mapA=\d+\.\d\d mapB=\d+\.\d\d mapC=\d+\.\d\d"
+    for flags, loaded in (([], []), (["--vectors", str(vectors)], ["loaded pretrained vectors for 2 tokens"])):
+        out_dir = tmp_path / f"run{len(flags)}"
+        assert main([arg for arg in train_args(corpus_path, out_dir, *flags) if arg != "--quiet"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: len(loaded)] == loaded
+        assert len(lines) == len(loaded) + 3
+        for k, line in enumerate(lines[len(loaded) : -1], start=1):
+            assert re.fullmatch(epoch.format(k), line), line
+        assert re.fullmatch(r"stopped at epoch 2 \(best epoch [12]\); wrote model\.ckpt", lines[-1])
+
+
 def test_train_per_task_writes_one_checkpoint_per_task(tmp_path, conjunction_split):
     # each model_<t>.ckpt holds report.snapshots[t] of a library run with the
     # same corpus, options and seed
@@ -125,6 +142,13 @@ def test_train_pair_model(tmp_path, corpus_path):
     out_dir = tmp_path / "run"
     assert main(train_args(corpus_path, out_dir, "--model", "pair", "--task", "B")) == 0
     assert (out_dir / "model.ckpt").exists()
+    # predict scores a pair checkpoint's one task when --task is not given
+    preds = {}
+    for name, flags in (("default", []), ("B", ["--task", "B"])):
+        preds[name] = tmp_path / f"{name}.tsv"
+        assert main(["predict", "--model", str(out_dir / "model.ckpt"), "--corpus", corpus_path,
+                     "--out", str(preds[name]), *flags]) == 0
+    assert preds["default"].read_bytes() == preds["B"].read_bytes()
     # a pair model without --task is a usage error
     assert main(train_args(corpus_path, tmp_path / "x", "--model", "pair")) == 1
 
@@ -394,6 +418,8 @@ def _non_utf8_corpus(ckpt, corpus):
 MALFORMED = {
     "index_without_params": _edit_index(lambda ix: ix.pop("params")),
     "pair_meta_without_task": _edit_index(lambda ix: ix["meta"].update(kind="pair")),
+    "pair_meta_with_unknown_task": _edit_index(lambda ix: ix["meta"].update(kind="pair", task="Z")),
+    "meta_dtype_not_a_float": _edit_index(lambda ix: ix["meta"].update(dtype="int32")),
     "unknown_kind": _edit_index(lambda ix: ix["meta"].update(kind="tree")),
     "meta_dtype_garbage": _edit_index(lambda ix: ix["meta"].update(dtype="garbage")),
     "meta_size_not_int": _edit_index(lambda ix: ix["meta"].update(m="4")),
@@ -467,8 +493,8 @@ def run_on(base, command, data):
         return code, err.getvalue().splitlines(), sorted(set(os.listdir(work)) - {"bad"})
 
 
-def assert_refused(code, err, written):
-    assert code == 2
+def assert_refused(expected, code, err, written):
+    assert code == expected
     assert len(err) == 1 and err[0].startswith("error: ")
     assert written == []
 
@@ -518,7 +544,7 @@ def test_a_malformed_corpus_exits_2_with_one_error_line_and_writes_nothing(valid
         ("predict", "--model", str(ckpt), "--corpus", "{bad}", "--task", "C", "--out", "{work}/out"),
     ]))
     lines = corpus.read_text("utf-8").splitlines()
-    assert_refused(*run_on(base, command, corpus_mutation(draw.draw, lines, command[0] != "predict")))
+    assert_refused(2, *run_on(base, command, corpus_mutation(draw.draw, lines, command[0] != "predict")))
 
 
 def index_edits(index, entry, token):
@@ -578,7 +604,125 @@ def test_a_malformed_checkpoint_exits_2_with_one_error_line_and_writes_nothing(v
     if kind == "flip" and code == 0:
         assert err == [] and written
         return
-    assert_refused(code, err, written)
+    assert_refused(2, code, err, written)
+
+
+# Random malformed option files at main: one line of a valid --vectors or
+# --config file made malformed.  A --vectors file is data (exit 2), a
+# --config file configuration (exit 1); either way the command prints one
+# error line, writes nothing and never starts training.  A mutated --config
+# never holds a larger valid epochs or size, and a size it holds is either
+# refused by its rule or at least 10**18, which numpy refuses to allocate.
+COMPONENT_NOT_A_NUMBER = ("x", "1,5", "0x1", "1e", "--1", "one")
+COMPONENT_NOT_FINITE = ("nan", "NaN", "inf", "-inf", "1e39", "-1e39")
+NOT_AN_INT = ("abc", "", "0x10", "1.5", "1e3")
+NOT_A_FLOAT = ("abc", "", "0x10", "1,5")
+VALID_CONFIG = {
+    "epochs": "1", "batch_size": "4", "lr": "0.001", "rho": "0.9", "eps": "1e-06", "dropout_input": "0.4",
+    "dropout_hidden": "0.7", "patience": "10", "stopping": "global", "seed": "0", "m": "4", "d_w": "4",
+    "d_feat": "2", "filter_width": "3", "max_len": "100", "min_count": "1", "model": "mtl", "tasks": "ABC",
+}
+CONFIG_OUT_OF_RANGE = {
+    **dict.fromkeys(("epochs", "batch_size", "patience", *SIZES, "min_count"), ("0", "-1")),
+    "seed": ("-1",),
+    **dict.fromkeys(("lr", "eps"), ("0", "-1", "inf", "nan", "1e-50", "1e300")),
+    **dict.fromkeys(("rho", "dropout_input", "dropout_hidden"), ("1", "1.5", "-0.1", "nan", "inf")),
+    "stopping": ("never", "", "GLOBAL"),
+    "model": ("tree", "pair", ""),
+    "tasks": ("AA", "Z", "", "ABCA"),
+}
+HUGE_SIZES = ("m", "d_w", "d_feat", "filter_width")  # max_len only bounds the texts
+
+
+@pytest.fixture(scope="module")
+def valid_option_files(valid_inputs):
+    """The lines of a --vectors file (a header, then one line per vocabulary
+    token) and of a --config file, which train accepts together."""
+    base, corpus, _ = valid_inputs
+    tokens = vocabulary_for(load_corpus(str(corpus))).tokens[2:]  # past <pad> and <unk>
+    vectors = [f"{len(tokens) + 1} 4", *(f"{t} 0.1 -0.2 0.3 {k}" for k, t in enumerate(tokens)),
+               "not_a_token 1 2 3 4"]
+    config = [f"{key}={value}" for key, value in VALID_CONFIG.items()]
+    (base / "vectors.txt").write_text("\n".join(vectors) + "\n")
+    (base / "run.cfg").write_text("\n".join(config) + "\n")
+    assert main(["train", "--corpus", str(corpus), "--dev", str(corpus), "--out-dir", str(base / "run"),
+                 "--vectors", str(base / "vectors.txt"), "--config", str(base / "run.cfg"), "--quiet"]) == 0
+    return vectors, config
+
+
+def with_line(lines, k, line, draw, not_utf8):
+    """``lines`` with line ``k`` replaced, as bytes; ``not_utf8`` also puts
+    bytes that are not UTF-8 somewhere in that line."""
+    raw = line.encode("utf-8")
+    if not_utf8:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(NOT_UTF8)) + raw[at:]
+    before, after = ("".join(x + "\n" for x in part).encode("utf-8") for part in (lines[:k], lines[k + 1 :]))
+    return before + raw + b"\n" + after
+
+
+def vectors_mutation(draw, lines):
+    """The --vectors ``lines`` with the header or one vocabulary line made malformed."""
+    kind = draw(st.sampled_from(["header", "count", "not_a_number", "not_finite", "not_utf8"]))
+    if kind == "header":
+        dim = draw(st.integers(0, 10**6).filter(lambda d: d != 4))
+        return with_line(lines, 0, f"{len(lines) - 1} {dim}", draw, False)
+    k = draw(st.integers(1, len(lines) - 2))  # the last line is out of the vocabulary
+    token, *values = lines[k].split()
+    if kind == "count":
+        values = (values * 2)[: draw(st.integers(0, 8).filter(lambda n: n != 4))]
+    elif kind in ("not_a_number", "not_finite"):
+        values[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            COMPONENT_NOT_A_NUMBER if kind == "not_a_number" else COMPONENT_NOT_FINITE))
+    return with_line(lines, k, " ".join([token, *values]), draw, kind == "not_utf8")
+
+
+def config_mutation(draw, lines):
+    """The --config ``lines`` with one line made malformed."""
+    k = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[k].partition("=")
+    kinds = ["unknown_key", "no_equals", "out_of_range", "not_utf8"]
+    kinds += ["not_a_number"] if cli._CONFIG_KEYS[key] in (int, float) else []
+    kinds += ["huge"] if key in HUGE_SIZES else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unknown_key":
+        key = draw(st.sampled_from([key + "x", key.upper(), "alpha", "vectors"]))
+    elif kind == "out_of_range":
+        value = draw(st.sampled_from(CONFIG_OUT_OF_RANGE[key]))
+    elif kind == "not_a_number":
+        value = draw(st.sampled_from(NOT_AN_INT if cli._CONFIG_KEYS[key] is int else NOT_A_FLOAT))
+    elif kind == "huge":
+        value = str(draw(st.integers(10**18, 10**40)))
+    line = f"{key}{draw(st.sampled_from(['', ' ', ':'])) if kind == 'no_equals' else '='}{value}"
+    return with_line(lines, k, line, draw, kind == "not_utf8")
+
+
+def _never_train(*args, **kwargs):
+    pytest.fail("training started on a malformed option file")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(draw=st.data())
+def test_a_malformed_vectors_file_exits_2_with_one_error_line_and_writes_nothing(valid_inputs, valid_option_files,
+                                                                                 draw):
+    base, corpus, _ = valid_inputs
+    command = ("train", "--corpus", str(corpus), "--dev", str(corpus), "--out-dir", "{work}/run",
+               "--vectors", "{bad}", *TRAIN_SIZES)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "train", _never_train)
+        assert_refused(2, *run_on(base, command, vectors_mutation(draw.draw, valid_option_files[0])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(draw=st.data())
+def test_a_malformed_config_file_exits_1_with_one_error_line_and_writes_nothing(valid_inputs, valid_option_files,
+                                                                                draw):
+    base, corpus, _ = valid_inputs
+    command = ("train", "--corpus", str(corpus), "--dev", str(corpus), "--out-dir", "{work}/run",
+               "--config", "{bad}", "--quiet")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "train", _never_train)
+        assert_refused(1, *run_on(base, command, config_mutation(draw.draw, valid_option_files[1])))
 
 
 def test_non_finite_scores_exit_3_with_one_error_line_and_no_tsv(tmp_path, capsys):
@@ -706,6 +850,23 @@ def test_bad_train_options_exit_1_with_one_error_line(tmp_path, corpus_path, cap
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 2.00 TiB for an array with shape (1000000000, 55, 5)", ""])
+def test_a_network_too_large_for_memory_exits_1_with_one_error_line(tmp_path, corpus_path, capsys, monkeypatch,
+                                                                    message):
+    # the network build runs out of memory, with numpy's message or with none
+    def build(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "CqaModel", build)
+    out_dir = tmp_path / "run"
+    for argv in (train_args(corpus_path, out_dir), ["gradcheck"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message or 'out of memory'}"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--rho", "1.5"], ["--eps", "0"], ["--dropout-input", "1.5"],
                                    ["--dropout-hidden", "-0.1"], ["--seed", "-1"], ["--eps", "inf"],
                                    ["--eps", "1e-46"], ["--eps", "1e300"], ["--lr", "1e-50"]])
@@ -722,6 +883,7 @@ EARLY_TRAIN_OPTIONS = {
     "m_zero": (["--m", "0"], None, "m must be a positive integer, got 0"),
     "m_not_a_number_in_config": ([], "m=abc\n", "config key m: invalid literal for int() with base 10: 'abc'"),
     "min_count_zero_in_config": ([], "min_count=0\n", "min_count must be >= 1, got 0"),
+    "unknown_model_in_config": ([], "model=tree\n", "model must be 'mtl' or 'pair', got 'tree'"),
 }
 
 
@@ -878,7 +1040,7 @@ def test_train_reads_a_reserved_token_in_a_text_as_unknown(tmp_path, token):
     assert vocab.tokens[:2] == (PAD_TOKEN, UNK_TOKEN) and vocab.tokens.count(token) == 1
 
 
-def test_config_file_merging(tmp_path, corpus_path):
+def test_config_file_merging(tmp_path, corpus_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nepochs=1\nlr=0.01\n\n")
     out_dir = tmp_path / "run"
@@ -904,6 +1066,17 @@ def test_config_file_merging(tmp_path, corpus_path):
 
     cfg.write_text("epochs one\n")
     assert main(args) == 1  # not key=value
+
+    capsys.readouterr()
+    assert main([*args[:8], str(tmp_path), *args[9:]]) == 1  # --config names a directory
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config file: ")
+
+    cfg.write_bytes(b"epochs=\xff\n")
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
+    ]
 
 
 def test_identical_runs_produce_identical_artifacts(tmp_path, corpus_path):

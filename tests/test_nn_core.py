@@ -602,10 +602,10 @@ def test_grad_check_dropout_with_fixed_mask():
 def test_grad_check_rejects_bad_inputs():
     x = param("x", np.ones(2))
     with pytest.raises(ValueError, match="probes must be >= 1"):
-        nn.grad_check(lambda: nn.bce_loss(x, [1, 1]), [x], probe_count=0)
+        nn.grad_check(lambda: nn.bce_loss(x, [1, 1]), [x], probe_count=0, rng=np.random.default_rng(0))
     f32 = nn.Parameter("f32", np.ones(2, dtype=np.float32))
     with pytest.raises(ValueError, match="float64"):
-        nn.grad_check(lambda: nn.bce_loss(f32, [1, 1]), [f32], probe_count=1)
+        nn.grad_check(lambda: nn.bce_loss(f32, [1, 1]), [f32], probe_count=1, rng=np.random.default_rng(0))
 
 
 def test_grad_check_catches_corrupted_conv_backward(monkeypatch):
