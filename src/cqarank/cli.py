@@ -58,8 +58,10 @@ EXIT_NUMERIC = 3
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """``key=value`` per line; blank lines and ``#`` comments ignored."""
+    """``key=value`` per line; blank lines and ``#`` comments ignored, and a
+    key set twice refused."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -69,7 +71,10 @@ def read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key in set_on:
+                    raise ValueError(f"{path}: line {lineno}: {key!r} is already set on line {set_on[key]}")
+                values[key], set_on[key] = value.strip(), lineno
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -22,6 +22,7 @@ from .dataset import TASKS, CorpusError, Triple
 from .text_pipeline import (
     DEFAULT_MAX_LEN,
     PAD_ID,
+    PAD_TOKEN,
     TokenizedText,
     Vocabulary,
     overlap_indicators,
@@ -327,12 +328,12 @@ MtlModel = CqaModel  # kept because the benchmark harness builds and patches thi
 def apply_word_vectors(model: CqaModel, path: str) -> int:
     """Overwrite word-embedding rows with the vectors of a text file (one
     ``token v1 ... v_{d_w}`` line per word, after word2vec's optional
-    ``<count> <dim>`` header), skipping tokens outside the vocabulary and
-    blank lines; returns the number of rows replaced per table.  The file is
-    read whole first: a malformed file, or an in-vocabulary line with a
-    component that is not a number or not finite in float32, raises
-    :class:`CorpusError` naming the path and the line, and leaves the model
-    unchanged."""
+    ``<count> <dim>`` header), skipping tokens outside the vocabulary,
+    ``<pad>`` (no text token reads the PAD row) and blank lines; returns the
+    number of rows replaced per table.  The file is read whole first: a
+    malformed file, or an in-vocabulary line with a component that is not a
+    number or not finite in float32, raises :class:`CorpusError` naming the
+    path and the line, and leaves the model unchanged."""
     rows: dict[int, np.ndarray] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -347,7 +348,7 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
                 token, values = parts[0], parts[1:]
                 if len(values) != model.d_w:
                     raise ValueError(f"line {lineno} has {len(values)} components, expected {model.d_w}")
-                if token in model.vocab:
+                if token != PAD_TOKEN and token in model.vocab:
                     vec = np.empty(len(values))
                     for j, v in enumerate(values):
                         try:

@@ -8,9 +8,11 @@ leaves whose gradient buffers accumulate across backward calls until zeroed.
 The ops take a batch of rows or a packed batch of texts.  The wide
 convolution takes the word rows of each distinct text once and the
 overlap-feature ids of every occurrence, first occurrences first and then
-each text's repeats side by side, so a text repeated across a batch runs the
-big GEMM once and its repeats cost one broadcast add.  Everything runs in
-float32 by default and float64 when verifying gradients.
+each text's repeats side by side.  Its map is the sum of a word GEMM per
+distinct text and a small feature GEMM per occurrence, so a text repeated
+across a batch runs the big GEMM once and its repeats cost one broadcast
+add.  Everything runs in float32 by default and float64 when verifying
+gradients.
 """
 
 from __future__ import annotations
@@ -196,11 +198,6 @@ def _unwindow(win_grad: np.ndarray, cols: np.ndarray, w: int) -> np.ndarray:
     return padded[cols]
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-
-
 def conv1d_wide(
     words: Tensor, feat_table: Parameter, feat_ids, filters: Parameter, bias: Parameter, lengths, texts
 ) -> Tensor:
@@ -219,14 +216,14 @@ def conv1d_wide(
     over a width-w window of the text zero-padded by w - 1 positions on both
     sides, plus bias; occurrences follow in order.
 
+    The convolution is linear, so the map is a word part plus a feature part.
     The feature rows of the filters only ever meet the v rows of the table,
-    so they act as an (m, w, v) table of responses to one-hot ids.  One
-    im2col GEMM over the distinct texts, each with its words, the one-hot
-    ids of its first occurrence and a ones column for the bias, writes the
-    front of the map.  A second GEMM, with w * v inner terms, writes into
-    the back the responses to how each repeat's ids differ from its first
-    occurrence's; then one broadcast add per repeated text adds the text's
-    columns to its block of repeats.
+    so they act as an (m, w, v) table of responses to one-hot ids: a GEMM
+    with w * v inner terms over every occurrence's one-hot windows writes the
+    feature part of the whole map.  An im2col GEMM over the distinct texts'
+    words, with a ones column for the bias, gives each text's word columns,
+    which one add puts on the first occurrences and one broadcast add per
+    repeated text puts on its block of repeats.
     """
     m, d, w = filters.data.shape
     if words.data.ndim != 2 or feat_table.data.ndim != 2:
@@ -243,34 +240,24 @@ def conv1d_wide(
         raise ValueError("conv1d_wide: texts must name every text once, in order, then the repeats grouped by text")
     feat_ids = _index(feat_ids, n_ids, "conv1d_wide: feat_ids")
     _segments(lengths[texts], feat_ids.size, "conv1d_wide")
-    one_hot = np.eye(n_ids, dtype=words.data.dtype)
     feat_filt = filters.data[:, d_w:].transpose(0, 2, 1)  # (m, w, d_feat)
     resp = feat_filt @ feat_table.data.T  # (m, w, v)
-    filt = np.concatenate([filters.data[:, :d_w].transpose(0, 2, 1), resp], axis=2).reshape(m, -1)
-    filt = np.concatenate([filt, bias.data[:, None]], axis=1)
-    first_ids, rep_ids = np.split(feat_ids, [words.data.shape[0]])
-    win, cols = _windows(np.concatenate([words.data, one_hot[first_ids]], axis=1), lengths, w, ones=1)
-    if rep_texts.size:
-        rep_lengths = lengths[rep_texts]
-        rep_first_ids = first_ids[_ranges(np.cumsum(lengths)[rep_texts] - rep_lengths, rep_lengths)]
-        delta_win, _ = _windows(one_hot[rep_ids] - one_hot[rep_first_ids], rep_lengths, w)
-        # each repeated text's block: (word-map start, block start, repeats, width)
-        width = lengths + (w - 1)
-        repeated, at, count = np.unique(rep_texts, return_index=True, return_counts=True)
-        groups = list(zip((np.cumsum(width) - width)[repeated].tolist(),
-                          (np.cumsum(width[rep_texts]) - width[rep_texts])[at].tolist(),
-                          count.tolist(), width[repeated].tolist()))
-    else:  # no repeats, as in every comment-encoder call: the word map is the output
-        delta_win, groups = np.zeros((0, w * n_ids), dtype=win.dtype), []
-    out = np.empty((m, win.shape[0] + delta_win.shape[0]), dtype=win.dtype)
-    word_map, rep_map = out[:, : win.shape[0]], out[:, win.shape[0] :]
-    np.matmul(filt, win.T, out=word_map)
-    if groups:
-        np.matmul(resp.reshape(m, -1), delta_win.T, out=rep_map)
+    filt = np.concatenate([filters.data[:, :d_w].transpose(0, 2, 1).reshape(m, -1), bias.data[:, None]], axis=1)
+    win, cols = _windows(words.data, lengths, w, ones=1)
+    feat_win, _ = _windows(np.eye(n_ids, dtype=words.data.dtype)[feat_ids], lengths[texts], w)
+    out = resp.reshape(m, -1) @ feat_win.T
+    word_map = filt @ win.T
+    out[:, : word_map.shape[1]] += word_map
+    # each repeated text's block: (word-map start, block start, repeats, width)
+    width = lengths + (w - 1)
+    starts = np.cumsum(width[texts]) - width[texts]
+    repeated, at, count = np.unique(rep_texts, return_index=True, return_counts=True)
+    groups = list(zip(starts[repeated].tolist(), starts[lengths.size + at].tolist(),
+                      count.tolist(), width[repeated].tolist()))
     for a, r, c, n in groups:
-        block = rep_map[:, r : r + c * n].reshape(m, c, n)
+        block = out[:, r : r + c * n].reshape(m, c, n)
         block += word_map[:, None, a : a + n]
-    saved = (win, filt, cols, resp, feat_filt, groups, delta_win)
+    saved = (win, filt, cols, feat_win, resp, feat_filt, groups)
 
     def backward_fn(grad: np.ndarray) -> None:
         _conv1d_wide_backward(grad, words, feat_table, filters, bias, saved)
@@ -279,25 +266,22 @@ def conv1d_wide(
 
 
 def _conv1d_wide_backward(grad, words, feat_table, filters, bias, saved):
-    """``saved`` is the distinct texts' GEMM (window rows, filter matrix,
-    input positions, (m, w, v) responses, feature filters as (m, w, d_feat)),
-    then the repeated texts' groups and the repeats' difference window rows;
-    each group's repeat block sums into its text's word-map columns."""
-    win, filt, cols, resp, feat_filt, groups, delta_win = saved
+    """``saved`` is the word GEMM (window rows, filter matrix, input
+    positions), the feature GEMM (one-hot window rows, (m, w, v) responses,
+    feature filters as (m, w, d_feat)) and the repeated texts' groups; each
+    group's repeat block sums into its text's word-map columns."""
+    win, filt, cols, feat_win, resp, feat_filt, groups = saved
     (m, w, _), d_w = resp.shape, words.data.shape[1]
-    word_grad, rep_grad = np.split(grad, [win.shape[0]], axis=1)
-    word_grad = word_grad.copy() if groups else word_grad
+    word_grad = grad[:, : win.shape[0]].copy()
     for a, r, c, n in groups:
-        word_grad[:, a : a + n] += rep_grad[:, r : r + c * n].reshape(m, c, n).sum(axis=1)
-    resp_grad = (rep_grad @ delta_win).reshape(resp.shape)
+        word_grad[:, a : a + n] += grad[:, r : r + c * n].reshape(m, c, n).sum(axis=1)
+    resp_grad = (grad @ feat_win).reshape(resp.shape)
     filt_grad = word_grad @ win
     bias.grad += filt_grad[:, -1]
-    filt_grad = filt_grad[:, :-1].reshape(m, w, -1)
-    filters.grad[:, :d_w] += filt_grad[:, :, :d_w].transpose(0, 2, 1)
-    resp_grad = resp_grad + filt_grad[:, :, d_w:]
+    filters.grad[:, :d_w] += filt_grad[:, :-1].reshape(m, w, -1).transpose(0, 2, 1)
     filters.grad[:, d_w:] += (resp_grad @ feat_table.data).transpose(0, 2, 1)
     _accumulate(feat_table, resp_grad.reshape(m * w, -1).T @ feat_filt.reshape(m * w, -1))
-    _accumulate(words, _unwindow(word_grad.T @ filt[:, :-1], cols, w)[:, :d_w])
+    _accumulate(words, _unwindow(word_grad.T @ filt[:, :-1], cols, w))
 
 
 def kmax_pool(x: Tensor, lengths, dest) -> Tensor:

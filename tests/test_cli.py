@@ -611,8 +611,10 @@ def test_a_malformed_checkpoint_exits_2_with_one_error_line_and_writes_nothing(v
 # --config file made malformed.  A --vectors file is data (exit 2), a
 # --config file configuration (exit 1); either way the command prints one
 # error line, writes nothing and never starts training.  A mutated --config
-# never holds a larger valid epochs or size, and a size it holds is either
-# refused by its rule or at least 10**18, which numpy refuses to allocate.
+# line can also be a copy of another line, valid but for its repeated key.
+# A mutated --config never holds a larger valid epochs or size, and a size
+# it holds is either refused by its rule or at least 10**18, which numpy
+# refuses to allocate.
 COMPONENT_NOT_A_NUMBER = ("x", "1,5", "0x1", "1e", "--1", "one")
 COMPONENT_NOT_FINITE = ("nan", "NaN", "inf", "-inf", "1e39", "-1e39")
 NOT_AN_INT = ("abc", "", "0x10", "1.5", "1e3")
@@ -681,7 +683,7 @@ def config_mutation(draw, lines):
     """The --config ``lines`` with one line made malformed."""
     k = draw(st.integers(0, len(lines) - 1))
     key, _, value = lines[k].partition("=")
-    kinds = ["unknown_key", "no_equals", "out_of_range", "not_utf8"]
+    kinds = ["unknown_key", "no_equals", "out_of_range", "not_utf8", "repeated_key"]
     kinds += ["not_a_number"] if cli._CONFIG_KEYS[key] in (int, float) else []
     kinds += ["huge"] if key in HUGE_SIZES else []
     kind = draw(st.sampled_from(kinds))
@@ -693,6 +695,8 @@ def config_mutation(draw, lines):
         value = draw(st.sampled_from(NOT_AN_INT if cli._CONFIG_KEYS[key] is int else NOT_A_FLOAT))
     elif kind == "huge":
         value = str(draw(st.integers(10**18, 10**40)))
+    elif kind == "repeated_key":  # a copy of another valid line
+        key, _, value = lines[draw(st.integers(0, len(lines) - 2).map(lambda j: j + (j >= k)))].partition("=")
     line = f"{key}{draw(st.sampled_from(['', ' ', ':'])) if kind == 'no_equals' else '='}{value}"
     return with_line(lines, k, line, draw, kind == "not_utf8")
 
@@ -1077,6 +1081,13 @@ def test_config_file_merging(tmp_path, corpus_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
     ]
+
+    # a key set twice is refused, not read as its last value
+    cfg.write_text("epochs=1\nm=4\nepochs=2\n")
+    out_dir3 = tmp_path / "run3"
+    assert main(args[:6] + [str(out_dir3)] + args[7:]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: line 3: 'epochs' is already set on line 1"]
+    assert not out_dir3.exists()
 
 
 def test_identical_runs_produce_identical_artifacts(tmp_path, corpus_path):

@@ -555,6 +555,21 @@ def test_word_vectors_round_trip(tmp_path, vocab):
         np.testing.assert_array_equal(p.data, before[p.name], err_msg=p.name)
 
 
+def test_word_vectors_skip_the_pad_row(tmp_path, vocab):
+    # no text token reads as PAD, so a <pad> line is skipped like an
+    # out-of-vocabulary one: its components are not read and it is not counted
+    path = tmp_path / "vectors.txt"
+    for pad_line in ("<pad> " + " ".join(["9"] * 8), "<pad> " + " ".join(["x"] * 8)):
+        path.write_text(pad_line + "\nwifi " + " ".join(["0.5"] * 8) + "\n")
+        model = small_mtl(vocab)
+        before = snapshot(model)
+        assert apply_word_vectors(model, str(path)) == 1
+        for p in model.parameters():
+            if p.name.endswith(".word_emb"):
+                np.testing.assert_array_equal(p.data[PAD_ID], before[p.name][PAD_ID], err_msg=p.name)
+                np.testing.assert_array_equal(p.data[vocab.id_of("wifi")], 0.5, err_msg=p.name)
+
+
 def test_word_vectors_dimension_mismatch(tmp_path, vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("wifi 1.0 2.0\n")

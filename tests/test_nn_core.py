@@ -93,8 +93,9 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
     word rows and the two-row feature table agree to 1e-10.  Every case
     holds a PAD-only text and runs twice: with every text once, in order,
     then at least one repeat, the repeats grouped by text; and with every
-    text once, in order, as comments occur, where the call builds only the
-    distinct texts' window matrix."""
+    text once, in order, as comments occur.  Either way the call builds two
+    window matrices: one from the distinct texts' word rows alone and one
+    from the one-hot feature rows of every occurrence."""
     m, d_w, d_feat = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     token_ids = st.lists(st.integers(PAD_ID + 1, 5), min_size=1, max_size=6).map(tuple)
@@ -123,7 +124,9 @@ def test_conv1d_wide_matches_the_stacked_reference(width, data):
             got = nn.conv1d_wide(words, feats, ids, filters, bias, lengths, texts)
             upstream = rng.normal(size=got.shape)
             got.backward_fn(upstream)
-        assert windows.call_count == (1 if len(texts) == len(distinct) else 2)
+        (word_rows, *_), (feat_rows, *_) = (call.args for call in windows.call_args_list)
+        assert windows.call_count == 2 and word_rows.shape == (sum(lengths), d_w)
+        np.testing.assert_array_equal(feat_rows, np.eye(2)[ids])
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
         want_x, want_filters, want_bias = reference_backward(upstream)
         want_words = np.zeros_like(words.data.T)
