@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -196,25 +196,53 @@ def task_group_key(triple: Triple, task: str) -> str:
     raise ValueError(f"unknown task {task!r}")
 
 
-# Triples scored per forward pass.  One chunk holds a whole candidate list
-# (at most 100 triples in SemEval-2016 Task 3), so its new question is encoded
-# once and its repeats share the word part of the convolution (see
-# ``model.encode_texts``).  Memory bounds the chunk: at paper sizes a pass
-# allocates up to about 0.1 MB per triple (tracemalloc peaks of 5-11 MB per
-# 128-triple chunk, 4-6.5 MB per 64).
+# Triples scored per forward pass.  A call of at most SCORE_CHUNK triples runs
+# one pass on the calling thread: one chunk holds a whole candidate list (at
+# most 100 triples in SemEval-2016 Task 3), so its new question is encoded once
+# and its repeats share the word part of the convolution (see
+# ``model.encode_texts``).  A longer call is cut into passes of SCORE_CHUNK // 2
+# that alternate between the caller and one worker thread, so both cores of a
+# two-core machine score; the passes spend most of their time in numpy, which
+# releases the GIL.  Two threads, not more: two half-size passes in flight hold
+# about the memory of one full pass (at paper sizes a pass allocates up to
+# about 0.1 MB per triple: tracemalloc peaks of 5-11 MB per 128-triple chunk,
+# 4-6.5 MB per 64).
 SCORE_CHUNK = 128
 
 
+def _score_pass(model, chunk: list, tasks: Optional[Sequence[str]]) -> dict[str, list[float]]:
+    return {task: s.data.tolist() for task, s in model.predict(chunk, training=False, tasks=tasks).items()}
+
+
 def score_features(model, features: Iterable, tasks: Optional[Sequence[str]] = None) -> dict[str, list[float]]:
-    """Forward featurized triples through the model in inference mode, one
-    pass per chunk of ``SCORE_CHUNK``; returns one score list per task of
-    ``tasks`` (None: every task the model has), in the model's task order
-    and input order.  Only the heads of those tasks run."""
+    """Forward featurized triples through the model in inference mode;
+    returns one score list per task of ``tasks`` (None: every task the model
+    has), in the model's task order and input order.  Only the heads of those
+    tasks run.  Up to ``SCORE_CHUNK`` triples run as one pass on the calling
+    thread; more run as passes of ``SCORE_CHUNK // 2``, the even ones on the
+    caller and the odd ones on one worker thread that runs under the caller's
+    numpy error state and is gone when the call returns or raises."""
+    features = list(features)
+    size = SCORE_CHUNK if len(features) <= SCORE_CHUNK else SCORE_CHUNK // 2
+    chunks = [features[k : k + size] for k in range(0, len(features), size)]
+    errors = np.geterr()
+
+    def worker_pass(chunk: list) -> dict[str, list[float]]:
+        with np.errstate(**errors):
+            return _score_pass(model, chunk, tasks)
+
+    pool = ThreadPoolExecutor(1)  # its thread starts on the first submit: a single pass starts none
+    try:
+        odd = [pool.submit(worker_pass, chunk) for chunk in chunks[1::2]]
+        passes = [None] * len(chunks)
+        passes[::2] = [_score_pass(model, chunk, tasks) for chunk in chunks[::2]]
+        passes[1::2] = [future.result() for future in odd]
+    finally:
+        pool.shutdown(cancel_futures=True)
     scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}
-    pending = iter(features)
-    while chunk := list(islice(pending, SCORE_CHUNK)):
-        for task, chunk_scores in model.predict(chunk, training=False, tasks=tasks).items():
-            scores[task].extend(chunk_scores.data.tolist())
+    for result in passes:
+        for task, values in result.items():
+            scores[task].extend(values)
     return scores
 
 

@@ -331,10 +331,12 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
     ``<count> <dim>`` header), skipping tokens outside the vocabulary,
     ``<pad>`` (no text token reads the PAD row) and blank lines; returns the
     number of rows replaced per table.  The file is read whole first: a
-    malformed file, or an in-vocabulary line with a component that is not a
-    number or not finite in float32, raises :class:`CorpusError` naming the
-    path and the line, and leaves the model unchanged."""
+    malformed file, an in-vocabulary line with a component that is not a
+    number or not finite in float32, or an in-vocabulary token given on two
+    lines, raises :class:`CorpusError` naming the path and the line, and
+    leaves the model unchanged."""
     rows: dict[int, np.ndarray] = {}
+    line_of: dict[int, int] = {}  # the line that gave each row
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -349,6 +351,10 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
                 if len(values) != model.d_w:
                     raise ValueError(f"line {lineno} has {len(values)} components, expected {model.d_w}")
                 if token != PAD_TOKEN and token in model.vocab:
+                    idx = model.vocab.id_of(token)
+                    if idx in line_of:
+                        raise ValueError(f"line {lineno} repeats the token {token!r} of line {line_of[idx]}")
+                    line_of[idx] = lineno
                     vec = np.empty(len(values))
                     for j, v in enumerate(values):
                         try:
@@ -360,7 +366,7 @@ def apply_word_vectors(model: CqaModel, path: str) -> int:
                     if not finite.all():
                         j = int(np.argmin(finite))
                         raise ValueError(f"line {lineno} component {j + 1} is {values[j]!r}, not finite in float32")
-                    rows[model.vocab.id_of(token)] = vec
+                    rows[idx] = vec
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise CorpusError(f"{path}: {exc}") from None
     for p in model.parameters():

@@ -1,10 +1,11 @@
 """Minimal reverse-mode gradient engine over dense numpy arrays.
 
 Only training needs gradients, so only ``with recording():`` builds a graph:
-each operation run inside it appends its output to a tape in creation order,
-a topological order, which ``Tensor.backward`` walks in reverse.  Outside a
-recording an operation returns a plain value.  Parameters are persistent
-leaves whose gradient buffers accumulate across backward calls until zeroed.
+each operation the thread runs inside it appends its output to that thread's
+tape in creation order, a topological order, which ``Tensor.backward`` walks
+in reverse.  Outside a recording an operation returns a plain value.
+Parameters are persistent leaves whose gradient buffers accumulate across
+backward calls until zeroed.
 The ops take a batch of rows or a packed batch of texts.  The wide
 convolution takes the word rows of each distinct text once and the
 overlap-feature ids of every occurrence, first occurrences first and then
@@ -18,6 +19,7 @@ gradients.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,43 +58,51 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a single-element loss tensor")
         order = _toposort(self)
-        del _tape[: len(order)]
+        del _tape.ops[: len(order)]
         self.grad = self.grad + np.ones_like(self.data)
         for node in reversed(order):
             node.backward_fn(node.grad)
             node.backward_fn = None
 
 
-# The ops recorded by the innermost open recording, or None outside one.
-_tape: Optional[list[Tensor]] = None
+class _Tape(threading.local):
+    """The ops recorded by this thread's innermost open recording, or None
+    outside one.  Each thread has its own, so a recording never collects the
+    ops another thread runs."""
+
+    ops: Optional[list[Tensor]] = None
+
+
+_tape = _Tape()
 
 
 @contextlib.contextmanager
 def recording():
-    """Record the ops run inside the block for ``backward``."""
-    global _tape
-    outer, _tape = _tape, []
+    """Record the ops this thread runs inside the block for ``backward``."""
+    outer, _tape.ops = _tape.ops, []
     try:
         yield
     finally:
-        _tape = outer
+        _tape.ops = outer
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
     # the tape up to the loss: creation order is a topological order
-    if _tape is None or root not in _tape:
+    ops = _tape.ops
+    if ops is None or root not in ops:
         raise ValueError("backward() needs a loss computed inside nn.recording() and not yet differentiated")
-    return _tape[: _tape.index(root) + 1]
+    return ops[: ops.index(root) + 1]
 
 
 def _record(out: np.ndarray, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """An op's output; when recording, it also has ``backward_fn``, a zeroed
     gradient buffer and a place on the tape."""
-    if _tape is None:
+    ops = _tape.ops
+    if ops is None:
         return Tensor(out)
     node = Tensor(out, backward_fn)
     node.grad = np.zeros_like(out)
-    _tape.append(node)
+    ops.append(node)
     return node
 
 

@@ -665,12 +665,14 @@ def with_line(lines, k, line, draw, not_utf8):
 
 def vectors_mutation(draw, lines):
     """The --vectors ``lines`` with the header or one vocabulary line made malformed."""
-    kind = draw(st.sampled_from(["header", "count", "not_a_number", "not_finite", "not_utf8"]))
+    kind = draw(st.sampled_from(["header", "count", "not_a_number", "not_finite", "not_utf8", "repeated_token"]))
     if kind == "header":
         dim = draw(st.integers(0, 10**6).filter(lambda d: d != 4))
         return with_line(lines, 0, f"{len(lines) - 1} {dim}", draw, False)
     k = draw(st.integers(1, len(lines) - 2))  # the last line is out of the vocabulary
     token, *values = lines[k].split()
+    if kind == "repeated_token":  # a copy of another vocabulary line
+        token, *values = lines[draw(st.integers(1, len(lines) - 3).map(lambda j: j + (j >= k)))].split()
     if kind == "count":
         values = (values * 2)[: draw(st.integers(0, 8).filter(lambda n: n != 4))]
     elif kind in ("not_a_number", "not_finite"):
@@ -775,6 +777,33 @@ def test_a_non_finite_head_that_is_not_requested_does_not_fail_the_command(tmp_p
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: non-finite score nan for task A on triple {data[0].id!r}"]
 
+
+
+def test_an_overflowing_head_prints_no_warning_when_the_passes_run_on_two_threads(tmp_path):
+    # head A's weights near the float32 maximum overflow in its matmul; the
+    # command ignores overflow, and so must the worker thread that runs every
+    # other pass of a call of more than 128 triples
+    data = conjunction_corpus(40, seed=0)  # 160 triples
+    corpus, ckpt = tmp_path / "dev.jsonl", tmp_path / "huge.ckpt"
+    save_corpus(str(corpus), data)
+    model = CqaModel(vocabulary_for(data), m=4, d_w=3, d_feat=2)
+    rng = np.random.default_rng(0)
+    for p in model.parameters():
+        if p.name.startswith("head_A."):
+            p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -3e38, 3e38)
+    save_checkpoint(str(ckpt), model)
+    src = os.path.dirname(os.path.dirname(cqarank.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqarank.cli", "evaluate", "--model", str(ckpt), "--corpus", str(corpus)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    # whether the overflow ends as +-1 or nan depends on the BLAS's summation
+    # order; either way stderr holds at most the one error line
+    err = proc.stderr.splitlines()
+    assert (proc.returncode, err) == (0, []) or (proc.returncode == 3 and len(err) == 1 and err[0].startswith("error: "))
 
 VECTOR_FILES = {
     "not_utf8": b"wifi \xff\xfe 1.0\n",

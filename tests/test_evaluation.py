@@ -2,7 +2,9 @@ import dataclasses
 import math
 import os
 import re
+import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from cqarank.evaluation import (
 )
 import cqarank.evaluation as evaluation
 import cqarank.model as model_module
+import cqarank.nn_core as nn
 from cqarank.model import CqaModel
 from cqarank.nn_core import NumericError
 from cqarank.synthetic import conjunction_corpus, gradcheck_corpus, overfit_corpus
@@ -177,7 +180,7 @@ def test_evaluate_runs_only_the_task_head(monkeypatch):
 
     monkeypatch.setattr(model_module.TaskHead, "forward", spy)
     monkeypatch.setattr(evaluation, "SCORE_CHUNK", 5)
-    chunks = math.ceil(len(data) / 5)
+    chunks = 1 if len(data) <= 5 else math.ceil(len(data) / 2)  # passes of 5 // 2 past one chunk
     for t in model.tasks:
         runs.clear()
         assert evaluate(model, data, t) == evaluate_scores(build_rows(data, every[t], t))
@@ -251,10 +254,125 @@ def test_a_candidate_list_of_up_to_128_triples_is_scored_in_one_pass(monkeypatch
     sizes.clear()
     everything = [t for triples in lists for t in triples]
     together = score_triples(model, everything[:129])
-    assert sizes == [128, 1]
+    assert sorted(sizes) == [1, 64, 64]  # half-size passes on two threads append in either order
     for task in model.tasks:
         want = [s for scores in alone for s in scores[task]][:129]
         np.testing.assert_allclose(together[task], want, rtol=0, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def scored_300():
+    """A small model and the features of 300 triples (75 lists of 4)."""
+    data = conjunction_corpus(75, seed=0)
+    model = CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2, seed=0)
+    return model, model.featurize_all(data)
+
+
+def passes_in_turn(model, features, tasks):
+    """The slow reference: ``model.predict`` on each pass in turn, on the
+    calling thread; one pass up to SCORE_CHUNK triples, else half-size ones."""
+    size = len(features) if len(features) <= evaluation.SCORE_CHUNK else evaluation.SCORE_CHUNK // 2
+    scores = {}
+    for start in range(0, len(features), size):
+        for task, values in model.predict(features[start : start + size], training=False, tasks=tasks).items():
+            scores.setdefault(task, []).extend(values.data.tolist())
+    return scores
+
+
+@pytest.mark.parametrize("tasks", [None, ("C",)])
+@pytest.mark.parametrize("n", [1, 128, 129, 300])
+def test_score_features_matches_the_passes_run_in_turn(scored_300, n, tasks):
+    model, features = scored_300
+    got = evaluation.score_features(model, features[:n], tasks)
+    want = passes_in_turn(model, features[:n], tasks)
+    assert list(got) == list(want) == (list(model.tasks) if tasks is None else ["C"])
+    for task in want:
+        np.testing.assert_array_equal(got[task], want[task], err_msg=task)  # bit for bit
+
+
+def test_concurrent_calls_each_get_their_own_scores(scored_300):
+    # four callers, each with its worker, share one model; switching threads
+    # every 10 us interleaves their passes as finely as the GIL allows
+    model, features = scored_300
+    want = [passes_in_turn(model, features[k:], None) for k in range(4)]
+    got = [None] * 4
+
+    def call(k):
+        got[k] = evaluation.score_features(model, features[k:])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
+
+
+def test_only_a_call_of_more_than_128_triples_starts_a_thread(scored_300, monkeypatch):
+    model, features = scored_300
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    evaluation.score_features(model, features[:128])
+    assert started == []
+    evaluation.score_features(model, features[:129])
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_a_pass_that_raises_on_the_worker_raises_in_the_caller(scored_300, monkeypatch):
+    model, features = scored_300
+    before = set(threading.enumerate())
+    raised = []
+    predict = CqaModel.predict
+
+    def spy(self, chunk, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(MemoryError("worker pass"))
+            raise raised[-1]
+        return predict(self, chunk, *args, **kwargs)
+
+    monkeypatch.setattr(CqaModel, "predict", spy)
+    with pytest.raises(MemoryError) as caught:
+        evaluation.score_features(model, features)
+    assert caught.value is raised[0]
+    assert set(threading.enumerate()) == before
+
+
+def test_worker_passes_run_under_the_callers_numpy_error_state(scored_300, monkeypatch):
+    model, features = scored_300
+    seen = []
+    predict = CqaModel.predict
+
+    def spy(self, chunk, *args, **kwargs):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return predict(self, chunk, *args, **kwargs)
+
+    monkeypatch.setattr(CqaModel, "predict", spy)
+    with np.errstate(divide="ignore", over="raise", under="warn", invalid="print"):
+        caller = np.geterr()
+        evaluation.score_features(model, features)
+    assert caller != np.geterr()  # the state differs from the default
+    assert sorted(on_caller for on_caller, _ in seen) == [False] * 2 + [True] * 3  # passes of 64, 64, 64, 64, 44
+    assert all(errors == caller for _, errors in seen)
+
+
+def test_score_features_inside_a_recording_returns_the_same_scores(scored_300):
+    model, features = scored_300
+    outside = evaluation.score_features(model, features)
+    with nn.recording():
+        inside = evaluation.score_features(model, features)
+    assert inside == outside
 
 
 def blended(score, google_rank, alpha):

@@ -585,6 +585,7 @@ BAD_VECTOR_LINES = {
     "drops " + " ".join(["x"] * 8): "line 2 component 1 is 'x', not a number",
     "2 6": "line 1 is a header for 6 components, expected 8",
     "wifi": "line 2 has 0 components, expected 8",
+    "upgrade " + " ".join(["2"] * 8): "line 2 repeats the token 'upgrade' of line 1",
 }
 
 

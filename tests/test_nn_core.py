@@ -1,4 +1,5 @@
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -492,6 +493,21 @@ def test_fanout_accumulates_gradients():
         total.backward()
     assert x.grad[0] == 3.0
 
+
+
+def test_a_recording_collects_only_the_ops_of_its_own_thread():
+    x = param("x", np.array([[1.0, 2.0]]))
+    with nn.recording():
+        mine = nn.scale(x, 2.0)
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(nn.scale(x, 3.0)))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert nn._tape.ops == [mine]
+        assert theirs[0].backward_fn is None and theirs[0].grad is None
+        nn.dense(mine, param("w", np.ones((1, 2))), param("b", np.zeros(1))).backward()
+    np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
 
 def test_scale_and_add_n():
     a = param("a", np.array([[1.0, 2.0]]))
