@@ -119,7 +119,9 @@ _FIELDS = (
 _LABEL_DEFAULTS = {f"label_{task}": LABELS[task][-1] for task in TASKS}
 
 
-def _parse_record(obj: dict, lineno: int, require_labels: bool) -> Triple:
+def _parse_record(obj: dict, lineno: int, require_labels: bool, escaped: bool) -> Triple:
+    """The record's Triple; ``escaped`` says its line holds a ``\\u`` escape,
+    the only way a strictly decoded UTF-8 line can carry a lone surrogate."""
     values = {}
     for name, typ, nullable in _FIELDS:
         if name not in obj:
@@ -138,7 +140,7 @@ def _parse_record(obj: dict, lineno: int, require_labels: bool) -> Triple:
                 raise CorpusError(f"line {lineno}: field {name!r} must be an integer")
         elif not isinstance(val, typ):
             raise CorpusError(f"line {lineno}: field {name!r} must be a string")
-        elif re.search("[\ud800-\udfff]", val):  # a JSON escape that no UTF-8 file can hold
+        elif escaped and re.search("[\ud800-\udfff]", val):  # a JSON escape that no UTF-8 file can hold
             raise CorpusError(f"line {lineno}: field {name!r} holds a lone surrogate, which UTF-8 cannot encode")
         values[name] = val
     try:
@@ -168,7 +170,7 @@ def load_corpus(path: str, require_labels: bool = True) -> list[Triple]:
                     raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
                 if not isinstance(obj, dict):
                     raise CorpusError(f"line {lineno}: record must be a JSON object")
-                triple = _parse_record(obj, lineno, require_labels)
+                triple = _parse_record(obj, lineno, require_labels, "\\u" in line)
                 if triple.id in seen_ids:
                     raise CorpusError(f"line {lineno}: duplicate id {triple.id!r}")
                 seen_ids.add(triple.id)

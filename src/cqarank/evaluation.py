@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -196,49 +196,82 @@ def task_group_key(triple: Triple, task: str) -> str:
     raise ValueError(f"unknown task {task!r}")
 
 
-# Triples scored per forward pass.  A call of at most SCORE_CHUNK triples runs
-# one pass on the calling thread: one chunk holds a whole candidate list (at
-# most 100 triples in SemEval-2016 Task 3), so its new question is encoded once
-# and its repeats share the word part of the convolution (see
-# ``model.encode_texts``).  A longer call is cut into passes of SCORE_CHUNK // 2
-# that alternate between the caller and one worker thread, so both cores of a
-# two-core machine score; the passes spend most of their time in numpy, which
-# releases the GIL.  Two threads, not more: two half-size passes in flight hold
-# about the memory of one full pass (at paper sizes a pass allocates up to
-# about 0.1 MB per triple: tracemalloc peaks of 5-11 MB per 128-triple chunk,
-# 4-6.5 MB per 64).
+# Triples scored per forward pass.  A call of at most SCORE_CHUNK triples is
+# one pass: one chunk holds a whole candidate list (at most 100 triples in
+# SemEval-2016 Task 3), so its new question is encoded once and its repeats
+# share the word part of the convolution (see ``model.encode_texts``).  Such a
+# pass on a network with two encoder runs (the joint network, pairs A and C)
+# runs the comment encoder on one worker thread while the caller encodes the
+# questions, so both cores of a two-core machine score.  A longer call is cut
+# into passes of SCORE_CHUNK // 2 that alternate between the caller and the
+# worker.  Two threads, not more: two half-size passes in flight hold about the
+# memory of one full pass (at paper sizes a pass allocates up to about 0.1 MB
+# per triple: tracemalloc peaks of 5-11 MB per 128-triple chunk, 4-6.5 MB per
+# 64).  The threads overlap only where numpy releases the GIL: the GEMMs do,
+# while pooling's ``np.maximum.reduceat`` and the ``np.fromiter`` index builds
+# hold it.
 SCORE_CHUNK = 128
 
 
+def _task_scores(scores: dict) -> dict[str, list[float]]:
+    return {task: s.data.tolist() for task, s in scores.items()}
+
+
 def _score_pass(model, chunk: list, tasks: Optional[Sequence[str]]) -> dict[str, list[float]]:
-    return {task: s.data.tolist() for task, s in model.predict(chunk, training=False, tasks=tasks).items()}
+    return _task_scores(model.predict(chunk, training=False, tasks=tasks))
 
 
-def score_features(model, features: Iterable, tasks: Optional[Sequence[str]] = None) -> dict[str, list[float]]:
+def score_features(
+    model, features: Iterable, tasks: Optional[Sequence[str]] = None, worker: Optional[ThreadPoolExecutor] = None
+) -> dict[str, list[float]]:
     """Forward featurized triples through the model in inference mode;
     returns one score list per task of ``tasks`` (None: every task the model
     has), in the model's task order and input order.  Only the heads of those
-    tasks run.  Up to ``SCORE_CHUNK`` triples run as one pass on the calling
-    thread; more run as passes of ``SCORE_CHUNK // 2``, the even ones on the
-    caller and the odd ones on one worker thread that runs under the caller's
-    numpy error state and is gone when the call returns or raises."""
+    tasks run, and the scores are bit for bit those of ``model.predict`` run
+    on each pass in turn.
+
+    Up to ``SCORE_CHUNK`` triples are one pass.  On a network with two
+    encoder runs, a worker thread runs the comment encoder while the caller
+    encodes the questions, then the caller runs the layers above; a pair-B
+    network has one run and starts no thread.  More triples run as passes of
+    ``SCORE_CHUNK // 2``, the even ones on the caller and the odd ones on the
+    worker.  The worker is ``worker``, a one-thread pool the caller owns, or
+    else one the call starts and shuts down.  Its work runs under the
+    caller's numpy error state, an exception in it is raised in the caller,
+    and none of it is left running when the call returns or raises."""
     features = list(features)
-    size = SCORE_CHUNK if len(features) <= SCORE_CHUNK else SCORE_CHUNK // 2
-    chunks = [features[k : k + size] for k in range(0, len(features), size)]
     errors = np.geterr()
+    pool = worker or ThreadPoolExecutor(1)  # its thread starts on the first submit
+    submitted = []
 
-    def worker_pass(chunk: list) -> dict[str, list[float]]:
-        with np.errstate(**errors):
-            return _score_pass(model, chunk, tasks)
+    def on_worker(fn, *args):
+        def run():
+            with np.errstate(**errors):
+                return fn(*args)
 
-    pool = ThreadPoolExecutor(1)  # its thread starts on the first submit: a single pass starts none
+        submitted.append(pool.submit(run))
+        return submitted[-1]
+
     try:
-        odd = [pool.submit(worker_pass, chunk) for chunk in chunks[1::2]]
-        passes = [None] * len(chunks)
-        passes[::2] = [_score_pass(model, chunk, tasks) for chunk in chunks[::2]]
-        passes[1::2] = [future.result() for future in odd]
+        if len(features) > SCORE_CHUNK:
+            size = SCORE_CHUNK // 2
+            chunks = [features[k : k + size] for k in range(0, len(features), size)]
+            odd = [on_worker(_score_pass, model, chunk, tasks) for chunk in chunks[1::2]]
+            passes = [None] * len(chunks)
+            passes[::2] = [_score_pass(model, chunk, tasks) for chunk in chunks[::2]]
+            passes[1::2] = [future.result() for future in odd]
+        elif features and len(model.encoder_runs) == 2:
+            comment = on_worker(model.encode, features, 1)
+            questions = model.encode(features, 0)
+            passes = [_task_scores(model.score_encodings(features, [questions, comment.result()], tasks))]
+        else:
+            passes = [_score_pass(model, features, tasks)] if features else []
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future in submitted:
+            future.cancel()
+        wait(submitted)
+        if worker is None:
+            pool.shutdown()
     scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}
     for result in passes:
         for task, values in result.items():

@@ -295,19 +295,40 @@ class CqaModel:
         not score, raises ValueError.  One ``Features`` is a batch of one.
         Dropout applies only when ``training`` is set (rate ``dropout_input``
         on the shared layer's input, ``dropout_hidden`` after each tanh
-        layer); its draws cover every head, whichever run."""
-        if tasks is not None and (not tasks or not set(tasks) <= set(self.tasks)):
-            raise ValueError(f"model scores tasks {self.tasks}, not {list(tasks)}")
+        layer); its draws cover every head, whichever run.  The pass is
+        :meth:`encode` for each encoder run, then :meth:`score_encodings`."""
         # one Features is kept because benchmarks/checks.py scores model.featurize(probe)
         batch = [features] if isinstance(features, Features) else list(features)
+        encodings = [self.encode(batch, run) for run in range(len(self.encoder_runs))]
+        return self.score_encodings(batch, encodings, tasks, training, rng, dropout_input, dropout_hidden)
+
+    def encode(self, batch: Sequence[Features], run: int) -> nn.Tensor:
+        """The encodings of ``encoder_runs[run]`` over the batch: row i holds
+        triple i's texts for that encoder, side by side.  The runs share no
+        state, so they can run on different threads."""
+        encoder, positions = self.encoder_runs[run]
+        ids = [f.ids[k] for f in batch for k in positions]
+        overlaps = [f.overlaps[k] for f in batch for k in positions]
+        return nn.reshape(encode_texts(encoder, ids, overlaps), (len(batch), -1))
+
+    def score_encodings(
+        self,
+        batch: Sequence[Features],
+        encodings: Sequence[nn.Tensor],
+        tasks: Optional[Sequence[str]] = None,
+        training: bool = False,
+        rng: Optional[np.random.Generator] = None,
+        dropout_input: float = 0.0,
+        dropout_hidden: float = 0.0,
+    ) -> dict[str, nn.Tensor]:
+        """The layers above the encoders, given the batch and one
+        :meth:`encode` result per encoder run, in run order: the rank
+        embedding, the shared tanh layer and the heads of ``tasks``, as
+        :meth:`predict` describes."""
+        if tasks is not None and (not tasks or not set(tasks) <= set(self.tasks)):
+            raise ValueError(f"model scores tasks {self.tasks}, not {list(tasks)}")
         rows = len(batch)
-        parts = []
-        for encoder, positions in self.encoder_runs:
-            # a triple's texts sit side by side, so row i of the reshaped
-            # encodings holds triple i's texts for this encoder
-            ids = [f.ids[k] for f in batch for k in positions]
-            overlaps = [f.overlaps[k] for f in batch for k in positions]
-            parts.append(nn.reshape(encode_texts(encoder, ids, overlaps), (rows, -1)))
+        parts = list(encodings)
         if self.rank_emb is not None:
             parts.append(nn.row_lookup(self.rank_emb, [f.rank_bin for f in batch]))
         rates = [dropout_input, dropout_hidden] + [dropout_hidden] * len(self.heads)

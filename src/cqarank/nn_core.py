@@ -333,14 +333,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 _ACTIVATIONS = {
-    "identity": (lambda z: z, lambda a: np.ones_like(a)),
     "tanh": (np.tanh, lambda a: 1.0 - a * a),
     "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
 }
 
 
-def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str = "identity") -> Tensor:
-    """activation(W @ x + b) for each row x of a (B, D) batch."""
+def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str) -> Tensor:
+    """activation(W @ x + b) for each row x of a (B, D) batch, where the
+    activation is "tanh" or "sigmoid"."""
     if activation not in _ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {activation!r}")
     if x.data.ndim != 2:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -148,14 +149,15 @@ def restore(model, snap: dict[str, np.ndarray]) -> None:
 
 
 def _dev_pass(
-    model, dev: tuple[Sequence, dict], tasks: Sequence[str]
+    model, dev: tuple[Sequence, dict], tasks: Sequence[str], worker: ThreadPoolExecutor
 ) -> tuple[dict[str, float], dict[str, float]]:
     """One inference pass over the dev set, given as its features and each
     task's :class:`RankTable`, whose scores it replaces: each active task's
     mean loss and its MAP percentage.  The MAP is nan when no dev group has a
-    positive, and when a score is not finite, which makes the loss nan too."""
+    positive, and when a score is not finite, which makes the loss nan too.
+    ``worker`` is the run's scoring thread (see :func:`score_features`)."""
     features, tables = dev
-    scores = score_features(model, features, tasks)
+    scores = score_features(model, features, tasks, worker)
     task_loss = {}
     task_map = {}
     for t in tasks:
@@ -198,46 +200,49 @@ def train(
     dev_set = (model.featurize_all(dev_data), dev_tables)
 
     epoch = 0
-    for epoch in range(1, config.epochs + 1):
-        order = make_batches(list(range(len(train_data))), config.batch_size, seed=[config.seed, epoch, 0])
-        drop_rng = np.random.default_rng([config.seed, epoch, 1])
-        loss_total = 0.0
-        for batch_no, batch in enumerate(order):
-            optimizer.zero_grads()
-            with nn.recording():
-                preds = model.predict(
-                    [features[i] for i in batch],
-                    training=True,
-                    rng=drop_rng,
-                    dropout_input=config.dropout_input,
-                    dropout_hidden=config.dropout_hidden,
-                )
-                batch_loss = nn.scale(joint_loss(preds, [gold[i] for i in batch], tasks), 1.0 / len(batch))
-                value = float(batch_loss.data[0])
-                if not math.isfinite(value):
-                    raise nn.NumericError(
-                        f"non-finite training loss {value} in epoch {epoch}, batch {batch_no}"
+    # one scoring thread for the whole run: starting one per dev pass would
+    # cost fresh page faults every epoch
+    with ThreadPoolExecutor(1) as worker:
+        for epoch in range(1, config.epochs + 1):
+            order = make_batches(list(range(len(train_data))), config.batch_size, seed=[config.seed, epoch, 0])
+            drop_rng = np.random.default_rng([config.seed, epoch, 1])
+            loss_total = 0.0
+            for batch_no, batch in enumerate(order):
+                optimizer.zero_grads()
+                with nn.recording():
+                    preds = model.predict(
+                        [features[i] for i in batch],
+                        training=True,
+                        rng=drop_rng,
+                        dropout_input=config.dropout_input,
+                        dropout_hidden=config.dropout_hidden,
                     )
-                batch_loss.backward()
-            optimizer.step()
-            loss_total += value * len(batch)
-        loss_train = loss_total / len(train_data)
+                    batch_loss = nn.scale(joint_loss(preds, [gold[i] for i in batch], tasks), 1.0 / len(batch))
+                    value = float(batch_loss.data[0])
+                    if not math.isfinite(value):
+                        raise nn.NumericError(
+                            f"non-finite training loss {value} in epoch {epoch}, batch {batch_no}"
+                        )
+                    batch_loss.backward()
+                optimizer.step()
+                loss_total += value * len(batch)
+            loss_train = loss_total / len(train_data)
 
-        task_loss, task_map = _dev_pass(model, dev_set, tasks)
-        stats = EpochStats(epoch, loss_train, sum(task_loss.values()), task_loss, task_map)
-        if not math.isfinite(stats.loss_dev):
-            raise nn.NumericError(f"non-finite dev loss {stats.loss_dev} in epoch {epoch}")
-        report.history.append(stats)
-        if log is not None:
-            log(stats)
+            task_loss, task_map = _dev_pass(model, dev_set, tasks, worker)
+            stats = EpochStats(epoch, loss_train, sum(task_loss.values()), task_loss, task_map)
+            if not math.isfinite(stats.loss_dev):
+                raise nn.NumericError(f"non-finite dev loss {stats.loss_dev} in epoch {epoch}")
+            report.history.append(stats)
+            if log is not None:
+                log(stats)
 
-        dev_loss = {"joint": stats.loss_dev, **task_loss}
-        for key, stopper in stoppers.items():
-            if stopper.update(dev_loss[key], epoch):
-                report.snapshots[key] = snapshot(model)
-        if all(s.should_stop for s in stoppers.values()):
-            report.stopped_early = True
-            break
+            dev_loss = {"joint": stats.loss_dev, **task_loss}
+            for key, stopper in stoppers.items():
+                if stopper.update(dev_loss[key], epoch):
+                    report.snapshots[key] = snapshot(model)
+            if all(s.should_stop for s in stoppers.values()):
+                report.stopped_early = True
+                break
 
     report.stop_epoch = epoch
     report.best_epoch = {k: s.best_epoch for k, s in stoppers.items()}

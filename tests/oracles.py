@@ -3,10 +3,12 @@ loops (no vectorization) for the network layers; the wide convolution as one
 GEMM over whole stacked texts, for the one that shares word columns between
 repeated texts; and per-row oracles for the columnar ``RankTable`` ranking.
 The ranking oracles take rows as ``(group_key, doc_id, score, google_rank,
-relevance)`` tuples."""
+relevance)`` tuples.  ``linear_readout`` is the one-value loss the gradient
+tests drive ``backward`` through."""
 
 import numpy as np
 
+import cqarank.nn_core as nn
 from cqarank.evaluation import EvalResult
 
 
@@ -64,9 +66,16 @@ def naive_dense(x, weight, bias, act):
         out[i] = s + bias[i]
     if act == "tanh":
         return np.tanh(out)
-    if act == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-out))
-    return out
+    return 1.0 / (1.0 + np.exp(-out))
+
+
+def linear_readout(x, weights):
+    """A one-value loss whose gradient with respect to ``x`` is ``weights``
+    (shaped like ``x``): a tanh unit whose bias cancels the weighted sum, so
+    its pre-activation is exactly 0, where tanh's slope is exactly 1."""
+    flat = nn.reshape(x, (1, -1))
+    weight = nn.Parameter("readout", np.asarray(weights, dtype=x.data.dtype).reshape(1, -1))
+    return nn.dense(flat, weight, nn.Parameter("offset", -(flat.data @ weight.data.T)[0]), "tanh")
 
 
 def naive_kmax(x):

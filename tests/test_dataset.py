@@ -223,6 +223,21 @@ def test_load_corpus_rejects_bad_records(tmp_path, bad):
         load_corpus(str(path))
 
 
+def test_only_a_line_with_a_u_escape_can_hold_a_lone_surrogate(tmp_path):
+    # the file is strict UTF-8, so a surrogate can only arrive as a \u escape
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(record(c_rel="caf\ud800")) + "\n", encoding="utf-8")
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    message = f"^{re.escape(str(path))}: line 1: field 'c_rel' holds a lone surrogate, which UTF-8 cannot encode$"
+    with pytest.raises(CorpusError, match=message):
+        load_corpus(str(path))
+    # a literal backslash before a u is no escape: the text loads as written
+    path.write_text(json.dumps(record(c_rel="C:\\users"), ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\\\\u" in path.read_text(encoding="utf-8")
+    (t,) = load_corpus(str(path))
+    assert t.c_rel == "C:\\users"
+
+
 def test_load_corpus_rejects_non_object(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("[1, 2]\n")

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -242,34 +243,42 @@ def test_a_candidate_list_of_up_to_128_triples_is_scored_in_one_pass(monkeypatch
     lists = [[dataclasses.replace(t, group=f"list{k}") for t in triples] for k, triples in enumerate(lists)]
     alone = [score_triples(model, triples) for triples in lists]
     sizes = []
-    predict = CqaModel.predict
+    encode = CqaModel.encode
 
-    def spy(self, features, *args, **kwargs):
-        sizes.append(len(features))
-        return predict(self, features, *args, **kwargs)
+    def spy(self, batch, run):
+        sizes.append(len(batch))
+        return encode(self, batch, run)
 
-    monkeypatch.setattr(CqaModel, "predict", spy)
+    monkeypatch.setattr(CqaModel, "encode", spy)
     assert score_triples(model, lists[0], ("C",)).keys() == {"C"}
-    assert sizes == [100]
+    assert sizes == [100, 100]  # the question run and the comment run of one pass
     sizes.clear()
     everything = [t for triples in lists for t in triples]
     together = score_triples(model, everything[:129])
-    assert sorted(sizes) == [1, 64, 64]  # half-size passes on two threads append in either order
+    assert sorted(sizes) == [1, 1, 64, 64, 64, 64]  # half-size passes on two threads run in either order
     for task in model.tasks:
         want = [s for scores in alone for s in scores[task]][:129]
         np.testing.assert_allclose(together[task], want, rtol=0, atol=1e-6)
 
 
 @pytest.fixture(scope="module")
-def scored_300():
-    """A small model and the features of 300 triples (75 lists of 4)."""
+def networks_300():
+    """Small joint, pair-A, pair-B and pair-C networks, each with the features
+    of the same 300 triples (75 lists of 4)."""
     data = conjunction_corpus(75, seed=0)
-    model = CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2, seed=0)
-    return model, model.featurize_all(data)
+    vocab = vocabulary_for(data)
+    models = [CqaModel(vocab, task=task, m=4, d_w=4, d_feat=2, seed=0) for task in (None, "A", "B", "C")]
+    return [(model, model.featurize_all(data)) for model in models]
+
+
+@pytest.fixture(scope="module")
+def scored_300(networks_300):
+    """The joint network of ``networks_300`` and its features."""
+    return networks_300[0]
 
 
 def passes_in_turn(model, features, tasks):
-    """The slow reference: ``model.predict`` on each pass in turn, on the
+    """The slow reference: ``model.predict`` on each pass in turn, all on the
     calling thread; one pass up to SCORE_CHUNK triples, else half-size ones."""
     size = len(features) if len(features) <= evaluation.SCORE_CHUNK else evaluation.SCORE_CHUNK // 2
     scores = {}
@@ -280,30 +289,36 @@ def passes_in_turn(model, features, tasks):
 
 
 @pytest.mark.parametrize("tasks", [None, ("C",)])
-@pytest.mark.parametrize("n", [1, 128, 129, 300])
-def test_score_features_matches_the_passes_run_in_turn(scored_300, n, tasks):
-    model, features = scored_300
-    got = evaluation.score_features(model, features[:n], tasks)
-    want = passes_in_turn(model, features[:n], tasks)
-    assert list(got) == list(want) == (list(model.tasks) if tasks is None else ["C"])
-    for task in want:
-        np.testing.assert_array_equal(got[task], want[task], err_msg=task)  # bit for bit
+@pytest.mark.parametrize("n", [1, 55, 128, 129, 300])
+def test_score_features_matches_the_passes_run_in_turn(networks_300, n, tasks):
+    # every network that scores the tasks: a single pass splits its two
+    # encoder runs between the threads (pair B has one), longer calls their passes
+    for model, features in networks_300:
+        if tasks is not None and not set(tasks) <= set(model.tasks):
+            continue
+        got = evaluation.score_features(model, features[:n], tasks)
+        want = passes_in_turn(model, features[:n], tasks)
+        assert list(got) == list(want) == [t for t in model.tasks if tasks is None or t in tasks]
+        for task in want:
+            np.testing.assert_array_equal(got[task], want[task], err_msg=f"{model.task} {task}")  # bit for bit
 
 
 def test_concurrent_calls_each_get_their_own_scores(scored_300):
-    # four callers, each with its worker, share one model; switching threads
-    # every 10 us interleaves their passes as finely as the GIL allows
+    # eight callers, each with its worker, share one model: four score
+    # half-size passes, four a single pass split between the encoders;
+    # switching threads every 10 us interleaves them as finely as the GIL allows
     model, features = scored_300
-    want = [passes_in_turn(model, features[k:], None) for k in range(4)]
-    got = [None] * 4
+    calls = [features[k:] for k in range(4)] + [features[k : k + 100] for k in range(4)]
+    want = [passes_in_turn(model, chunk, None) for chunk in calls]
+    got = [None] * len(calls)
 
     def call(k):
-        got[k] = evaluation.score_features(model, features[k:])
+        got[k] = evaluation.score_features(model, calls[k])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(calls))]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -314,8 +329,8 @@ def test_concurrent_calls_each_get_their_own_scores(scored_300):
     assert got == want
 
 
-def test_only_a_call_of_more_than_128_triples_starts_a_thread(scored_300, monkeypatch):
-    model, features = scored_300
+def test_a_call_starts_a_thread_unless_it_is_one_pass_of_one_encoder_run(networks_300, monkeypatch):
+    (joint, features), _, (pair_b, b_features), _ = networks_300
     started = []
     start = threading.Thread.start
 
@@ -324,55 +339,109 @@ def test_only_a_call_of_more_than_128_triples_starts_a_thread(scored_300, monkey
         return start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", spy)
-    evaluation.score_features(model, features[:128])
-    assert started == []
-    evaluation.score_features(model, features[:129])
-    assert len(started) == 1 and not started[0].is_alive()
+    for model, feats, n, threads in [
+        (pair_b, b_features, 128, 0),  # one pass of one encoder run
+        (pair_b, b_features, 129, 1),
+        (joint, features, 0, 0),
+        (joint, features, 1, 1),  # the comment encoder runs on the worker
+        (joint, features, 128, 1),
+        (joint, features, 300, 1),
+    ]:
+        started.clear()
+        evaluation.score_features(model, feats[:n])
+        assert len(started) == threads, (model.task, n)
+        assert not any(thread.is_alive() for thread in started)
+    # a call given a worker runs on it and starts none of its own
+    with ThreadPoolExecutor(1) as worker:
+        started.clear()
+        for n in (55, 300, 55):
+            assert evaluation.score_features(joint, features[:n], None, worker) == passes_in_turn(joint, features[:n], None)
+        assert len(started) == 1
 
 
 def test_a_pass_that_raises_on_the_worker_raises_in_the_caller(scored_300, monkeypatch):
     model, features = scored_300
     before = set(threading.enumerate())
     raised = []
-    predict = CqaModel.predict
+    encode = CqaModel.encode
 
-    def spy(self, chunk, *args, **kwargs):
+    def spy(self, batch, run):
         if threading.current_thread() is not threading.main_thread():
             raised.append(MemoryError("worker pass"))
             raise raised[-1]
-        return predict(self, chunk, *args, **kwargs)
+        return encode(self, batch, run)
 
-    monkeypatch.setattr(CqaModel, "predict", spy)
-    with pytest.raises(MemoryError) as caught:
-        evaluation.score_features(model, features)
-    assert caught.value is raised[0]
-    assert set(threading.enumerate()) == before
+    monkeypatch.setattr(CqaModel, "encode", spy)
+    for n in (55, 300):  # its comment run, or its odd passes
+        raised.clear()
+        with pytest.raises(MemoryError) as caught:
+            evaluation.score_features(model, features[:n])
+        assert caught.value is raised[0]
+        assert set(threading.enumerate()) == before
+
+
+def test_a_call_that_raises_leaves_nothing_running_on_a_given_worker(scored_300, monkeypatch):
+    # the caller raises once the worker has begun its first encoder run, which
+    # waits for that: the worker's later passes are still queued then, so they
+    # are cancelled, and the running one is waited for
+    model, features = scored_300
+    on_worker = []
+    began, raised = threading.Event(), threading.Event()
+    encode = CqaModel.encode
+
+    def spy(self, batch, run):
+        if threading.current_thread() is threading.main_thread():
+            began.wait(timeout=10)
+            raised.set()
+            raise MemoryError("caller pass")
+        on_worker.append(len(batch))
+        began.set()
+        raised.wait(timeout=10)
+        return encode(self, batch, run)
+
+    monkeypatch.setattr(CqaModel, "encode", spy)
+    with ThreadPoolExecutor(1) as worker:
+        # the comment run of one pass; the two runs of the first of two odd passes
+        for n, runs in ((55, [55]), (300, [64, 64])):
+            began.clear()
+            raised.clear()
+            on_worker.clear()
+            with pytest.raises(MemoryError, match="caller pass"):
+                evaluation.score_features(model, features[:n], None, worker)
+            assert on_worker == runs
+            worker.submit(lambda: None).result()  # anything still queued has run by now
+            assert on_worker == runs
 
 
 def test_worker_passes_run_under_the_callers_numpy_error_state(scored_300, monkeypatch):
     model, features = scored_300
     seen = []
-    predict = CqaModel.predict
+    encode = CqaModel.encode
 
-    def spy(self, chunk, *args, **kwargs):
+    def spy(self, batch, run):
         seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
-        return predict(self, chunk, *args, **kwargs)
+        return encode(self, batch, run)
 
-    monkeypatch.setattr(CqaModel, "predict", spy)
-    with np.errstate(divide="ignore", over="raise", under="warn", invalid="print"):
-        caller = np.geterr()
-        evaluation.score_features(model, features)
-    assert caller != np.geterr()  # the state differs from the default
-    assert sorted(on_caller for on_caller, _ in seen) == [False] * 2 + [True] * 3  # passes of 64, 64, 64, 64, 44
-    assert all(errors == caller for _, errors in seen)
+    monkeypatch.setattr(CqaModel, "encode", spy)
+    # one pass runs its comment encoder on the worker; passes of 64, 64, 64,
+    # 64 and 44 run two encoders each, two of the passes on the worker
+    for n, on_caller in ((55, [False, True]), (300, [False] * 4 + [True] * 6)):
+        seen.clear()
+        with np.errstate(divide="ignore", over="raise", under="warn", invalid="print"):
+            caller = np.geterr()
+            evaluation.score_features(model, features[:n])
+        assert caller != np.geterr()  # the state differs from the default
+        assert sorted(main for main, _ in seen) == on_caller
+        assert all(errors == caller for _, errors in seen)
 
 
 def test_score_features_inside_a_recording_returns_the_same_scores(scored_300):
     model, features = scored_300
-    outside = evaluation.score_features(model, features)
-    with nn.recording():
-        inside = evaluation.score_features(model, features)
-    assert inside == outside
+    for n in (55, 300):
+        outside = evaluation.score_features(model, features[:n])
+        with nn.recording():
+            inside = evaluation.score_features(model, features[:n])
+        assert inside == outside
 
 
 def blended(score, google_rank, alpha):

@@ -30,7 +30,7 @@ from cqarank.text_pipeline import (
     vocabulary_for,
 )
 from cqarank.training import TrainConfig, joint_loss, snapshot, train
-from oracles import naive_kmax, stacked_conv1d_wide
+from oracles import linear_readout, naive_kmax, stacked_conv1d_wide
 
 
 @pytest.fixture(scope="module")
@@ -335,12 +335,6 @@ def one_occurrence_at_a_time(encoder, ids, overlaps, upstream):
     return np.array(rows), grads
 
 
-def weighted_sum(encodings, upstream):
-    """sum(upstream * encodings) as a one-value loss."""
-    weight = nn.Parameter("upstream", upstream.reshape(1, -1))
-    return nn.dense(nn.reshape(encodings, (1, -1)), weight, nn.Parameter("zero", np.zeros(1, weight.data.dtype)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(run=encoder_runs(), width=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
 def test_encode_texts_matches_one_occurrence_at_a_time(run, width, seed, data):
@@ -354,7 +348,7 @@ def test_encode_texts_matches_one_occurrence_at_a_time(run, width, seed, data):
     upstream = rng.normal(size=(len(ids), encoder.conv_bias.data.size))
     with nn.recording():
         encodings = encode_texts(encoder, ids, overlaps)
-        weighted_sum(encodings, upstream).backward()
+        linear_readout(encodings, upstream).backward()
     want, want_grads = one_occurrence_at_a_time(encoder, ids, overlaps, upstream)
     np.testing.assert_allclose(encodings.data, want, rtol=0, atol=1e-10)
     for p, want_grad in zip((encoder.word_emb, encoder.feat_emb, encoder.filters, encoder.conv_bias), want_grads):

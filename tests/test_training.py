@@ -128,7 +128,7 @@ def scripted_dev_pass(script):
     values seen at each call so snapshot bookkeeping can be verified."""
     captures = {}
 
-    def fake(model, dev, tasks):
+    def fake(model, dev, tasks, worker):
         epoch = len(captures) + 1
         captures[epoch] = snapshot(model)
         losses = {t: script[t][min(epoch, len(script[t])) - 1] for t in tasks}
@@ -229,19 +229,19 @@ def test_dev_pass_map_is_nan_without_a_positive_or_a_finite_score(corpus, vocab,
     model = small_model(vocab)
     dev = [dataclasses.replace(t, label_A=LABELS["A"][-1]) for t in corpus]  # no task-A positive
     dev_set = (model.featurize_all(dev), {t: build_rows(dev, [0.0] * len(dev), t) for t in TASKS})
-    task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
+    task_loss, task_map = training._dev_pass(model, dev_set, TASKS, None)
     assert all(math.isfinite(v) for v in task_loss.values())
     assert math.isnan(task_map["A"])
     assert task_map["B"] == evaluate(model, dev, "B").map
     assert task_map["C"] == evaluate(model, dev, "C").map
     # nan scores: the loss shows them, and no ranking is attempted
-    monkeypatch.setattr(training, "score_features", lambda m, f, tasks: {t: [math.nan] * len(dev) for t in TASKS})
-    task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
+    monkeypatch.setattr(training, "score_features", lambda m, f, tasks, worker: {t: [math.nan] * len(dev) for t in TASKS})
+    task_loss, task_map = training._dev_pass(model, dev_set, TASKS, None)
     assert all(math.isnan(v) for v in [*task_loss.values(), *task_map.values()])
     # any other ranking error is raised, not read as a nan MAP
-    monkeypatch.setattr(training, "score_features", lambda m, f, tasks: {t: [0.5] for t in TASKS})
+    monkeypatch.setattr(training, "score_features", lambda m, f, tasks, worker: {t: [0.5] for t in TASKS})
     with pytest.raises(ValueError, match=f"^1 scores for {len(dev)} rows$"):
-        training._dev_pass(model, dev_set, ("C",))
+        training._dev_pass(model, dev_set, ("C",), None)
 
 
 def test_train_is_deterministic_for_a_seed(corpus, vocab):
