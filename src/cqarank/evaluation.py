@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import nn_core as nn
 from .dataset import Triple, atomic_write, task_relevance
 from .nn_core import NumericError
 
@@ -217,8 +218,8 @@ def _task_scores(scores: dict) -> dict[str, list[float]]:
     return {task: s.data.tolist() for task, s in scores.items()}
 
 
-def _score_pass(model, chunk: list, tasks: Optional[Sequence[str]]) -> dict[str, list[float]]:
-    return _task_scores(model.predict(chunk, training=False, tasks=tasks))
+def _score_pass(model, chunk: list, tasks: Optional[Sequence[str]], worker=None) -> dict[str, list[float]]:
+    return _task_scores(model.predict(chunk, training=False, tasks=tasks, worker=worker))
 
 
 def score_features(
@@ -240,36 +241,22 @@ def score_features(
     caller's numpy error state, an exception in it is raised in the caller,
     and none of it is left running when the call returns or raises."""
     features = list(features)
-    errors = np.geterr()
     pool = worker or ThreadPoolExecutor(1)  # its thread starts on the first submit
-    submitted = []
-
-    def on_worker(fn, *args):
-        def run():
-            with np.errstate(**errors):
-                return fn(*args)
-
-        submitted.append(pool.submit(run))
-        return submitted[-1]
-
+    odd = []
     try:
         if len(features) > SCORE_CHUNK:
             size = SCORE_CHUNK // 2
             chunks = [features[k : k + size] for k in range(0, len(features), size)]
-            odd = [on_worker(_score_pass, model, chunk, tasks) for chunk in chunks[1::2]]
+            odd = [nn.submit(pool, _score_pass, model, chunk, tasks) for chunk in chunks[1::2]]
             passes = [None] * len(chunks)
             passes[::2] = [_score_pass(model, chunk, tasks) for chunk in chunks[::2]]
             passes[1::2] = [future.result() for future in odd]
-        elif features and len(model.encoder_runs) == 2:
-            comment = on_worker(model.encode, features, 1)
-            questions = model.encode(features, 0)
-            passes = [_task_scores(model.score_encodings(features, [questions, comment.result()], tasks))]
         else:
-            passes = [_score_pass(model, features, tasks)] if features else []
+            passes = [_score_pass(model, features, tasks, pool)] if features else []
     finally:
-        for future in submitted:
+        for future in odd:
             future.cancel()
-        wait(submitted)
+        wait(odd)
         if worker is None:
             pool.shutdown()
     scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}

@@ -11,6 +11,7 @@ and C, and scores that one task.
 from __future__ import annotations
 
 import bisect
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from typing import Optional, Sequence, Union
@@ -287,6 +288,7 @@ class CqaModel:
         dropout_input: float = 0.4,
         dropout_hidden: float = 0.7,
         tasks: Optional[Sequence[str]] = None,
+        worker: Optional[Executor] = None,
     ) -> dict[str, nn.Tensor]:
         """Score a batch of featurized triples in one pass: returns ``{task:
         Tensor of shape (len(batch),)}`` for each of ``tasks`` (None: every
@@ -296,16 +298,24 @@ class CqaModel:
         Dropout applies only when ``training`` is set (rate ``dropout_input``
         on the shared layer's input, ``dropout_hidden`` after each tanh
         layer); its draws cover every head, whichever run.  The pass is
-        :meth:`encode` for each encoder run, then :meth:`score_encodings`."""
+        :meth:`encode` for each encoder run, then :meth:`score_encodings`.
+        Given a ``worker`` (a one-thread executor), a network with two
+        encoder runs encodes the comments on it, forward and, inside a
+        recording, backward (see :func:`nn_core.split`), while the caller
+        encodes the questions; the results are bit for bit the same."""
         # one Features is kept because benchmarks/checks.py scores model.featurize(probe)
         batch = [features] if isinstance(features, Features) else list(features)
-        encodings = [self.encode(batch, run) for run in range(len(self.encoder_runs))]
+        if worker is not None and len(self.encoder_runs) == 2:
+            comments, questions = nn.split(worker, lambda: self.encode(batch, 1), lambda: self.encode(batch, 0))
+            encodings = [questions, comments]
+        else:
+            encodings = [self.encode(batch, run) for run in range(len(self.encoder_runs))]
         return self.score_encodings(batch, encodings, tasks, training, rng, dropout_input, dropout_hidden)
 
     def encode(self, batch: Sequence[Features], run: int) -> nn.Tensor:
         """The encodings of ``encoder_runs[run]`` over the batch: row i holds
         triple i's texts for that encoder, side by side.  The runs share no
-        state, so they can run on different threads."""
+        parameter, so :func:`nn_core.split` can run them on two threads."""
         encoder, positions = self.encoder_runs[run]
         ids = [f.ids[k] for f in batch for k in positions]
         overlaps = [f.overlaps[k] for f in batch for k in positions]

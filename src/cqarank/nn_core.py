@@ -6,6 +6,14 @@ tape in creation order, a topological order, which ``Tensor.backward`` walks
 in reverse.  Outside a recording an operation returns a plain value.
 Parameters are persistent leaves whose gradient buffers accumulate across
 backward calls until zeroed.
+:func:`split` runs one subgraph on a worker thread while the caller runs
+another that shares no parameter with it.  Inside a recording the worker
+records its ops on its own tape, and the caller's tape gets one node for
+them; walking that node hands its gradient to the worker, which walks those
+ops in reverse there while the caller walks on, and ``Tensor.backward`` waits
+for it.  Each subgraph is walked in the order one thread would walk it and
+writes only its own buffers, so the gradients are bit for bit those of one
+thread.
 The ops take a batch of rows or a packed batch of texts.  The wide
 convolution takes the word rows of each distinct text once and the
 overlap-feature ids of every occurrence, first occurrences first and then
@@ -20,7 +28,8 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from concurrent.futures import Executor, Future, wait
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +41,8 @@ class NumericError(ArithmeticError):
 class Tensor:
     """An ndarray value.  A recorded op's output also has a ``backward_fn``:
     called with the output gradient, it adds each input's share into that
-    input's ``grad`` in place."""
+    input's ``grad`` in place.  The node :func:`split` records for a worker's
+    ops returns the future of their walk; every other returns None."""
 
     __slots__ = ("data", "grad", "backward_fn")
 
@@ -60,9 +70,28 @@ class Tensor:
         order = _toposort(self)
         del _tape.ops[: len(order)]
         self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(order):
-            node.backward_fn(node.grad)
+        _walk(order)
+
+
+def _walk(nodes: Sequence[Tensor]) -> None:
+    """Run the nodes' backward functions in reverse order, then wait for the
+    walks they handed to a worker.  An exception in either is raised here,
+    once no walk is queued or running."""
+    handed: list[Future] = []
+    try:
+        for node in reversed(nodes):
+            walk = node.backward_fn(node.grad)
             node.backward_fn = None
+            if walk is not None:
+                handed.append(walk)
+    except BaseException:
+        for walk in handed:
+            walk.cancel()
+        raise
+    finally:
+        wait(handed)
+    for walk in handed:
+        walk.result()
 
 
 class _Tape(threading.local):
@@ -78,12 +107,65 @@ _tape = _Tape()
 
 @contextlib.contextmanager
 def recording():
-    """Record the ops this thread runs inside the block for ``backward``."""
+    """Record the ops this thread runs inside the block for ``backward``.
+    The ops a :func:`split` runs on its worker are recorded too, as one node
+    of this thread's tape."""
     outer, _tape.ops = _tape.ops, []
     try:
         yield
     finally:
         _tape.ops = outer
+
+
+def submit(worker: Executor, fn: Callable[..., Any], *args) -> Future:
+    """Run ``fn(*args)`` on ``worker`` under the caller's numpy error state,
+    which numpy keeps per thread."""
+    errors = np.geterr()
+
+    def run():
+        with np.errstate(**errors):
+            return fn(*args)
+
+    return worker.submit(run)
+
+
+def split(worker: Executor, there: Callable[[], Tensor], here: Callable[[], Any]) -> tuple[Tensor, Any]:
+    """``(there(), here())``, with ``there`` run on ``worker``, a thread
+    other than the caller's, while the caller runs ``here``.  The two must
+    share no parameter: their backward walks run at the same time.
+
+    Outside a recording the worker records nothing.  Inside one it records
+    ``there``'s ops on a tape of its own, and the caller's tape gets one node
+    for them, after ``here``'s ops: walking it hands its gradient to the
+    worker, which walks those ops in reverse there (see ``Tensor.backward``).
+    An exception in ``there`` is raised here; one in ``here`` is raised once
+    ``there`` is cancelled or done."""
+    recorded = _tape.ops is not None
+
+    def run():
+        if not recorded:
+            return there(), None
+        with recording():
+            return there(), _tape.ops
+
+    future = submit(worker, run)
+    try:
+        mine = here()
+    except BaseException:
+        future.cancel()
+        wait([future])
+        raise
+    out, ops = future.result()
+    if not ops:
+        return out, mine
+
+    def backward_fn(grad: np.ndarray) -> Future:
+        return submit(worker, _walk, ops)
+
+    node = Tensor(out.data, backward_fn)
+    node.grad = out.grad  # the worker's walk starts from the gradient the caller leaves here
+    _tape.ops.append(node)
+    return node, mine
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -340,7 +422,9 @@ _ACTIVATIONS = {
 
 def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str) -> Tensor:
     """activation(W @ x + b) for each row x of a (B, D) batch, where the
-    activation is "tanh" or "sigmoid"."""
+    activation is "tanh" or "sigmoid".  A row whose pre-activation is not
+    finite (it overflowed) comes out nan, not saturated at the activation's
+    bounds, so the non-finite checks downstream see it."""
     if activation not in _ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {activation!r}")
     if x.data.ndim != 2:
@@ -350,7 +434,9 @@ def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str) -> Ten
     if bias.data.shape != (weight.data.shape[0],):
         raise ValueError("dense: bias shape does not match weight rows")
     act, act_grad = _ACTIVATIONS[activation]
-    out = act(x.data @ weight.data.T + bias.data)
+    z = x.data @ weight.data.T + bias.data
+    out = act(z)
+    out[~np.isfinite(z).all(axis=1)] = np.nan
 
     def backward_fn(grad: np.ndarray) -> None:
         dz = grad * act_grad(out)

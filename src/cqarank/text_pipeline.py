@@ -94,11 +94,13 @@ class Vocabulary:
     def __init__(self, tokens: Iterable[str] = ()):
         """``tokens`` are the non-reserved entries, in id order (id 2, 3, ...)."""
         self.tokens: tuple[str, ...] = (PAD_TOKEN, UNK_TOKEN, *tokens)  # every entry, in id order
-        self._token_to_id: dict[str, int] = {}
-        for tok in self.tokens:
-            if tok in self._token_to_id:
-                raise ValueError(f"duplicate vocabulary token: {tok!r}")
-            self._token_to_id[tok] = len(self._token_to_id)
+        self._token_to_id: dict[str, int] = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self._token_to_id) < len(self.tokens):
+            seen: set[str] = set()
+            for tok in self.tokens:
+                if tok in seen:
+                    raise ValueError(f"duplicate vocabulary token: {tok!r}")
+                seen.add(tok)
         # what encode reads: a text token spelled like PAD is unknown
         self._encoding = {**self._token_to_id, PAD_TOKEN: UNK_ID}
 

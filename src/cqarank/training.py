@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -200,8 +201,9 @@ def train(
     dev_set = (model.featurize_all(dev_data), dev_tables)
 
     epoch = 0
-    # one scoring thread for the whole run: starting one per dev pass would
-    # cost fresh page faults every epoch
+    # one worker thread for the whole run: it encodes each batch's comments,
+    # forward and backward, and scores beside the caller in the dev passes;
+    # starting one per dev pass would cost fresh page faults every epoch
     with ThreadPoolExecutor(1) as worker:
         for epoch in range(1, config.epochs + 1):
             order = make_batches(list(range(len(train_data))), config.batch_size, seed=[config.seed, epoch, 0])
@@ -216,6 +218,7 @@ def train(
                         rng=drop_rng,
                         dropout_input=config.dropout_input,
                         dropout_hidden=config.dropout_hidden,
+                        worker=worker,
                     )
                     batch_loss = nn.scale(joint_loss(preds, [gold[i] for i in batch], tasks), 1.0 / len(batch))
                     value = float(batch_loss.data[0])
@@ -280,36 +283,37 @@ def _meta_for(model) -> dict:
 def save_checkpoint(path: str, model) -> None:
     """Serialize the model to a deterministic binary container: magic, JSON
     index (meta, vocab, parameter table), then raw little-endian arrays in
-    sorted name order.  Saving the same weights twice yields identical bytes."""
+    sorted name order.  Saving the same weights twice yields identical bytes.
+    Each array's buffer is written as it is, not copied."""
     stored = model.dtype.newbyteorder("<")
+    params = sorted(model.parameters(), key=lambda p: p.name)
+    arrays = [np.ascontiguousarray(p.data, stored) for p in params]
     entries = []
-    blobs = []
     offset = 0
-    for p in sorted(model.parameters(), key=lambda p: p.name):
-        blob = p.data.astype(stored, copy=False).tobytes()
+    for p, arr in zip(params, arrays):
         entries.append(
             {
                 "name": p.name,
                 "dtype": stored.str,
-                "shape": list(p.data.shape),
+                "shape": list(arr.shape),
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": arr.nbytes,
             }
         )
-        blobs.append(blob)
-        offset += len(blob)
+        offset += arr.nbytes
     index = {
         "meta": _meta_for(model),
         "params": entries,
         "vocab": list(model.vocab.tokens[2:]),
     }
     head = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = _MAGIC + len(head).to_bytes(8, "little") + head + b"".join(blobs)
     with atomic_write(path, "wb") as fh:
-        fh.write(payload)
+        fh.write(_MAGIC + len(head).to_bytes(8, "little") + head)
+        for arr in arrays:
+            fh.write(arr)
 
 
-def _read_array(payload: bytes, entry: dict, stored: np.dtype) -> np.ndarray:
+def _read_array(payload: np.ndarray, entry: dict, stored: np.dtype) -> np.ndarray:
     name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
     offset, nbytes = entry["offset"], entry["nbytes"]
     if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in (offset, nbytes, *shape)):
@@ -320,29 +324,34 @@ def _read_array(payload: bytes, entry: dict, stored: np.dtype) -> np.ndarray:
         raise ValueError(f"array {name!r}: shape {list(shape)} of {dtype} does not fill {nbytes} bytes")
     if offset + nbytes > len(payload):
         raise ValueError(f"truncated array {name!r}")
-    return np.frombuffer(payload, dtype, count=math.prod(shape), offset=offset).reshape(shape).copy()
+    view = np.frombuffer(payload, dtype, count=math.prod(shape), offset=offset).reshape(shape)
+    return view if view.flags.aligned else view.copy()
 
 
 def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]]:
     """Parse and validate a checkpoint: the keyword arguments that rebuild
     its network, its vocabulary, and its arrays, which must be exactly the
-    network's parameter table."""
+    network's parameter table.  The arrays after the index are read once,
+    into one buffer, and each array is a writable view of its bytes there
+    (a copy where the file's offset leaves it misaligned, or where its bytes
+    overlap another array's)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    pos = len(_MAGIC) + 8
-    head_len = int.from_bytes(data[len(_MAGIC) : pos], "little")
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        head_len = int.from_bytes(fh.read(8), "little")
+        head = fh.read(min(head_len, size))
+        payload = np.empty(max(size - fh.tell(), 0), np.uint8)  # not zero-filled: the read fills it
+        payload = payload[: fh.readinto(payload)]
     try:
-        index = json.loads(data[pos : pos + head_len].decode("utf-8"))
+        index = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt index: {exc}") from exc
-    payload = data[pos + head_len :]
     try:
         meta, entries, tokens = index["meta"], index["params"], index["vocab"]
         if not (isinstance(meta, dict) and isinstance(entries, list) and isinstance(tokens, list)):
             raise ValueError("meta must be an object, params and vocab lists")
-        if not all(isinstance(t, str) for t in tokens):
+        if not set(map(type, tokens)) <= {str}:  # json gives no str subclass
             raise ValueError("vocab entries must be strings")
         if meta["kind"] not in ("mtl", "pair"):
             raise ValueError(f"unknown model kind {meta['kind']!r}")
@@ -364,6 +373,12 @@ def _read_checkpoint(path: str) -> tuple[dict, Vocabulary, dict[str, np.ndarray]
     problem = _mismatch(params, table)
     if problem:
         raise CheckpointError(f"{path}: {problem}")
+    # arrays whose bytes overlap must not share memory once loaded
+    end = 0
+    for entry in sorted(entries, key=lambda entry: entry["offset"]):
+        if entry["offset"] < end:
+            params[entry["name"]] = params[entry["name"]].copy()
+        end = max(end, entry["offset"] + entry["nbytes"])
     non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
     if non_finite:
         raise CheckpointError(f"{path}: non-finite values in {', '.join(non_finite)}")

@@ -753,6 +753,24 @@ def test_non_finite_scores_exit_3_with_one_error_line_and_no_tsv(tmp_path, capsy
     assert list(tmp_path.glob("*.tsv")) == []
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_head_whose_sums_overflow_exits_3_whatever_the_summation_order(tmp_path, capsys, sign):
+    # every head-A value at +-3e38: the hidden pre-activations overflow to
+    # +-inf, where tanh would saturate to +-1 and every A score would be 1.0
+    data = conjunction_corpus(4, seed=0)
+    corpus, ckpt = tmp_path / "dev.jsonl", tmp_path / "huge.ckpt"
+    save_corpus(str(corpus), data)
+    model = CqaModel(vocabulary_for(data), m=8, d_w=6)
+    for p in model.parameters():
+        if p.name.startswith("head_A."):
+            p.data[...] = sign * 3e38
+    save_checkpoint(str(ckpt), model)
+    assert main(["evaluate", "--model", str(ckpt), "--corpus", str(corpus), "--tasks", "A"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: non-finite score nan for task A on triple {data[0].id!r}"]
+
+
 def test_a_non_finite_head_that_is_not_requested_does_not_fail_the_command(tmp_path, capsys, monkeypatch):
     # a checkpoint holds only finite weights, and finite head weights give
     # finite scores (a head reads tanh outputs), so the loaded model's head A

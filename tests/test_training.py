@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 import cqarank.cli as cli
 import cqarank.evaluation as evaluation
+import cqarank.model as model_module
 import cqarank.nn_core as nn
 import cqarank.training as training
 from cqarank.dataset import LABELS, binarize, make_batches
@@ -302,6 +306,133 @@ def test_train_raises_on_non_finite_loss(corpus, vocab, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# training on two threads
+# ---------------------------------------------------------------------------
+
+
+def spy_on_encode(monkeypatch):
+    """Patch ``CqaModel.encode`` to note, per call, whether it ran on the main
+    thread and whether that thread was recording."""
+    calls = []
+    encode = CqaModel.encode
+
+    def spy(self, batch, run):
+        calls.append((threading.current_thread() is threading.main_thread(), nn._tape.ops is not None))
+        return encode(self, batch, run)
+
+    monkeypatch.setattr(CqaModel, "encode", spy)
+    return calls
+
+
+def step_gradients(model, features, labels, worker):
+    """Every parameter's gradient after one training step's backward, with
+    dropout on, the encoders split over ``worker`` or, given None, run in
+    turn on the caller."""
+    for p in model.parameters():
+        p.zero_grad()
+    with nn.recording():
+        preds = model.predict(features, training=True, rng=np.random.default_rng(5), worker=worker)
+        nn.scale(joint_loss(preds, labels, model.tasks), 1.0 / len(features)).backward()
+    return {p.name: p.grad.copy() for p in model.parameters()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("task", [None, "A", "B", "C"])
+def test_a_training_step_on_two_threads_gives_the_gradients_of_one(corpus, vocab, monkeypatch, task, dtype):
+    model = small_model(vocab, task=task, seed=3, dtype=dtype)
+    features = model.featurize_all(corpus)
+    labels = [binarize(t) for t in corpus]
+    calls = spy_on_encode(monkeypatch)
+    want = step_gradients(model, features, labels, None)
+    assert calls == [(True, True)] * len(model.encoder_runs)
+    calls.clear()
+    with ThreadPoolExecutor(1) as worker:
+        got = step_gradients(model, features, labels, worker)
+    # a network with two encoder runs encodes its comments on the worker
+    on_worker = [(False, True)] if len(model.encoder_runs) == 2 else []
+    assert sorted(calls) == on_worker + [(True, True)]
+    for name, grad in want.items():
+        assert grad.any(), name
+        np.testing.assert_array_equal(got[name], grad, err_msg=name)  # bit for bit
+
+
+def test_concurrent_training_steps_each_get_their_own_gradients(corpus, vocab):
+    # four callers, each with its own network and worker, switching threads
+    # every 10 us: no op of one caller's step lands on another's tape
+    models = [small_model(vocab, seed=3) for _ in range(5)]
+    features = models[0].featurize_all(corpus)
+    labels = [binarize(t) for t in corpus]
+    want = step_gradients(models[0], features, labels, None)
+    got = [None] * 4
+
+    def call(k):
+        with ThreadPoolExecutor(1) as worker:
+            got[k] = [step_gradients(models[k + 1], features, labels, worker) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for steps in got:
+        for grads in steps:
+            for name in want:
+                np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+
+def test_a_training_run_starts_one_thread_and_matches_the_encoders_run_in_turn(corpus, vocab, monkeypatch):
+    config = TrainConfig(epochs=2, batch_size=3, seed=4)
+    in_turn = small_model(vocab, seed=4)
+    predict = CqaModel.predict
+    with monkeypatch.context() as mp:
+        mp.setattr(CqaModel, "predict", lambda self, *args, worker=None, **kw: predict(self, *args, **kw))
+        want = train(in_turn, corpus, corpus, config)
+    calls = spy_on_encode(monkeypatch)
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    model = small_model(vocab, seed=4)
+    got = train(model, corpus, corpus, config)
+    assert len(started) == 1 and not started[0].is_alive()
+    batches = math.ceil(len(corpus) / config.batch_size)
+    assert calls.count((False, True)) == config.epochs * batches  # each batch's comment run
+    assert got.history == want.history
+    for p, q in zip(model.parameters(), in_turn.parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=p.name)
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_an_exception_on_the_worker_in_training_is_raised_in_the_caller(corpus, vocab, monkeypatch, phase):
+    before = set(threading.enumerate())
+    raised = []
+    target, name = (model_module, "encode_texts") if phase == "forward" else (nn, "_conv1d_wide_backward")
+    original = getattr(target, name)
+
+    def fail_on_the_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(MemoryError(phase))
+            raise raised[-1]
+        return original(*args)
+
+    monkeypatch.setattr(target, name, fail_on_the_worker)
+    with pytest.raises(MemoryError) as caught:
+        train(small_model(vocab), corpus, corpus, TrainConfig(epochs=1, batch_size=4))
+    assert caught.value is raised[0] and len(raised) == 1
+    assert set(threading.enumerate()) == before
+
+
+# ---------------------------------------------------------------------------
 # snapshots and checkpoints
 # ---------------------------------------------------------------------------
 
@@ -497,6 +628,44 @@ def test_checkpoint_refuses_an_array_stored_twice(tmp_path, vocab, capsys):
         assert cli.main([command, "--model", str(path), "--corpus", str(tmp_path / "dev.jsonl"),
                          "--out", str(tmp_path / "p.tsv")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_a_loaded_checkpoint_has_aligned_writable_arrays_that_share_no_memory(tmp_path, vocab):
+    path = tmp_path / "model.ckpt"
+    model = small_model(vocab, seed=1)
+    model.q_encoder.conv_bias.data[...] = np.arange(1, 5)  # biases start at zero
+    save_checkpoint(str(path), model)
+    data = path.read_bytes()
+    head_len = int.from_bytes(data[8:16], "little")
+    index = json.loads(data[16 : 16 + head_len])
+    by_name = {entry["name"]: entry for entry in index["params"]}
+
+    def loaded(edit, pad=b""):
+        """The arrays of the checkpoint with ``edit`` applied to its index and
+        ``pad`` put before its arrays."""
+        edited = json.loads(json.dumps(index))
+        edit({entry["name"]: entry for entry in edited["params"]})
+        head = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(data[:8] + len(head).to_bytes(8, "little") + head + pad + data[16 + head_len :])
+        arrays = {p.name: p.data for p in load_checkpoint(str(path)).parameters()}
+        assert all(arr.flags.writeable and arr.flags.aligned for arr in arrays.values())
+        return arrays
+
+    def shift(entries):
+        for entry in entries.values():
+            entry["offset"] += 1
+
+    def alias(entries):
+        entries["c_encoder.conv_bias"]["offset"] = by_name["q_encoder.conv_bias"]["offset"]
+
+    for edit, pad in ((lambda entries: None, b""), (shift, b"\0")):  # aligned views, misaligned copies
+        arrays = loaded(edit, pad)
+        for p in model.parameters():
+            np.testing.assert_array_equal(arrays[p.name], p.data)
+    arrays = loaded(alias)  # two entries over the same bytes
+    np.testing.assert_array_equal(arrays["c_encoder.conv_bias"], [1, 2, 3, 4])
+    np.testing.assert_array_equal(arrays["q_encoder.conv_bias"], [1, 2, 3, 4])
+    assert not np.shares_memory(arrays["c_encoder.conv_bias"], arrays["q_encoder.conv_bias"])
 
 
 @pytest.fixture(scope="module")
