@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import nn_core as nn
 from .dataset import Triple, atomic_write, task_relevance
 from .nn_core import NumericError
 
@@ -197,29 +196,21 @@ def task_group_key(triple: Triple, task: str) -> str:
     raise ValueError(f"unknown task {task!r}")
 
 
-# Triples scored per forward pass.  A call of at most SCORE_CHUNK triples is
-# one pass: one chunk holds a whole candidate list (at most 100 triples in
-# SemEval-2016 Task 3), so its new question is encoded once and its repeats
-# share the word part of the convolution (see ``model.encode_texts``).  Such a
-# pass on a network with two encoder runs (the joint network, pairs A and C)
-# runs the comment encoder on one worker thread while the caller encodes the
-# questions, so both cores of a two-core machine score.  A longer call is cut
-# into passes of SCORE_CHUNK // 2 that alternate between the caller and the
-# worker.  Two threads, not more: two half-size passes in flight hold about the
-# memory of one full pass (at paper sizes a pass allocates up to about 0.1 MB
-# per triple: tracemalloc peaks of 5-11 MB per 128-triple chunk, 4-6.5 MB per
-# 64).  The threads overlap only where numpy releases the GIL: the GEMMs do,
-# while pooling's ``np.maximum.reduceat`` and the ``np.fromiter`` index builds
-# hold it.
-SCORE_CHUNK = 128
-
-
-def _task_scores(scores: dict) -> dict[str, list[float]]:
-    return {task: s.data.tolist() for task, s in scores.items()}
-
-
-def _score_pass(model, chunk: list, tasks: Optional[Sequence[str]], worker=None) -> dict[str, list[float]]:
-    return _task_scores(model.predict(chunk, training=False, tasks=tasks, worker=worker))
+# Triples scored per forward pass.  A call of n triples runs as ceil(n /
+# SCORE_CHUNK) passes whose sizes differ by at most one, so a candidate list
+# (at most 100 triples in SemEval-2016 Task 3) is one pass: its new question
+# is encoded once and its repeats share the word part of the convolution (see
+# ``model.encode_texts``).  A pass's question and comment encoder runs are in
+# flight at once, on the caller and on the worker, and at paper sizes their
+# tracemalloc peaks are 5.3 and 5.2 MB per 64-triple pass, 7.5 and 8.2 MB per
+# 100, and 9.7 and 10.5 MB per 128.  On a 2-core x86_64 box with OpenBLAS on
+# one thread, passes of up to 128 raised score_bulk's peak RSS by 12%, and
+# equal passes of at most 128 by about 8%, near the benchmark's 10% bound;
+# equal passes of at most 64 split lists of 65-100 candidates and slowed
+# rank_online by about 8%.  The threads overlap only where numpy releases the
+# GIL: the GEMMs do, while pooling's ``np.maximum.reduceat`` and the
+# ``np.fromiter`` index builds hold it.
+SCORE_CHUNK = 100
 
 
 def score_features(
@@ -231,38 +222,28 @@ def score_features(
     tasks run, and the scores are bit for bit those of ``model.predict`` run
     on each pass in turn.
 
-    Up to ``SCORE_CHUNK`` triples are one pass.  On a network with two
-    encoder runs, a worker thread runs the comment encoder while the caller
+    The n triples run as ceil(n / ``SCORE_CHUNK``) passes in input order,
+    whose sizes differ by at most one.  On a network with two encoder runs,
+    a worker thread runs each pass's comment encoder while the caller
     encodes the questions, then the caller runs the layers above; a pair-B
-    network has one run and starts no thread.  More triples run as passes of
-    ``SCORE_CHUNK // 2``, the even ones on the caller and the odd ones on the
-    worker.  The worker is ``worker``, a one-thread pool the caller owns, or
-    else one the call starts and shuts down.  Its work runs under the
-    caller's numpy error state, an exception in it is raised in the caller,
-    and none of it is left running when the call returns or raises."""
+    network has one run and starts no thread.  The worker is ``worker``, a
+    one-thread pool the caller owns, or else one the call starts and shuts
+    down.  Its work runs under the caller's numpy error state, an exception
+    in it is raised in the caller, and none of it is left running when the
+    call returns or raises (see ``nn_core.split``)."""
     features = list(features)
+    n = len(features)
+    passes = math.ceil(n / SCORE_CHUNK)
+    scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}
     pool = worker or ThreadPoolExecutor(1)  # its thread starts on the first submit
-    odd = []
     try:
-        if len(features) > SCORE_CHUNK:
-            size = SCORE_CHUNK // 2
-            chunks = [features[k : k + size] for k in range(0, len(features), size)]
-            odd = [nn.submit(pool, _score_pass, model, chunk, tasks) for chunk in chunks[1::2]]
-            passes = [None] * len(chunks)
-            passes[::2] = [_score_pass(model, chunk, tasks) for chunk in chunks[::2]]
-            passes[1::2] = [future.result() for future in odd]
-        else:
-            passes = [_score_pass(model, features, tasks, pool)] if features else []
+        for k in range(passes):
+            chunk = features[n * k // passes : n * (k + 1) // passes]
+            for task, values in model.predict(chunk, training=False, tasks=tasks, worker=pool).items():
+                scores[task].extend(values.data.tolist())
     finally:
-        for future in odd:
-            future.cancel()
-        wait(odd)
         if worker is None:
             pool.shutdown()
-    scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}
-    for result in passes:
-        for task, values in result.items():
-            scores[task].extend(values)
     return scores
 
 

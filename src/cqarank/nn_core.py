@@ -117,7 +117,7 @@ def recording():
         _tape.ops = outer
 
 
-def submit(worker: Executor, fn: Callable[..., Any], *args) -> Future:
+def _submit(worker: Executor, fn: Callable[..., Any], *args) -> Future:
     """Run ``fn(*args)`` on ``worker`` under the caller's numpy error state,
     which numpy keeps per thread."""
     errors = np.geterr()
@@ -148,7 +148,7 @@ def split(worker: Executor, there: Callable[[], Tensor], here: Callable[[], Any]
         with recording():
             return there(), _tape.ops
 
-    future = submit(worker, run)
+    future = _submit(worker, run)
     try:
         mine = here()
     except BaseException:
@@ -160,7 +160,7 @@ def split(worker: Executor, there: Callable[[], Tensor], here: Callable[[], Any]
         return out, mine
 
     def backward_fn(grad: np.ndarray) -> Future:
-        return submit(worker, _walk, ops)
+        return _submit(worker, _walk, ops)
 
     node = Tensor(out.data, backward_fn)
     node.grad = out.grad  # the worker's walk starts from the gradient the caller leaves here

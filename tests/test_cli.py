@@ -797,17 +797,17 @@ def test_a_non_finite_head_that_is_not_requested_does_not_fail_the_command(tmp_p
 
 
 
-def test_an_overflowing_head_prints_no_warning_when_the_passes_run_on_two_threads(tmp_path):
-    # head A's weights near the float32 maximum overflow in its matmul; the
-    # command ignores overflow, and so must the worker thread that runs every
-    # other pass of a call of more than 128 triples
+def test_an_overflowing_comment_encoder_prints_no_warning_when_it_runs_on_the_worker(tmp_path):
+    # the comment encoder's weights near the float32 maximum overflow in its
+    # matmuls; the command ignores overflow, and so must the worker thread that
+    # runs the comment encoder of each of the call's two passes
     data = conjunction_corpus(40, seed=0)  # 160 triples
     corpus, ckpt = tmp_path / "dev.jsonl", tmp_path / "huge.ckpt"
     save_corpus(str(corpus), data)
     model = CqaModel(vocabulary_for(data), m=4, d_w=3, d_feat=2)
     rng = np.random.default_rng(0)
     for p in model.parameters():
-        if p.name.startswith("head_A."):
+        if p.name.startswith("c_encoder."):
             p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -3e38, 3e38)
     save_checkpoint(str(ckpt), model)
     src = os.path.dirname(os.path.dirname(cqarank.__file__))

@@ -181,11 +181,10 @@ def test_evaluate_runs_only_the_task_head(monkeypatch):
 
     monkeypatch.setattr(model_module.TaskHead, "forward", spy)
     monkeypatch.setattr(evaluation, "SCORE_CHUNK", 5)
-    chunks = 1 if len(data) <= 5 else math.ceil(len(data) / 2)  # passes of 5 // 2 past one chunk
     for t in model.tasks:
         runs.clear()
         assert evaluate(model, data, t) == evaluate_scores(build_rows(data, every[t], t))
-        assert runs == [t] * chunks
+        assert runs == [t] * math.ceil(len(data) / 5)  # one head run per equal pass
 
 
 def test_build_rows_validates_lengths():
@@ -235,7 +234,7 @@ def test_score_triples_refuses_non_finite_scores():
             score_triples(model, data)
 
 
-def test_a_candidate_list_of_up_to_128_triples_is_scored_in_one_pass(monkeypatch):
+def test_a_candidate_list_of_up_to_100_triples_is_scored_in_one_pass(monkeypatch):
     data = conjunction_corpus(33, seed=0)  # 132 triples
     model = CqaModel(vocabulary_for(data), m=4, d_w=4, d_feat=2, seed=0)
     # lists of 100, 15 and 17 candidates, each under one new question
@@ -252,10 +251,13 @@ def test_a_candidate_list_of_up_to_128_triples_is_scored_in_one_pass(monkeypatch
     monkeypatch.setattr(CqaModel, "encode", spy)
     assert score_triples(model, lists[0], ("C",)).keys() == {"C"}
     assert sizes == [100, 100]  # the question run and the comment run of one pass
-    sizes.clear()
     everything = [t for triples in lists for t in triples]
+    sizes.clear()
+    score_triples(model, everything[:101])
+    assert sorted(sizes) == [50, 50, 51, 51]  # one triple past a pass makes two
+    sizes.clear()
     together = score_triples(model, everything[:129])
-    assert sorted(sizes) == [1, 1, 64, 64, 64, 64]  # half-size passes on two threads run in either order
+    assert sorted(sizes) == [64, 64, 65, 65]  # two equal passes, each with runs on both threads
     for task in model.tasks:
         want = [s for scores in alone for s in scores[task]][:129]
         np.testing.assert_allclose(together[task], want, rtol=0, atol=1e-6)
@@ -279,20 +281,23 @@ def scored_300(networks_300):
 
 def passes_in_turn(model, features, tasks):
     """The slow reference: ``model.predict`` on each pass in turn, all on the
-    calling thread; one pass up to SCORE_CHUNK triples, else half-size ones."""
-    size = len(features) if len(features) <= evaluation.SCORE_CHUNK else evaluation.SCORE_CHUNK // 2
+    calling thread; ceil(n / SCORE_CHUNK) passes, pass k ending at triple
+    floor((k + 1) * n / passes), so their sizes differ by at most one."""
+    count = math.ceil(len(features) / evaluation.SCORE_CHUNK)
+    ends = [k * len(features) // count for k in range(count + 1)]
+    assert all(end - start <= evaluation.SCORE_CHUNK for start, end in zip(ends, ends[1:]))
     scores = {}
-    for start in range(0, len(features), size):
-        for task, values in model.predict(features[start : start + size], training=False, tasks=tasks).items():
+    for start, end in zip(ends, ends[1:]):
+        for task, values in model.predict(features[start:end], training=False, tasks=tasks).items():
             scores.setdefault(task, []).extend(values.data.tolist())
     return scores
 
 
 @pytest.mark.parametrize("tasks", [None, ("C",)])
-@pytest.mark.parametrize("n", [1, 55, 128, 129, 300])
+@pytest.mark.parametrize("n", [1, 55, 100, 101, 129, 300])
 def test_score_features_matches_the_passes_run_in_turn(networks_300, n, tasks):
-    # every network that scores the tasks: a single pass splits its two
-    # encoder runs between the threads (pair B has one), longer calls their passes
+    # every network that scores the tasks: each pass splits its two encoder
+    # runs between the threads (pair B has one); 100 is one pass, 101 two
     for model, features in networks_300:
         if tasks is not None and not set(tasks) <= set(model.tasks):
             continue
@@ -304,8 +309,8 @@ def test_score_features_matches_the_passes_run_in_turn(networks_300, n, tasks):
 
 
 def test_concurrent_calls_each_get_their_own_scores(scored_300):
-    # eight callers, each with its worker, share one model: four score
-    # half-size passes, four a single pass split between the encoders;
+    # eight callers, each with its worker, share one model: four score three
+    # passes, four a single pass, each pass split between the encoders;
     # switching threads every 10 us interleaves them as finely as the GIL allows
     model, features = scored_300
     calls = [features[k:] for k in range(4)] + [features[k : k + 100] for k in range(4)]
@@ -340,11 +345,11 @@ def test_a_call_starts_a_thread_unless_it_is_one_pass_of_one_encoder_run(network
 
     monkeypatch.setattr(threading.Thread, "start", spy)
     for model, feats, n, threads in [
-        (pair_b, b_features, 128, 0),  # one pass of one encoder run
-        (pair_b, b_features, 129, 1),
+        (pair_b, b_features, 100, 0),  # one pass of one encoder run
+        (pair_b, b_features, 129, 0),  # two such passes
         (joint, features, 0, 0),
         (joint, features, 1, 1),  # the comment encoder runs on the worker
-        (joint, features, 128, 1),
+        (joint, features, 100, 1),
         (joint, features, 300, 1),
     ]:
         started.clear()
@@ -372,7 +377,7 @@ def test_a_pass_that_raises_on_the_worker_raises_in_the_caller(scored_300, monke
         return encode(self, batch, run)
 
     monkeypatch.setattr(CqaModel, "encode", spy)
-    for n in (55, 300):  # its comment run, or its odd passes
+    for n in (55, 300):  # the comment run of its one pass, or of its first of three
         raised.clear()
         with pytest.raises(MemoryError) as caught:
             evaluation.score_features(model, features[:n])
@@ -381,9 +386,8 @@ def test_a_pass_that_raises_on_the_worker_raises_in_the_caller(scored_300, monke
 
 
 def test_a_call_that_raises_leaves_nothing_running_on_a_given_worker(scored_300, monkeypatch):
-    # the caller raises once the worker has begun its first encoder run, which
-    # waits for that: the worker's later passes are still queued then, so they
-    # are cancelled, and the running one is waited for
+    # the caller raises in its first question run once the worker has begun
+    # that pass's comment run, and waits for it; no later pass starts
     model, features = scored_300
     on_worker = []
     began, raised = threading.Event(), threading.Event()
@@ -401,8 +405,8 @@ def test_a_call_that_raises_leaves_nothing_running_on_a_given_worker(scored_300,
 
     monkeypatch.setattr(CqaModel, "encode", spy)
     with ThreadPoolExecutor(1) as worker:
-        # the comment run of one pass; the two runs of the first of two odd passes
-        for n, runs in ((55, [55]), (300, [64, 64])):
+        # the comment run of one pass; that of the first of three passes
+        for n, runs in ((55, [55]), (300, [100])):
             began.clear()
             raised.clear()
             on_worker.clear()
@@ -423,9 +427,9 @@ def test_worker_passes_run_under_the_callers_numpy_error_state(scored_300, monke
         return encode(self, batch, run)
 
     monkeypatch.setattr(CqaModel, "encode", spy)
-    # one pass runs its comment encoder on the worker; passes of 64, 64, 64,
-    # 64 and 44 run two encoders each, two of the passes on the worker
-    for n, on_caller in ((55, [False, True]), (300, [False] * 4 + [True] * 6)):
+    # each pass runs its comment encoder on the worker and its question
+    # encoder on the caller: one pass of 55, three of 100
+    for n, on_caller in ((55, [False, True]), (300, [False] * 3 + [True] * 3)):
         seen.clear()
         with np.errstate(divide="ignore", over="raise", under="warn", invalid="print"):
             caller = np.geterr()
