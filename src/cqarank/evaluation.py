@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -201,7 +200,7 @@ def task_group_key(triple: Triple, task: str) -> str:
 # (at most 100 triples in SemEval-2016 Task 3) is one pass: its new question
 # is encoded once and its repeats share the word part of the convolution (see
 # ``model.encode_texts``).  A pass's question and comment encoder runs are in
-# flight at once, on the caller and on the worker, and at paper sizes their
+# flight at once, on the caller and on nn_core's worker, and at paper sizes their
 # tracemalloc peaks are 5.3 and 5.2 MB per 64-triple pass, 7.5 and 8.2 MB per
 # 100, and 9.7 and 10.5 MB per 128.  On a 2-core x86_64 box with OpenBLAS on
 # one thread, passes of up to 128 raised score_bulk's peak RSS by 12%, and
@@ -213,37 +212,29 @@ def task_group_key(triple: Triple, task: str) -> str:
 SCORE_CHUNK = 100
 
 
-def score_features(
-    model, features: Iterable, tasks: Optional[Sequence[str]] = None, worker: Optional[ThreadPoolExecutor] = None
-) -> dict[str, list[float]]:
+def score_features(model, features: Iterable, tasks: Optional[Sequence[str]] = None) -> dict[str, list[float]]:
     """Forward featurized triples through the model in inference mode;
     returns one score list per task of ``tasks`` (None: every task the model
     has), in the model's task order and input order.  Only the heads of those
-    tasks run, and the scores are bit for bit those of ``model.predict`` run
-    on each pass in turn.
+    tasks run, and the scores are bit for bit those of each pass's encoder
+    runs and layers above run in turn on one thread.
 
     The n triples run as ceil(n / ``SCORE_CHUNK``) passes in input order,
     whose sizes differ by at most one.  On a network with two encoder runs,
-    a worker thread runs each pass's comment encoder while the caller
-    encodes the questions, then the caller runs the layers above; a pair-B
-    network has one run and starts no thread.  The worker is ``worker``, a
-    one-thread pool the caller owns, or else one the call starts and shuts
-    down.  Its work runs under the caller's numpy error state, an exception
-    in it is raised in the caller, and none of it is left running when the
-    call returns or raises (see ``nn_core.split``)."""
+    ``nn_core``'s worker thread runs each pass's comment encoder while the
+    caller encodes the questions, then the caller runs the layers above; a
+    pair-B network has one run and uses no worker.  The worker's part runs
+    under the caller's numpy error state, an exception in it is raised in
+    the caller, and none of it is left queued or running when the call
+    returns or raises (see ``nn_core.split``)."""
     features = list(features)
     n = len(features)
     passes = math.ceil(n / SCORE_CHUNK)
     scores: dict[str, list[float]] = {t: [] for t in model.tasks if tasks is None or t in tasks}
-    pool = worker or ThreadPoolExecutor(1)  # its thread starts on the first submit
-    try:
-        for k in range(passes):
-            chunk = features[n * k // passes : n * (k + 1) // passes]
-            for task, values in model.predict(chunk, training=False, tasks=tasks, worker=pool).items():
-                scores[task].extend(values.data.tolist())
-    finally:
-        if worker is None:
-            pool.shutdown()
+    for k in range(passes):
+        chunk = features[n * k // passes : n * (k + 1) // passes]
+        for task, values in model.predict(chunk, training=False, tasks=tasks).items():
+            scores[task].extend(values.data.tolist())
     return scores
 
 

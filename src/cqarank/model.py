@@ -11,7 +11,6 @@ and C, and scores that one task.
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from typing import Optional, Sequence, Union
@@ -288,7 +287,6 @@ class CqaModel:
         dropout_input: float = 0.4,
         dropout_hidden: float = 0.7,
         tasks: Optional[Sequence[str]] = None,
-        worker: Optional[Executor] = None,
     ) -> dict[str, nn.Tensor]:
         """Score a batch of featurized triples in one pass: returns ``{task:
         Tensor of shape (len(batch),)}`` for each of ``tasks`` (None: every
@@ -299,14 +297,14 @@ class CqaModel:
         on the shared layer's input, ``dropout_hidden`` after each tanh
         layer); its draws cover every head, whichever run.  The pass is
         :meth:`encode` for each encoder run, then :meth:`score_encodings`.
-        Given a ``worker`` (a one-thread executor), a network with two
-        encoder runs encodes the comments on it, forward and, inside a
-        recording, backward (see :func:`nn_core.split`), while the caller
-        encodes the questions; the results are bit for bit the same."""
+        A network with two encoder runs encodes the comments on the worker
+        thread, forward and, inside a recording, backward (see
+        :func:`nn_core.split`), while the caller encodes the questions; the
+        results are bit for bit those of the runs in turn."""
         # one Features is kept because benchmarks/checks.py scores model.featurize(probe)
         batch = [features] if isinstance(features, Features) else list(features)
-        if worker is not None and len(self.encoder_runs) == 2:
-            comments, questions = nn.split(worker, lambda: self.encode(batch, 1), lambda: self.encode(batch, 0))
+        if len(self.encoder_runs) == 2:
+            comments, questions = nn.split(lambda: self.encode(batch, 1), lambda: self.encode(batch, 0))
             encodings = [questions, comments]
         else:
             encodings = [self.encode(batch, run) for run in range(len(self.encoder_runs))]

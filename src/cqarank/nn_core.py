@@ -6,14 +6,14 @@ tape in creation order, a topological order, which ``Tensor.backward`` walks
 in reverse.  Outside a recording an operation returns a plain value.
 Parameters are persistent leaves whose gradient buffers accumulate across
 backward calls until zeroed.
-:func:`split` runs one subgraph on a worker thread while the caller runs
-another that shares no parameter with it.  Inside a recording the worker
-records its ops on its own tape, and the caller's tape gets one node for
-them; walking that node hands its gradient to the worker, which walks those
-ops in reverse there while the caller walks on, and ``Tensor.backward`` waits
-for it.  Each subgraph is walked in the order one thread would walk it and
-writes only its own buffers, so the gradients are bit for bit those of one
-thread.
+:func:`split` runs one subgraph on the process's one worker thread, which
+this module owns, while the caller runs another that shares no parameter with
+it.  Inside a recording the worker records its ops on its own tape, and the
+caller's tape gets one node for them; walking that node hands its gradient to
+the worker, which walks those ops in reverse there while the caller walks on,
+and ``Tensor.backward`` waits for it.  Each subgraph is walked in the order
+one thread would walk it and writes only its own buffers, so the gradients
+are bit for bit those of one thread.
 The ops take a batch of rows or a packed batch of texts.  The wide
 convolution takes the word rows of each distinct text once and the
 overlap-feature ids of every occurrence, first occurrences first and then
@@ -27,8 +27,9 @@ gradients.
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
-from concurrent.futures import Executor, Future, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -117,8 +118,22 @@ def recording():
         _tape.ops = outer
 
 
-def _submit(worker: Executor, fn: Callable[..., Any], *args) -> Future:
-    """Run ``fn(*args)`` on ``worker`` under the caller's numpy error state,
+_worker = ThreadPoolExecutor(1)  # its thread starts on the first submit and lives with the process
+
+
+def _fresh_worker() -> None:
+    # a pool used before fork() has no thread in the child, yet counts the
+    # parent's idle one, so the child's first submit would never run
+    global _worker
+    _worker = ThreadPoolExecutor(1)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_worker)
+
+
+def _submit(fn: Callable[..., Any], *args) -> Future:
+    """Run ``fn(*args)`` on the worker under the caller's numpy error state,
     which numpy keeps per thread."""
     errors = np.geterr()
 
@@ -126,13 +141,16 @@ def _submit(worker: Executor, fn: Callable[..., Any], *args) -> Future:
         with np.errstate(**errors):
             return fn(*args)
 
-    return worker.submit(run)
+    return _worker.submit(run)
 
 
-def split(worker: Executor, there: Callable[[], Tensor], here: Callable[[], Any]) -> tuple[Tensor, Any]:
-    """``(there(), here())``, with ``there`` run on ``worker``, a thread
-    other than the caller's, while the caller runs ``here``.  The two must
-    share no parameter: their backward walks run at the same time.
+def split(there: Callable[[], Tensor], here: Callable[[], Any]) -> tuple[Tensor, Any]:
+    """``(there(), here())``, with ``there`` run on the worker thread while
+    the caller runs ``here``.  The two must share no parameter: their
+    backward walks run at the same time.  Callers on several threads queue
+    on the one worker; their jobs are independent, so the order changes no
+    result.  ``there`` must not call ``split``: the worker would wait for
+    itself.
 
     Outside a recording the worker records nothing.  Inside one it records
     ``there``'s ops on a tape of its own, and the caller's tape gets one node
@@ -148,7 +166,7 @@ def split(worker: Executor, there: Callable[[], Tensor], here: Callable[[], Any]
         with recording():
             return there(), _tape.ops
 
-    future = _submit(worker, run)
+    future = _submit(run)
     try:
         mine = here()
     except BaseException:
@@ -160,7 +178,7 @@ def split(worker: Executor, there: Callable[[], Tensor], here: Callable[[], Any]
         return out, mine
 
     def backward_fn(grad: np.ndarray) -> Future:
-        return _submit(worker, _walk, ops)
+        return _submit(_walk, ops)
 
     node = Tensor(out.data, backward_fn)
     node.grad = out.grad  # the worker's walk starts from the gradient the caller leaves here

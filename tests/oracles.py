@@ -4,7 +4,9 @@ GEMM over whole stacked texts, for the one that shares word columns between
 repeated texts; and per-row oracles for the columnar ``RankTable`` ranking.
 The ranking oracles take rows as ``(group_key, doc_id, score, google_rank,
 relevance)`` tuples.  ``linear_readout`` is the one-value loss the gradient
-tests drive ``backward`` through."""
+tests drive ``backward`` through.  ``predict_in_turn`` is ``CqaModel.predict``
+with its encoder runs one after another on the calling thread, the reference
+for the pass ``nn.split`` shares with the worker."""
 
 import numpy as np
 
@@ -76,6 +78,13 @@ def linear_readout(x, weights):
     flat = nn.reshape(x, (1, -1))
     weight = nn.Parameter("readout", np.asarray(weights, dtype=x.data.dtype).reshape(1, -1))
     return nn.dense(flat, weight, nn.Parameter("offset", -(flat.data @ weight.data.T)[0]), "tanh")
+
+
+def predict_in_turn(model, features, training=False, rng=None, dropout_input=0.4, dropout_hidden=0.7, tasks=None):
+    """``model.predict(features, ...)`` (same parameters and defaults) with no
+    worker: each encoder run in turn on the caller, then the layers above."""
+    encodings = [model.encode(features, run) for run in range(len(model.encoder_runs))]
+    return model.score_encodings(features, encodings, tasks, training, rng, dropout_input, dropout_hidden)
 
 
 def naive_kmax(x):

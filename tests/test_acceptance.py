@@ -274,7 +274,7 @@ def test_criterion_6_extension_on_real_corpus():
 def scripted_dev_pass(script):
     captures = {}
 
-    def fake(model, dev, tasks, worker):
+    def fake(model, dev, tasks):
         epoch = len(captures) + 1
         captures[epoch] = snapshot(model)
         losses = {t: script[t][min(epoch, len(script[t])) - 1] for t in tasks}

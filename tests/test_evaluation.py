@@ -2,11 +2,12 @@ import dataclasses
 import math
 import os
 import re
+import signal
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     naive_predictions_tsv,
     naive_rank_rows,
     naive_tune_alpha,
+    predict_in_turn,
     reciprocal_rank,
 )
 
@@ -280,15 +282,16 @@ def scored_300(networks_300):
 
 
 def passes_in_turn(model, features, tasks):
-    """The slow reference: ``model.predict`` on each pass in turn, all on the
-    calling thread; ceil(n / SCORE_CHUNK) passes, pass k ending at triple
-    floor((k + 1) * n / passes), so their sizes differ by at most one."""
+    """The slow reference: each pass's encoder runs and layers above in
+    turn, all on the calling thread; ceil(n / SCORE_CHUNK) passes, pass k
+    ending at triple floor((k + 1) * n / passes), so their sizes differ by at
+    most one."""
     count = math.ceil(len(features) / evaluation.SCORE_CHUNK)
     ends = [k * len(features) // count for k in range(count + 1)]
     assert all(end - start <= evaluation.SCORE_CHUNK for start, end in zip(ends, ends[1:]))
     scores = {}
     for start, end in zip(ends, ends[1:]):
-        for task, values in model.predict(features[start:end], training=False, tasks=tasks).items():
+        for task, values in predict_in_turn(model, features[start:end], tasks=tasks).items():
             scores.setdefault(task, []).extend(values.data.tolist())
     return scores
 
@@ -309,8 +312,8 @@ def test_score_features_matches_the_passes_run_in_turn(networks_300, n, tasks):
 
 
 def test_concurrent_calls_each_get_their_own_scores(scored_300):
-    # eight callers, each with its worker, share one model: four score three
-    # passes, four a single pass, each pass split between the encoders;
+    # eight callers share one model and queue on the one worker: four score
+    # three passes, four a single pass, each pass split between the encoders;
     # switching threads every 10 us interleaves them as finely as the GIL allows
     model, features = scored_300
     calls = [features[k:] for k in range(4)] + [features[k : k + 100] for k in range(4)]
@@ -334,38 +337,64 @@ def test_concurrent_calls_each_get_their_own_scores(scored_300):
     assert got == want
 
 
-def test_a_call_starts_a_thread_unless_it_is_one_pass_of_one_encoder_run(networks_300, monkeypatch):
+def test_a_call_on_the_warm_worker_starts_no_thread_and_pair_b_never_submits(networks_300, monkeypatch):
     (joint, features), _, (pair_b, b_features), _ = networks_300
-    started = []
-    start = threading.Thread.start
+    nn._worker.submit(lambda: None).result()  # the worker's thread is running
+    started, submitted = [], []
+    start, submit = threading.Thread.start, nn._submit
 
-    def spy(thread):
+    def spy_start(thread):
         started.append(thread)
         return start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    for model, feats, n, threads in [
+    def spy_submit(*args):
+        submitted.append(args)
+        return submit(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    monkeypatch.setattr(nn, "_submit", spy_submit)
+    for model, feats, n, passes_on_the_worker in [
         (pair_b, b_features, 100, 0),  # one pass of one encoder run
         (pair_b, b_features, 129, 0),  # two such passes
         (joint, features, 0, 0),
         (joint, features, 1, 1),  # the comment encoder runs on the worker
         (joint, features, 100, 1),
-        (joint, features, 300, 1),
+        (joint, features, 300, 3),
     ]:
-        started.clear()
+        submitted.clear()
         evaluation.score_features(model, feats[:n])
-        assert len(started) == threads, (model.task, n)
-        assert not any(thread.is_alive() for thread in started)
-    # a call given a worker runs on it and starts none of its own
-    with ThreadPoolExecutor(1) as worker:
-        started.clear()
-        for n in (55, 300, 55):
-            assert evaluation.score_features(joint, features[:n], None, worker) == passes_in_turn(joint, features[:n], None)
-        assert len(started) == 1
+        assert len(submitted) == passes_on_the_worker, (model.task, n)
+    assert started == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork()")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+def test_a_forked_child_scores_on_a_worker_of_its_own(scored_300):
+    # the parent's worker has run, so its pool counts an idle thread that the
+    # child does not have; without a fresh pool the child's scoring never ends
+    model, features = scored_300
+    want = passes_in_turn(model, features[:55], None)
+    assert evaluation.score_features(model, features[:55]) == want
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status and never returns into pytest
+        status = 1
+        try:
+            status = 0 if evaluation.score_features(model, features[:55]) == want else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 30
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if ended[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert ended[0] == pid, "the child's scoring did not end within 30 s"
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
 
 
 def test_a_pass_that_raises_on_the_worker_raises_in_the_caller(scored_300, monkeypatch):
     model, features = scored_300
+    nn._worker.submit(lambda: None).result()  # the worker's thread is running
     before = set(threading.enumerate())
     raised = []
     encode = CqaModel.encode
@@ -385,7 +414,7 @@ def test_a_pass_that_raises_on_the_worker_raises_in_the_caller(scored_300, monke
         assert set(threading.enumerate()) == before
 
 
-def test_a_call_that_raises_leaves_nothing_running_on_a_given_worker(scored_300, monkeypatch):
+def test_a_call_that_raises_leaves_nothing_running_on_the_worker(scored_300, monkeypatch):
     # the caller raises in its first question run once the worker has begun
     # that pass's comment run, and waits for it; no later pass starts
     model, features = scored_300
@@ -404,17 +433,16 @@ def test_a_call_that_raises_leaves_nothing_running_on_a_given_worker(scored_300,
         return encode(self, batch, run)
 
     monkeypatch.setattr(CqaModel, "encode", spy)
-    with ThreadPoolExecutor(1) as worker:
-        # the comment run of one pass; that of the first of three passes
-        for n, runs in ((55, [55]), (300, [100])):
-            began.clear()
-            raised.clear()
-            on_worker.clear()
-            with pytest.raises(MemoryError, match="caller pass"):
-                evaluation.score_features(model, features[:n], None, worker)
-            assert on_worker == runs
-            worker.submit(lambda: None).result()  # anything still queued has run by now
-            assert on_worker == runs
+    # the comment run of one pass; that of the first of three passes
+    for n, runs in ((55, [55]), (300, [100])):
+        began.clear()
+        raised.clear()
+        on_worker.clear()
+        with pytest.raises(MemoryError, match="caller pass"):
+            evaluation.score_features(model, features[:n])
+        assert on_worker == runs
+        nn._worker.submit(lambda: None).result()  # anything still queued has run by now
+        assert on_worker == runs
 
 
 def test_worker_passes_run_under_the_callers_numpy_error_state(scored_300, monkeypatch):

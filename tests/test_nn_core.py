@@ -1,7 +1,7 @@
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from unittest import mock
 
 import numpy as np
@@ -525,10 +525,10 @@ def raise_now(*args):
     raise FloatingPointError("now")
 
 
-def split_loss(worker, there, here):
+def split_loss(there, here):
     """A loss over ``(there(), here())`` run by :func:`nn.split`: a readout
     of their concatenation with weights 1 and 10."""
-    theirs, mine = nn.split(worker, there, here)
+    theirs, mine = nn.split(there, here)
     joined = nn.concat([theirs, mine])
     weights = np.r_[np.ones(theirs.data.shape[1]), np.full(mine.data.shape[1], 10.0)]
     return linear_readout(joined, weights[None])
@@ -541,19 +541,17 @@ def test_split_records_the_workers_ops_as_one_node_of_the_callers_tape():
     def note(grad):
         threads.append(threading.current_thread())
 
-    with ThreadPoolExecutor(1) as worker:
-        with nn.recording():
-            theirs, mine = nn.split(worker, lambda: custom_op(nn.scale(a, 3.0), note),
-                                    lambda: custom_op(b, note))
-            assert nn._tape.ops == [mine, theirs] and theirs.backward_fn is not None
-            np.testing.assert_array_equal(theirs.data, [[6.0, 12.0]])
-            linear_readout(nn.concat([theirs, mine]), np.array([[1.0, 1.0, 10.0]])).backward()
-        np.testing.assert_array_equal(a.grad, [[6.0, 6.0]])
-        np.testing.assert_array_equal(b.grad, [[20.0]])
-        assert threads == [threading.main_thread(), worker.submit(threading.current_thread).result()]
-        # outside a recording the worker records nothing and no gradient buffer is made
-        theirs, mine = nn.split(worker, lambda: nn.scale(a, 3.0), lambda: nn.scale(b, 2.0))
-        assert (theirs.backward_fn, theirs.grad, mine.backward_fn, mine.grad) == (None, None, None, None)
+    with nn.recording():
+        theirs, mine = nn.split(lambda: custom_op(nn.scale(a, 3.0), note), lambda: custom_op(b, note))
+        assert nn._tape.ops == [mine, theirs] and theirs.backward_fn is not None
+        np.testing.assert_array_equal(theirs.data, [[6.0, 12.0]])
+        linear_readout(nn.concat([theirs, mine]), np.array([[1.0, 1.0, 10.0]])).backward()
+    np.testing.assert_array_equal(a.grad, [[6.0, 6.0]])
+    np.testing.assert_array_equal(b.grad, [[20.0]])
+    assert threads == [threading.main_thread(), nn._worker.submit(threading.current_thread).result()]
+    # outside a recording the worker records nothing and no gradient buffer is made
+    theirs, mine = nn.split(lambda: nn.scale(a, 3.0), lambda: nn.scale(b, 2.0))
+    assert (theirs.backward_fn, theirs.grad, mine.backward_fn, mine.grad) == (None, None, None, None)
 
 
 def test_an_exception_on_the_worker_is_raised_in_the_caller():
@@ -564,18 +562,17 @@ def test_an_exception_on_the_worker_is_raised_in_the_caller():
         raised.append(FloatingPointError("worker"))
         raise raised[-1]
 
-    with ThreadPoolExecutor(1) as worker:
-        # in the forward pass
-        with nn.recording(), pytest.raises(FloatingPointError) as caught:
-            nn.split(worker, fail, lambda: nn.scale(b, 2.0))
-        assert caught.value is raised[-1]
-        # in the backward walk, which backward waits for
-        with nn.recording():
-            loss = split_loss(worker, lambda: custom_op(a, fail), lambda: nn.scale(b, 2.0))
-            with pytest.raises(FloatingPointError) as caught:
-                loss.backward()
-        assert caught.value is raised[-1]
-        assert b.grad[0, 0] == 20.0  # the caller's walk ran to the end
+    # in the forward pass
+    with nn.recording(), pytest.raises(FloatingPointError) as caught:
+        nn.split(fail, lambda: nn.scale(b, 2.0))
+    assert caught.value is raised[-1]
+    # in the backward walk, which backward waits for
+    with nn.recording():
+        loss = split_loss(lambda: custom_op(a, fail), lambda: nn.scale(b, 2.0))
+        with pytest.raises(FloatingPointError) as caught:
+            loss.backward()
+    assert caught.value is raised[-1]
+    assert b.grad[0, 0] == 20.0  # the caller's walk ran to the end
 
 
 def test_an_exception_in_the_caller_leaves_nothing_of_the_worker_running(monkeypatch):
@@ -597,30 +594,29 @@ def test_an_exception_in_the_caller_leaves_nothing_of_the_worker_running(monkeyp
         slow()
         return nn.scale(a, 1.0)
 
-    with ThreadPoolExecutor(1) as worker:
-        # forward: the caller raises while the worker runs; split waits for it
-        with nn.recording(), pytest.raises(FloatingPointError, match="caller"):
-            nn.split(worker, slow_op, caller_fails)
-        assert len(done) == 1
-        # backward: the caller's walk raises while the worker walks
-        began.clear()
-        raised.clear()
-        with nn.recording():
-            loss = split_loss(worker, lambda: custom_op(a, slow), lambda: custom_op(b, caller_fails))
-            with pytest.raises(FloatingPointError, match="caller"):
-                loss.backward()
-        assert len(done) == 2
-        # a walk still queued behind other work when the caller raises is
-        # cancelled, never run: that work ends only once backward waits
-        release = threading.Event()
-        monkeypatch.setattr(nn, "wait", lambda futures: (release.set(), wait(futures)))
-        with nn.recording():
-            loss = split_loss(worker, lambda: custom_op(a, slow), lambda: custom_op(b, raise_now))
-            worker.submit(release.wait, 10)
-            with pytest.raises(FloatingPointError, match="now"):
-                loss.backward()
-        worker.submit(lambda: None).result()  # anything still queued has run by now
-        assert len(done) == 2
+    # forward: the caller raises while the worker runs; split waits for it
+    with nn.recording(), pytest.raises(FloatingPointError, match="caller"):
+        nn.split(slow_op, caller_fails)
+    assert len(done) == 1
+    # backward: the caller's walk raises while the worker walks
+    began.clear()
+    raised.clear()
+    with nn.recording():
+        loss = split_loss(lambda: custom_op(a, slow), lambda: custom_op(b, caller_fails))
+        with pytest.raises(FloatingPointError, match="caller"):
+            loss.backward()
+    assert len(done) == 2
+    # a walk still queued behind other work when the caller raises is
+    # cancelled, never run: that work ends only once backward waits
+    release = threading.Event()
+    monkeypatch.setattr(nn, "wait", lambda futures: (release.set(), wait(futures)))
+    with nn.recording():
+        loss = split_loss(lambda: custom_op(a, slow), lambda: custom_op(b, raise_now))
+        nn._worker.submit(release.wait, 10)
+        with pytest.raises(FloatingPointError, match="now"):
+            loss.backward()
+    nn._worker.submit(lambda: None).result()  # anything still queued has run by now
+    assert len(done) == 2
 
 
 def test_the_workers_walk_runs_under_the_callers_numpy_error_state():
@@ -630,14 +626,13 @@ def test_the_workers_walk_runs_under_the_callers_numpy_error_state():
     def note(grad):
         seen.append(np.geterr())
 
-    with ThreadPoolExecutor(1) as worker:
-        with np.errstate(divide="ignore", over="raise", under="warn", invalid="print"):
-            caller = np.geterr()
-            with nn.recording():
-                loss = split_loss(worker, lambda: custom_op(a, note), lambda: nn.scale(b, 2.0))
-                loss.backward()
-        assert caller != np.geterr()
-        assert seen == [caller]
+    with np.errstate(divide="ignore", over="raise", under="warn", invalid="print"):
+        caller = np.geterr()
+        with nn.recording():
+            loss = split_loss(lambda: custom_op(a, note), lambda: nn.scale(b, 2.0))
+            loss.backward()
+    assert caller != np.geterr()
+    assert seen == [caller]
 
 
 def test_scale_and_add_n():

@@ -5,7 +5,7 @@ import math
 import re
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from cqarank.training import (
     train,
     write_history_csv,
 )
+from oracles import predict_in_turn
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +133,7 @@ def scripted_dev_pass(script):
     values seen at each call so snapshot bookkeeping can be verified."""
     captures = {}
 
-    def fake(model, dev, tasks, worker):
+    def fake(model, dev, tasks):
         epoch = len(captures) + 1
         captures[epoch] = snapshot(model)
         losses = {t: script[t][min(epoch, len(script[t])) - 1] for t in tasks}
@@ -233,19 +234,19 @@ def test_dev_pass_map_is_nan_without_a_positive_or_a_finite_score(corpus, vocab,
     model = small_model(vocab)
     dev = [dataclasses.replace(t, label_A=LABELS["A"][-1]) for t in corpus]  # no task-A positive
     dev_set = (model.featurize_all(dev), {t: build_rows(dev, [0.0] * len(dev), t) for t in TASKS})
-    task_loss, task_map = training._dev_pass(model, dev_set, TASKS, None)
+    task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
     assert all(math.isfinite(v) for v in task_loss.values())
     assert math.isnan(task_map["A"])
     assert task_map["B"] == evaluate(model, dev, "B").map
     assert task_map["C"] == evaluate(model, dev, "C").map
     # nan scores: the loss shows them, and no ranking is attempted
-    monkeypatch.setattr(training, "score_features", lambda m, f, tasks, worker: {t: [math.nan] * len(dev) for t in TASKS})
-    task_loss, task_map = training._dev_pass(model, dev_set, TASKS, None)
+    monkeypatch.setattr(training, "score_features", lambda m, f, tasks: {t: [math.nan] * len(dev) for t in TASKS})
+    task_loss, task_map = training._dev_pass(model, dev_set, TASKS)
     assert all(math.isnan(v) for v in [*task_loss.values(), *task_map.values()])
     # any other ranking error is raised, not read as a nan MAP
-    monkeypatch.setattr(training, "score_features", lambda m, f, tasks, worker: {t: [0.5] for t in TASKS})
+    monkeypatch.setattr(training, "score_features", lambda m, f, tasks: {t: [0.5] for t in TASKS})
     with pytest.raises(ValueError, match=f"^1 scores for {len(dev)} rows$"):
-        training._dev_pass(model, dev_set, ("C",), None)
+        training._dev_pass(model, dev_set, ("C",))
 
 
 def test_train_is_deterministic_for_a_seed(corpus, vocab):
@@ -324,14 +325,15 @@ def spy_on_encode(monkeypatch):
     return calls
 
 
-def step_gradients(model, features, labels, worker):
+def step_gradients(model, features, labels, predict=CqaModel.predict):
     """Every parameter's gradient after one training step's backward, with
-    dropout on, the encoders split over ``worker`` or, given None, run in
-    turn on the caller."""
+    dropout on, the batch scored by ``predict``: ``CqaModel.predict`` splits
+    the encoders between the caller and the worker, ``predict_in_turn`` runs
+    them in turn on the caller."""
     for p in model.parameters():
         p.zero_grad()
     with nn.recording():
-        preds = model.predict(features, training=True, rng=np.random.default_rng(5), worker=worker)
+        preds = predict(model, features, training=True, rng=np.random.default_rng(5))
         nn.scale(joint_loss(preds, labels, model.tasks), 1.0 / len(features)).backward()
     return {p.name: p.grad.copy() for p in model.parameters()}
 
@@ -343,11 +345,10 @@ def test_a_training_step_on_two_threads_gives_the_gradients_of_one(corpus, vocab
     features = model.featurize_all(corpus)
     labels = [binarize(t) for t in corpus]
     calls = spy_on_encode(monkeypatch)
-    want = step_gradients(model, features, labels, None)
+    want = step_gradients(model, features, labels, predict_in_turn)
     assert calls == [(True, True)] * len(model.encoder_runs)
     calls.clear()
-    with ThreadPoolExecutor(1) as worker:
-        got = step_gradients(model, features, labels, worker)
+    got = step_gradients(model, features, labels)
     # a network with two encoder runs encodes its comments on the worker
     on_worker = [(False, True)] if len(model.encoder_runs) == 2 else []
     assert sorted(calls) == on_worker + [(True, True)]
@@ -357,17 +358,17 @@ def test_a_training_step_on_two_threads_gives_the_gradients_of_one(corpus, vocab
 
 
 def test_concurrent_training_steps_each_get_their_own_gradients(corpus, vocab):
-    # four callers, each with its own network and worker, switching threads
-    # every 10 us: no op of one caller's step lands on another's tape
+    # four callers, each with its own network, queue on the one worker,
+    # switching threads every 10 us: no op of one caller's step lands on
+    # another's tape
     models = [small_model(vocab, seed=3) for _ in range(5)]
     features = models[0].featurize_all(corpus)
     labels = [binarize(t) for t in corpus]
-    want = step_gradients(models[0], features, labels, None)
+    want = step_gradients(models[0], features, labels, predict_in_turn)
     got = [None] * 4
 
     def call(k):
-        with ThreadPoolExecutor(1) as worker:
-            got[k] = [step_gradients(models[k + 1], features, labels, worker) for _ in range(5)]
+        got[k] = [step_gradients(models[k + 1], features, labels) for _ in range(5)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -386,14 +387,16 @@ def test_concurrent_training_steps_each_get_their_own_gradients(corpus, vocab):
                 np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
 
-def test_a_training_run_starts_one_thread_and_matches_the_encoders_run_in_turn(corpus, vocab, monkeypatch):
+def test_a_training_run_on_the_warm_worker_starts_no_thread_and_matches_the_encoders_run_in_turn(
+    corpus, vocab, monkeypatch
+):
     config = TrainConfig(epochs=2, batch_size=3, seed=4)
     in_turn = small_model(vocab, seed=4)
-    predict = CqaModel.predict
     with monkeypatch.context() as mp:
-        mp.setattr(CqaModel, "predict", lambda self, *args, worker=None, **kw: predict(self, *args, **kw))
+        mp.setattr(CqaModel, "predict", predict_in_turn)
         want = train(in_turn, corpus, corpus, config)
     calls = spy_on_encode(monkeypatch)
+    nn._worker.submit(lambda: None).result()  # the worker's thread is running
     started = []
     start = threading.Thread.start
 
@@ -404,7 +407,7 @@ def test_a_training_run_starts_one_thread_and_matches_the_encoders_run_in_turn(c
     monkeypatch.setattr(threading.Thread, "start", spy)
     model = small_model(vocab, seed=4)
     got = train(model, corpus, corpus, config)
-    assert len(started) == 1 and not started[0].is_alive()
+    assert started == []
     batches = math.ceil(len(corpus) / config.batch_size)
     assert calls.count((False, True)) == config.epochs * batches  # each batch's comment run
     assert got.history == want.history
@@ -414,6 +417,7 @@ def test_a_training_run_starts_one_thread_and_matches_the_encoders_run_in_turn(c
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
 def test_an_exception_on_the_worker_in_training_is_raised_in_the_caller(corpus, vocab, monkeypatch, phase):
+    nn._worker.submit(lambda: None).result()  # the worker's thread is running
     before = set(threading.enumerate())
     raised = []
     target, name = (model_module, "encode_texts") if phase == "forward" else (nn, "_conv1d_wide_backward")
@@ -430,6 +434,61 @@ def test_an_exception_on_the_worker_in_training_is_raised_in_the_caller(corpus, 
         train(small_model(vocab), corpus, corpus, TrainConfig(epochs=1, batch_size=4))
     assert caught.value is raised[0] and len(raised) == 1
     assert set(threading.enumerate()) == before
+
+
+def test_the_worker_survives_a_failure(corpus, vocab, monkeypatch):
+    # after an exception on the worker in a step's forward and in its
+    # backward, and after a caller's raise that cancels its queued comment
+    # run, the next scoring call and the next step give the bits of the
+    # encoders run in turn
+    model = small_model(vocab, seed=3)
+    features = model.featurize_all(corpus)
+    labels = [binarize(t) for t in corpus]
+    want_scores = {t: v.data.tolist() for t, v in predict_in_turn(model, features).items()}
+    want_grads = step_gradients(model, features, labels, predict_in_turn)
+
+    def scores_and_gradients_in_turn():
+        assert evaluation.score_features(model, features) == want_scores
+        got = step_gradients(model, features, labels)
+        for name, grad in want_grads.items():
+            np.testing.assert_array_equal(got[name], grad, err_msg=name)
+
+    for target, name in ((model_module, "encode_texts"), (nn, "_conv1d_wide_backward")):
+        original = getattr(target, name)
+
+        def fail_on_the_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError(name)
+            return original(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(target, name, fail_on_the_worker)
+            with pytest.raises(MemoryError, match=name):
+                step_gradients(model, features, labels)
+        scores_and_gradients_in_turn()
+
+    on_worker = []
+    encode = CqaModel.encode
+
+    def caller_fails(self, batch, run):
+        if threading.current_thread() is threading.main_thread():
+            raise MemoryError("caller")
+        on_worker.append(run)
+        return encode(self, batch, run)
+
+    # the step's comment run queues behind work that ends only once split
+    # waits, after it has cancelled the run
+    release = threading.Event()
+    ahead = nn._worker.submit(release.wait, 10)
+    with monkeypatch.context() as mp:
+        mp.setattr(CqaModel, "encode", caller_fails)
+        mp.setattr(nn, "wait", lambda futures: (release.set(), wait(futures)))
+        with pytest.raises(MemoryError, match="caller"):
+            step_gradients(model, features, labels)
+    assert ahead.result() is True
+    nn._worker.submit(lambda: None).result()  # anything still queued has run by now
+    assert on_worker == []
+    scores_and_gradients_in_turn()
 
 
 # ---------------------------------------------------------------------------
