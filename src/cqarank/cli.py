@@ -59,7 +59,7 @@ EXIT_NUMERIC = 3
 
 def read_config_file(path: str) -> dict[str, str]:
     """``key=value`` per line; blank lines and ``#`` comments ignored, and a
-    key set twice refused."""
+    line with no key, or a key set twice, refused."""
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
     try:
@@ -68,10 +68,10 @@ def read_config_file(path: str) -> dict[str, str]:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
+                key, eq, value = line.partition("=")
                 key = key.strip()
+                if not eq or not key:
+                    raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
                 if key in set_on:
                     raise ValueError(f"{path}: line {lineno}: {key!r} is already set on line {set_on[key]}")
                 values[key], set_on[key] = value.strip(), lineno

@@ -8,12 +8,12 @@ Parameters are persistent leaves whose gradient buffers accumulate across
 backward calls until zeroed.
 :func:`split` runs one subgraph on the process's one worker thread, which
 this module owns, while the caller runs another that shares no parameter with
-it.  Inside a recording the worker records its ops on its own tape, and the
-caller's tape gets one node for them; walking that node hands its gradient to
-the worker, which walks those ops in reverse there while the caller walks on,
-and ``Tensor.backward`` waits for it.  Each subgraph is walked in the order
-one thread would walk it and writes only its own buffers, so the gradients
-are bit for bit those of one thread.
+it.  Inside a recording each records its ops on a tape of its own, and the
+caller's tape gets one node for both; walking that node walks the worker's
+tape on the worker while the caller walks its own, through the same hand-off
+as the forward pass.  Each subgraph is walked in the order one thread would
+walk it and writes only its own buffers, so the gradients are bit for bit
+those of one thread.
 The ops take a batch of rows or a packed batch of texts.  The wide
 convolution takes the word rows of each distinct text once and the
 overlap-feature ids of every occurrence, first occurrences first and then
@@ -42,8 +42,7 @@ class NumericError(ArithmeticError):
 class Tensor:
     """An ndarray value.  A recorded op's output also has a ``backward_fn``:
     called with the output gradient, it adds each input's share into that
-    input's ``grad`` in place.  The node :func:`split` records for a worker's
-    ops returns the future of their walk; every other returns None."""
+    input's ``grad`` in place."""
 
     __slots__ = ("data", "grad", "backward_fn")
 
@@ -75,24 +74,10 @@ class Tensor:
 
 
 def _walk(nodes: Sequence[Tensor]) -> None:
-    """Run the nodes' backward functions in reverse order, then wait for the
-    walks they handed to a worker.  An exception in either is raised here,
-    once no walk is queued or running."""
-    handed: list[Future] = []
-    try:
-        for node in reversed(nodes):
-            walk = node.backward_fn(node.grad)
-            node.backward_fn = None
-            if walk is not None:
-                handed.append(walk)
-    except BaseException:
-        for walk in handed:
-            walk.cancel()
-        raise
-    finally:
-        wait(handed)
-    for walk in handed:
-        walk.result()
+    """Run the nodes' backward functions in reverse order, dropping each."""
+    for node in reversed(nodes):
+        node.backward_fn(node.grad)
+        node.backward_fn = None
 
 
 class _Tape(threading.local):
@@ -109,8 +94,8 @@ _tape = _Tape()
 @contextlib.contextmanager
 def recording():
     """Record the ops this thread runs inside the block for ``backward``.
-    The ops a :func:`split` runs on its worker are recorded too, as one node
-    of this thread's tape."""
+    The ops of a :func:`split`'s two sides are recorded too, as one node of
+    this thread's tape."""
     outer, _tape.ops = _tape.ops, []
     try:
         yield
@@ -132,16 +117,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_worker)
 
 
-def _submit(fn: Callable[..., Any], *args) -> Future:
-    """Run ``fn(*args)`` on the worker under the caller's numpy error state,
+def _submit(fn: Callable[[], Any]) -> Future:
+    """Run ``fn()`` on the worker under the caller's numpy error state,
     which numpy keeps per thread."""
     errors = np.geterr()
 
     def run():
         with np.errstate(**errors):
-            return fn(*args)
+            return fn()
 
     return _worker.submit(run)
+
+
+def _both(there: Callable[[], Any], here: Callable[[], Any]) -> tuple[Any, Any]:
+    """``(there(), here())`` on the worker and the caller, as :func:`split`
+    describes: the one hand-off of its forward and backward passes."""
+    future = _submit(there)
+    try:
+        mine = here()
+    except BaseException:
+        # wait() counts a cancelled job done only once the worker dequeues it
+        if not future.cancel():
+            wait([future])
+        raise
+    return future.result(), mine
 
 
 def split(there: Callable[[], Tensor], here: Callable[[], Any]) -> tuple[Tensor, Any]:
@@ -150,40 +149,28 @@ def split(there: Callable[[], Tensor], here: Callable[[], Any]) -> tuple[Tensor,
     backward walks run at the same time.  Callers on several threads queue
     on the one worker; their jobs are independent, so the order changes no
     result.  ``there`` must not call ``split``: the worker would wait for
-    itself.
+    itself.  An exception in ``there`` is raised here; one in ``here`` is
+    raised once ``there`` is cancelled, or done if it had started.
 
-    Outside a recording the worker records nothing.  Inside one it records
-    ``there``'s ops on a tape of its own, and the caller's tape gets one node
-    for them, after ``here``'s ops: walking it hands its gradient to the
-    worker, which walks those ops in reverse there (see ``Tensor.backward``).
-    An exception in ``there`` is raised here; one in ``here`` is raised once
-    ``there`` is cancelled or done."""
-    recorded = _tape.ops is not None
+    Inside a recording each side records its ops on a tape of its own, and
+    the caller's tape gets one node for both: walking it walks ``there``'s
+    tape on the worker while the caller walks ``here``'s, with the same
+    hand-off."""
+    if _tape.ops is None:
+        return _both(there, here)
+    (theirs, their_ops), (mine, my_ops) = _both(lambda: _taped(there), lambda: _taped(here))
 
-    def run():
-        if not recorded:
-            return there(), None
-        with recording():
-            return there(), _tape.ops
+    def backward_fn(grad) -> None:  # each side's walk starts from the gradients on its own outputs
+        _both(lambda: _walk(their_ops), lambda: _walk(my_ops))
 
-    future = _submit(run)
-    try:
-        mine = here()
-    except BaseException:
-        future.cancel()
-        wait([future])
-        raise
-    out, ops = future.result()
-    if not ops:
-        return out, mine
+    _tape.ops.append(Tensor(np.empty(0), backward_fn))
+    return theirs, mine
 
-    def backward_fn(grad: np.ndarray) -> Future:
-        return _submit(_walk, ops)
 
-    node = Tensor(out.data, backward_fn)
-    node.grad = out.grad  # the worker's walk starts from the gradient the caller leaves here
-    _tape.ops.append(node)
-    return node, mine
+def _taped(fn: Callable[[], Any]) -> tuple[Any, list[Tensor]]:
+    """``fn()`` and the ops it recorded, on a tape of their own."""
+    with recording():
+        return fn(), _tape.ops
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

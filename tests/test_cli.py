@@ -952,6 +952,15 @@ def test_size_and_vocabulary_options_are_refused_before_the_corpus_is_read(tmp_p
     assert not out_dir.exists()
 
 
+def test_a_config_line_without_a_key_is_refused_with_its_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=1\n = 5\n")
+    missing, out_dir = str(tmp_path / "missing.jsonl"), tmp_path / "run"
+    assert main(["train", "--corpus", missing, "--dev", missing, "--out-dir", str(out_dir), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: line 2: expected key=value, got '= 5'"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 def test_alpha_is_refused_before_any_file_is_read(tmp_path, corpus_path, capsys, monkeypatch, command):
     out_dir = tmp_path / "run"

@@ -1,7 +1,6 @@
 import math
 import threading
 import time
-from concurrent.futures import wait
 from unittest import mock
 
 import numpy as np
@@ -536,22 +535,43 @@ def split_loss(there, here):
 
 def test_split_records_the_workers_ops_as_one_node_of_the_callers_tape():
     a, b = param("a", [[1.0, 2.0]]), param("b", [[3.0]])
-    threads = []
+    walked_on = {}
 
-    def note(grad):
-        threads.append(threading.current_thread())
+    def note(side):
+        return lambda grad: walked_on.setdefault(side, threading.current_thread())
 
     with nn.recording():
-        theirs, mine = nn.split(lambda: custom_op(nn.scale(a, 3.0), note), lambda: custom_op(b, note))
-        assert nn._tape.ops == [mine, theirs] and theirs.backward_fn is not None
+        theirs, mine = nn.split(lambda: custom_op(nn.scale(a, 3.0), note("there")),
+                                lambda: custom_op(b, note("here")))
+        # each side's ops are on a tape of its own, under one node of the caller's
+        [node] = nn._tape.ops
+        assert node not in (theirs, mine) and None not in (theirs.backward_fn, mine.backward_fn)
         np.testing.assert_array_equal(theirs.data, [[6.0, 12.0]])
+        np.testing.assert_array_equal(mine.data, [[6.0]])
         linear_readout(nn.concat([theirs, mine]), np.array([[1.0, 1.0, 10.0]])).backward()
+        # the walk freed both sides' tapes with the node
+        assert nn._tape.ops == [] and node.backward_fn is None
     np.testing.assert_array_equal(a.grad, [[6.0, 6.0]])
     np.testing.assert_array_equal(b.grad, [[20.0]])
-    assert threads == [threading.main_thread(), nn._worker.submit(threading.current_thread).result()]
+    worker = nn._worker.submit(threading.current_thread).result()
+    assert walked_on == {"there": worker, "here": threading.main_thread()}
     # outside a recording the worker records nothing and no gradient buffer is made
     theirs, mine = nn.split(lambda: nn.scale(a, 3.0), lambda: nn.scale(b, 2.0))
     assert (theirs.backward_fn, theirs.grad, mine.backward_fn, mine.grad) == (None, None, None, None)
+
+
+def test_the_two_sides_of_a_split_run_at_the_same_time():
+    # each side waits, forward and backward, until the other reaches the same point
+    a, b = param("a", [[1.0]]), param("b", [[2.0]])
+    meet = threading.Barrier(2, timeout=5)
+
+    def side(x):
+        meet.wait()
+        return custom_op(x, lambda grad: meet.wait())
+
+    with nn.recording():
+        split_loss(lambda: side(a), lambda: side(b)).backward()
+    assert (a.grad[0, 0], b.grad[0, 0]) == (2.0, 20.0)
 
 
 def test_an_exception_on_the_worker_is_raised_in_the_caller():
@@ -575,7 +595,7 @@ def test_an_exception_on_the_worker_is_raised_in_the_caller():
     assert b.grad[0, 0] == 20.0  # the caller's walk ran to the end
 
 
-def test_an_exception_in_the_caller_leaves_nothing_of_the_worker_running(monkeypatch):
+def test_an_exception_in_the_caller_leaves_nothing_of_the_worker_running():
     a, b = param("a", [[1.0]]), param("b", [[2.0]])
     began, raised, done = threading.Event(), threading.Event(), []
 
@@ -606,15 +626,21 @@ def test_an_exception_in_the_caller_leaves_nothing_of_the_worker_running(monkeyp
         with pytest.raises(FloatingPointError, match="caller"):
             loss.backward()
     assert len(done) == 2
-    # a walk still queued behind other work when the caller raises is
-    # cancelled, never run: that work ends only once backward waits
+    # with the worker busy, a caller that raises, forward or backward, does
+    # so at once: the side it queued behind that work is cancelled, never run
     release = threading.Event()
-    monkeypatch.setattr(nn, "wait", lambda futures: (release.set(), wait(futures)))
     with nn.recording():
         loss = split_loss(lambda: custom_op(a, slow), lambda: custom_op(b, raise_now))
-        nn._worker.submit(release.wait, 10)
-        with pytest.raises(FloatingPointError, match="now"):
-            loss.backward()
+        ahead = nn._worker.submit(release.wait, 10)
+        try:
+            for raising in (lambda: nn.split(slow_op, raise_now), loss.backward):
+                start = time.perf_counter()
+                with pytest.raises(FloatingPointError, match="now"):
+                    raising()
+                assert time.perf_counter() - start < 1
+        finally:
+            release.set()
+    assert ahead.result() is True
     nn._worker.submit(lambda: None).result()  # anything still queued has run by now
     assert len(done) == 2
 

@@ -5,7 +5,7 @@ import math
 import re
 import sys
 import threading
-from concurrent.futures import wait
+import time
 
 import numpy as np
 import pytest
@@ -438,9 +438,9 @@ def test_an_exception_on_the_worker_in_training_is_raised_in_the_caller(corpus, 
 
 def test_the_worker_survives_a_failure(corpus, vocab, monkeypatch):
     # after an exception on the worker in a step's forward and in its
-    # backward, and after a caller's raise that cancels its queued comment
-    # run, the next scoring call and the next step give the bits of the
-    # encoders run in turn
+    # backward, and after a caller's raise in either that cancels its queued
+    # comment run or walk, the next scoring call and the next step give the
+    # bits of the encoders run in turn
     model = small_model(vocab, seed=3)
     features = model.featurize_all(corpus)
     labels = [binarize(t) for t in corpus]
@@ -467,25 +467,41 @@ def test_the_worker_survives_a_failure(corpus, vocab, monkeypatch):
                 step_gradients(model, features, labels)
         scores_and_gradients_in_turn()
 
-    on_worker = []
-    encode = CqaModel.encode
+    # with the worker busy on other work, a raise in the caller's forward
+    # pass, and one in its backward walk, surface at once: the comment run
+    # and the comment walk queued behind that work are cancelled, never run
+    on_worker, ahead = [], []
 
-    def caller_fails(self, batch, run):
-        if threading.current_thread() is threading.main_thread():
-            raise MemoryError("caller")
-        on_worker.append(run)
-        return encode(self, batch, run)
+    def fails_in_the_caller(original):
+        def run(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise MemoryError("caller")
+            on_worker.append(original.__name__)
+            return original(*args)
 
-    # the step's comment run queues behind work that ends only once split
-    # waits, after it has cancelled the run
-    release = threading.Event()
-    ahead = nn._worker.submit(release.wait, 10)
-    with monkeypatch.context() as mp:
-        mp.setattr(CqaModel, "encode", caller_fails)
-        mp.setattr(nn, "wait", lambda futures: (release.set(), wait(futures)))
-        with pytest.raises(MemoryError, match="caller"):
-            step_gradients(model, features, labels)
-    assert ahead.result() is True
+        return run
+
+    toposort = nn._toposort
+    for target, name in ((CqaModel, "encode"), (nn, "_conv1d_wide_backward")):
+        release = threading.Event()
+
+        def busy_worker():
+            ahead.append(nn._worker.submit(release.wait, 10))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(target, name, fails_in_the_caller(getattr(target, name)))
+            if name == "encode":
+                busy_worker()
+            else:  # the forward pass runs on both threads, then backward finds the worker busy
+                mp.setattr(nn, "_toposort", lambda root: (busy_worker(), toposort(root))[1])
+            started = time.perf_counter()
+            try:
+                with pytest.raises(MemoryError, match="caller"):
+                    step_gradients(model, features, labels)
+                assert time.perf_counter() - started < 1, name
+            finally:
+                release.set()
+    assert [job.result() for job in ahead] == [True, True]
     nn._worker.submit(lambda: None).result()  # anything still queued has run by now
     assert on_worker == []
     scores_and_gradients_in_turn()
