@@ -4,8 +4,10 @@ Only training needs gradients, so only ``with recording():`` builds a graph:
 each operation the thread runs inside it appends its output to that thread's
 tape in creation order, a topological order, which ``Tensor.backward`` walks
 in reverse.  Outside a recording an operation returns a plain value.
-Parameters are persistent leaves whose gradient buffers accumulate across
-backward calls until zeroed.
+Parameters are persistent leaves.  A parameter's gradient buffer is made,
+zero-filled, the first time its ``grad`` is read, which a backward pass or
+building an optimizer over it does, so a model that only scores holds none;
+it then accumulates across backward calls until zeroed.
 :func:`split` runs one subgraph on the process's one worker thread, which
 this module owns, while the caller runs another that shares no parameter with
 it.  Inside a recording each records its ops on a tape of its own, and the
@@ -103,16 +105,28 @@ def recording():
         _tape.ops = outer
 
 
-_worker = ThreadPoolExecutor(1)  # its thread starts on the first submit and lives with the process
+class _Thread(threading.local):
+    worker = False  # set on the worker thread as it starts
+
+
+_this_thread = _Thread()
+
+
+def _mark_worker() -> None:
+    _this_thread.worker = True
 
 
 def _fresh_worker() -> None:
-    # a pool used before fork() has no thread in the child, yet counts the
-    # parent's idle one, so the child's first submit would never run
+    """Make the worker: a one-thread pool whose thread starts on the first
+    submit, marks itself and lives with the process.  A forked child makes
+    its own: a pool used before fork() has no thread in the child, yet
+    counts the parent's idle one, so the child's first submit would never
+    run."""
     global _worker
-    _worker = ThreadPoolExecutor(1)
+    _worker = ThreadPoolExecutor(1, initializer=_mark_worker)
 
 
+_fresh_worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_worker)
 
@@ -132,6 +146,8 @@ def _submit(fn: Callable[[], Any]) -> Future:
 def _both(there: Callable[[], Any], here: Callable[[], Any]) -> tuple[Any, Any]:
     """``(there(), here())`` on the worker and the caller, as :func:`split`
     describes: the one hand-off of its forward and backward passes."""
+    if _this_thread.worker:
+        raise ValueError("split: called on the worker thread, which would wait for itself")
     future = _submit(there)
     try:
         mine = here()
@@ -148,9 +164,10 @@ def split(there: Callable[[], Tensor], here: Callable[[], Any]) -> tuple[Tensor,
     the caller runs ``here``.  The two must share no parameter: their
     backward walks run at the same time.  Callers on several threads queue
     on the one worker; their jobs are independent, so the order changes no
-    result.  ``there`` must not call ``split``: the worker would wait for
-    itself.  An exception in ``there`` is raised here; one in ``here`` is
-    raised once ``there`` is cancelled, or done if it had started.
+    result.  A ``split`` inside ``there`` raises ValueError, because the
+    worker would wait for itself.  An exception in ``there`` is raised here;
+    one in ``here`` is raised once ``there`` is cancelled, or done if it had
+    started.
 
     Inside a recording each side records its ops on a tape of its own, and
     the caller's tape gets one node for both: walking it walks ``there``'s
@@ -194,17 +211,29 @@ def _record(out: np.ndarray, backward_fn: Callable[[np.ndarray], None]) -> Tenso
 
 
 class Parameter(Tensor):
-    """A named trainable leaf with a persistent gradient buffer."""
+    """A named trainable leaf.  Its persistent gradient buffer is made,
+    zero-filled in the parameter's dtype, the first time ``grad`` is read;
+    until then ``zero_grad`` has nothing to clear."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_grad")
 
     def __init__(self, name: str, data: np.ndarray):
         super().__init__(np.ascontiguousarray(data))
         self.name = name
-        self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:  # Tensor's None, and the store of a ``+=``
+        self._grad = value
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -563,6 +592,10 @@ class RmsProp:
     accumulator per parameter:
 
     acc <- rho*acc + (1-rho)*g^2;  value <- value - lr * g / sqrt(acc+eps).
+
+    Every step reads every gradient, so building one makes each parameter's
+    gradient buffer up front on the building thread, not some of them on
+    the worker during the first backward pass.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float, rho: float, eps: float):
@@ -571,6 +604,8 @@ class RmsProp:
         self.rho = rho
         self.eps = eps
         self.accs = [np.zeros_like(p.data) for p in self.params]
+        for p in self.params:
+            p.grad
 
     def zero_grads(self) -> None:
         for p in self.params:

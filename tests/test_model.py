@@ -261,13 +261,21 @@ def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
     real_conv = nn.conv1d_wide
 
     def spy(words, feats, feat_ids, filters, bias, lengths, texts):
-        calls.append((words.shape[0], list(feat_ids), list(lengths), list(texts)))
+        calls.append((filters, words.shape[0], list(feat_ids), list(lengths), list(texts)))
         return real_conv(words, feats, feat_ids, filters, bias, lengths, texts)
 
     monkeypatch.setattr(nn, "conv1d_wide", spy)
     model.predict(features)
     assert len(calls) == len(model.encoder_runs) == 2
-    for (_, positions), (word_cols, feat_ids, lengths, texts) in zip(model.encoder_runs, calls):
+
+    def call_of(encoder):
+        # the comment run arrives from the worker, in no fixed order with the
+        # caller's: a call is matched to its encoder by its filters
+        [call] = [call[1:] for call in calls if call[0] is encoder.filters]
+        return call
+
+    for encoder, positions in model.encoder_runs:
+        word_cols, feat_ids, lengths, texts = call_of(encoder)
         occurrences = [f.ids[k] for f in features for k in positions]
         overlaps = [f.overlaps[k] for f in features for k in positions]
         distinct = list(dict.fromkeys(occurrences))
@@ -277,8 +285,8 @@ def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
         grouped = firsts + [k for t in distinct for k, o in enumerate(occurrences) if o == t and k not in firsts]
         assert texts == [distinct.index(occurrences[k]) for k in grouped]
         assert feat_ids == [i for k in grouped for i in overlaps[k]]
-    question_words, question_feats = calls[0][0], len(calls[0][1])
-    assert question_words < question_feats
+    question_words, question_feat_ids = call_of(model.q_encoder)[:2]
+    assert question_words < len(question_feat_ids)
 
 
 def random_encoder(rng, width, dtype=np.float64, vocab_size=8, m=3, d_w=4, d_feat=2):

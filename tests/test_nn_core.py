@@ -1,3 +1,4 @@
+import contextlib
 import math
 import threading
 import time
@@ -493,6 +494,31 @@ def test_fanout_accumulates_gradients():
     assert x.grad[0] == 3.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_parameter_makes_its_gradient_buffer_when_it_is_first_read(dtype):
+    p = nn.Parameter("p", np.array([[1.0, 2.0]], dtype=dtype))
+    nn.dense(p, nn.Parameter("w", np.ones((1, 2), dtype)), nn.Parameter("b", np.zeros(1, dtype)), "tanh")
+    p.zero_grad()  # a forward pass outside a recording, and zeroing, make none
+    assert p._grad is None
+    grad = p.grad
+    assert (grad.dtype, grad.shape, grad.any()) == (dtype, (1, 2), False)
+    with nn.recording():
+        linear_readout(p, np.array([[3.0, 4.0]])).backward()
+    assert p.grad is grad  # made once, then accumulated into and kept
+    np.testing.assert_array_equal(grad, [[3.0, 4.0]])
+    p.zero_grad()
+    assert p.grad is grad and not grad.any()
+    # a backward pass makes the buffer of a parameter nothing read before
+    q = nn.Parameter("q", np.array([[1.0, 2.0]], dtype=dtype))
+    with nn.recording():
+        linear_readout(q, np.array([[3.0, 4.0]])).backward()
+    assert q.grad.dtype == dtype
+    np.testing.assert_array_equal(q.grad, [[3.0, 4.0]])
+    # and so does building an optimizer over it, on the thread that builds it
+    r = nn.Parameter("r", np.zeros(2, dtype))
+    nn.RmsProp([r], lr=0.1, rho=0.9, eps=1e-6)
+    assert r._grad is not None and r._grad.dtype == dtype and not r._grad.any()
+
 
 def test_a_recording_collects_only_the_ops_of_its_own_thread():
     x = param("x", np.array([[1.0, 2.0]]))
@@ -643,6 +669,29 @@ def test_an_exception_in_the_caller_leaves_nothing_of_the_worker_running():
     assert ahead.result() is True
     nn._worker.submit(lambda: None).result()  # anything still queued has run by now
     assert len(done) == 2
+
+
+def test_a_split_on_the_worker_raises_at_once():
+    # the worker would wait for itself; the caller gets ValueError instead,
+    # inside a recording and outside, and the worker serves the next split
+    a, b = param("a", [[1.0]]), param("b", [[2.0]])
+    outcomes = []
+
+    def nested():
+        return nn.split(lambda: nn.scale(a, 1.0), lambda: nn.scale(b, 1.0))
+
+    def call():
+        for context in (contextlib.nullcontext, nn.recording):
+            with context(), pytest.raises(ValueError, match="worker thread") as caught:
+                nn.split(nested, lambda: nn.scale(b, 2.0))
+            outcomes.append(caught.value)
+
+    caller = threading.Thread(target=call, daemon=True)  # a hang fails the test, not the run
+    caller.start()
+    caller.join(timeout=5)
+    assert not caller.is_alive() and len(outcomes) == 2
+    theirs, mine = nn.split(lambda: nn.scale(a, 3.0), lambda: nn.scale(b, 2.0))
+    assert (theirs.data[0, 0], mine.data[0, 0]) == (3.0, 4.0)
 
 
 def test_the_workers_walk_runs_under_the_callers_numpy_error_state():

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,6 +593,60 @@ def test_checkpoint_bytes_are_deterministic(tmp_path, vocab):
     # save -> load -> save must also be bit-identical
     save_checkpoint(str(three), load_checkpoint(str(one)))
     assert one.read_bytes() == three.read_bytes()
+
+
+def test_loading_a_checkpoint_allocates_little_more_than_its_file(tmp_path, vocab):
+    # the arrays are views of the one buffer read, and no gradient buffer is made
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), CqaModel(vocab, m=100, d_w=50))
+    load_checkpoint(str(path))  # imports and first-call caches are not the load's
+    tracemalloc.start()
+    try:
+        load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
+
+
+@pytest.mark.parametrize("task", [None, "A", "B", "C"])
+def test_scoring_a_loaded_model_makes_no_gradient_buffer(tmp_path, corpus, vocab, task):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), small_model(vocab, task=task))
+    model = load_checkpoint(str(path))
+    evaluation.score_triples(model, corpus)
+    assert [p.name for p in model.parameters() if p._grad is not None] == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_steps_do_not_depend_on_when_the_gradient_buffers_are_made(corpus, vocab, dtype):
+    # a fresh model's buffers are made in its first backward, the comment
+    # encoder's on the worker; the copy's are made, zero-filled, before it.
+    # The optimizer, which makes any buffer still missing, comes after that
+    # backward in both
+    config = TrainConfig()
+    features = small_model(vocab).featurize_all(corpus)
+    labels = [binarize(t) for t in corpus]
+    runs = []
+    for read_first in (False, True):
+        model = small_model(vocab, seed=3, dtype=dtype)
+        if read_first:
+            assert not any(p.grad.any() for p in model.parameters())
+        optimizer = None
+        for step in range(2):
+            if optimizer is not None:
+                optimizer.zero_grads()
+            with nn.recording():
+                preds = model.predict(features, training=True, rng=np.random.default_rng(step))
+                nn.scale(joint_loss(preds, labels, model.tasks), 1.0 / len(features)).backward()
+            if optimizer is None:
+                optimizer = nn.RmsProp(model.parameters(), lr=config.lr, rho=config.rho, eps=config.eps)
+            optimizer.step()
+        runs.append([(p.data, acc, p.grad) for p, acc in zip(model.parameters(), optimizer.accs)])
+    for fresh, read in zip(*runs):
+        for got, want in zip(fresh, read):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def _encoder_table(name, vocab_size=73):
