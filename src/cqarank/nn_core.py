@@ -4,10 +4,10 @@ Only training needs gradients, so only ``with recording():`` builds a graph:
 each operation the thread runs inside it appends its output to that thread's
 tape in creation order, a topological order, which ``Tensor.backward`` walks
 in reverse.  Outside a recording an operation returns a plain value.
-Parameters are persistent leaves.  A parameter's gradient buffer is made,
-zero-filled, the first time its ``grad`` is read, which a backward pass or
-building an optimizer over it does, so a model that only scores holds none;
-it then accumulates across backward calls until zeroed.
+Every tensor's zero-filled gradient buffer is made the first time its
+``grad`` is read, as a backward pass or building an optimizer does, so a
+forward pass and a model that only scores hold none.  Parameters are
+persistent leaves: theirs accumulate across backward calls until zeroed.
 :func:`split` runs one subgraph on the process's one worker thread, which
 this module owns, while the caller runs another that shares no parameter with
 it.  Inside a recording each records its ops on a tape of its own, and the
@@ -42,16 +42,26 @@ class NumericError(ArithmeticError):
 
 
 class Tensor:
-    """An ndarray value.  A recorded op's output also has a ``backward_fn``:
-    called with the output gradient, it adds each input's share into that
-    input's ``grad`` in place."""
+    """An ndarray value; its ``grad`` buffer is made, zero-filled, when first
+    read.  A recorded op's output also has a ``backward_fn``: called with the
+    output gradient, it adds each input's share into that input's ``grad``."""
 
-    __slots__ = ("data", "grad", "backward_fn")
+    __slots__ = ("data", "_grad", "backward_fn")
 
     def __init__(self, data: np.ndarray, backward_fn: Optional[Callable[[np.ndarray], None]] = None):
         self.data = data
-        self.grad: Optional[np.ndarray] = None
+        self._grad: Optional[np.ndarray] = None
         self.backward_fn = backward_fn
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:  # the store of a ``+=``
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,7 +81,7 @@ class Tensor:
             raise ValueError("backward() requires a single-element loss tensor")
         order = _toposort(self)
         del _tape.ops[: len(order)]
-        self.grad = self.grad + np.ones_like(self.data)
+        self.grad += 1
         _walk(order)
 
 
@@ -199,37 +209,26 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _record(out: np.ndarray, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """An op's output; when recording, it also has ``backward_fn``, a zeroed
-    gradient buffer and a place on the tape."""
+    """An op's output; when recording, it also has ``backward_fn`` and a
+    place on the tape."""
     ops = _tape.ops
     if ops is None:
         return Tensor(out)
     node = Tensor(out, backward_fn)
-    node.grad = np.zeros_like(out)
     ops.append(node)
     return node
 
 
 class Parameter(Tensor):
-    """A named trainable leaf.  Its persistent gradient buffer is made,
-    zero-filled in the parameter's dtype, the first time ``grad`` is read;
-    until then ``zero_grad`` has nothing to clear."""
+    """A named trainable leaf.  Its gradient buffer persists: it accumulates
+    across backward passes until zeroed, and until it is first read
+    ``zero_grad`` has nothing to clear."""
 
-    __slots__ = ("name", "_grad")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data: np.ndarray):
         super().__init__(np.ascontiguousarray(data))
         self.name = name
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: Optional[np.ndarray]) -> None:  # Tensor's None, and the store of a ``+=``
-        self._grad = value
 
     def zero_grad(self) -> None:
         if self._grad is not None:
@@ -237,13 +236,6 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
-
-
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    """Add an input's gradient share into its buffer: a parameter or recorded
-    op has one, and any other tensor, a constant, has none and is skipped."""
-    if t.grad is not None:
-        t.grad += grad
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +398,8 @@ def _conv1d_wide_backward(grad, words, feat_table, filters, bias, saved):
     bias.grad += filt_grad[:, -1]
     filters.grad[:, :d_w] += filt_grad[:, :-1].reshape(m, w, -1).transpose(0, 2, 1)
     filters.grad[:, d_w:] += (resp_grad @ feat_table.data).transpose(0, 2, 1)
-    _accumulate(feat_table, resp_grad.reshape(m * w, -1).T @ feat_filt.reshape(m * w, -1))
-    _accumulate(words, _unwindow(word_grad.T @ filt[:, :-1], cols, w))
+    feat_table.grad += resp_grad.reshape(m * w, -1).T @ feat_filt.reshape(m * w, -1)
+    words.grad += _unwindow(word_grad.T @ filt[:, :-1], cols, w)
 
 
 def kmax_pool(x: Tensor, lengths, dest) -> Tensor:
@@ -427,8 +419,6 @@ def kmax_pool(x: Tensor, lengths, dest) -> Tensor:
     out = np.ascontiguousarray(peak.T[src])
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.grad is None:
-            return
         # maximal entries in row-major order; keep each (row, segment)'s first
         rows, cols = np.divmod(np.flatnonzero(x.data == np.repeat(peak, segments, axis=1)), n)
         segs = np.repeat(np.arange(segments.size), segments)[cols]
@@ -476,7 +466,7 @@ def dense(x: Tensor, weight: Parameter, bias: Parameter, activation: str) -> Ten
         dz = grad * act_grad(out)
         weight.grad += dz.T @ x.data
         bias.grad += dz.sum(axis=0)
-        _accumulate(x, dz @ weight.data)
+        x.grad += dz @ weight.data
 
     return _record(out, backward_fn)
 
@@ -496,7 +486,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, grad[:, lo:hi])
+            t.grad += grad[:, lo:hi]
 
     return _record(out, backward_fn)
 
@@ -506,7 +496,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, grad.reshape(x.data.shape))
+        x.grad += grad.reshape(x.data.shape)
 
     return _record(out, backward_fn)
 
@@ -523,7 +513,7 @@ def dropout(x: Tensor, rate: float, mask: Optional[np.ndarray]) -> Tensor:
     out = x.data * (mask * scale)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, grad * (mask * scale))
+        x.grad += grad * (mask * scale)
 
     return _record(out.astype(x.data.dtype, copy=False), backward_fn)
 
@@ -553,7 +543,7 @@ def bce_loss(p: Tensor, y) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
         inside = (p.data > BCE_CLAMP) & (p.data < 1.0 - BCE_CLAMP)
-        _accumulate(p, grad * inside * (pc - labels) / (pc * (1.0 - pc)))
+        p.grad += grad * inside * (pc - labels) / (pc * (1.0 - pc))
 
     return _record(out, backward_fn)
 
@@ -568,7 +558,7 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         for t in tensors:
-            _accumulate(t, grad)
+            t.grad += grad
 
     return _record(out, backward_fn)
 
@@ -577,7 +567,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     out = x.data * factor
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, grad * factor)
+        x.grad += grad * factor
 
     return _record(out.astype(x.data.dtype, copy=False), backward_fn)
 

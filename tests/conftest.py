@@ -3,8 +3,11 @@
 node) sleeping 2 ms before it starts: ``here`` delays the caller's side,
 ``there`` the worker's.  Either order of the two threads must give the same
 results, so a test that leans on one arrival order fails under one of them.
+For finer interleavings such a run also has Python switch threads every
+microsecond, not every 5 ms.
 """
 
+import sys
 import time
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 import cqarank.nn_core as nn
 
 SPLIT_DELAY_S = 0.002
+SWITCH_INTERVAL_S = 1e-6
 
 
 def pytest_addoption(parser):
@@ -19,7 +23,8 @@ def pytest_addoption(parser):
         "--split-delay",
         choices=("here", "there"),
         default=None,
-        help="delay the caller's (here) or the worker's (there) side of every nn_core hand-off by 2 ms",
+        help="delay the caller's (here) or the worker's (there) side of every nn_core hand-off by 2 ms, "
+        "and switch threads every 1 us",
     )
 
 
@@ -29,6 +34,15 @@ def late(fn):
         return fn()
 
     return run
+
+
+@pytest.fixture(autouse=True, scope="session")
+def fine_switching(request):
+    old = sys.getswitchinterval()
+    if request.config.getoption("--split-delay") is not None:
+        sys.setswitchinterval(SWITCH_INTERVAL_S)
+    yield
+    sys.setswitchinterval(old)
 
 
 @pytest.fixture(autouse=True)

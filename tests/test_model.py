@@ -250,6 +250,29 @@ def test_mtl_shared_encoder_receives_gradients_from_both_questions(corpus, vocab
     assert np.abs(model.c_encoder.filters.grad).sum() > 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_ops_gradient_buffer_is_made_by_the_backward_pass(corpus, vocab, dtype, monkeypatch):
+    # every op of a joint training pass, on either thread, gets its buffer
+    # only when the walk reaches it, in its own dtype
+    recorded, record = [], nn._record
+
+    def spy(out, backward_fn):
+        node = record(out, backward_fn)
+        recorded.append(node)
+        return node
+
+    monkeypatch.setattr(nn, "_record", spy)
+    model = small_mtl(vocab, dtype=dtype)
+    with nn.recording():
+        preds = model.predict([model.featurize(t) for t in corpus], training=True, rng=np.random.default_rng(0))
+        loss = joint_loss(preds, [binarize(t) for t in corpus], model.tasks)
+        ops = recorded + nn._tape.ops  # the tape also holds the split's node
+        assert {op.data.dtype for op in recorded} == {np.dtype(dtype)}
+        assert [op for op in ops if op._grad is not None] == []
+        loss.backward()
+    assert all((op._grad.dtype, op._grad.shape) == (op.data.dtype, op.data.shape) for op in ops)
+
+
 def test_the_word_part_runs_once_per_distinct_text(corpus, vocab, monkeypatch):
     # the candidates of a new question all repeat its text, so the question
     # encoder's word rows hold each distinct text once, in first-seen

@@ -343,10 +343,12 @@ def test_row_lookup_and_concat():
     with nn.recording():
         row = nn.row_lookup(table, [1])
         np.testing.assert_array_equal(row.data, [[3.0, 4.0]])
-        joined = nn.concat([row, nn.Tensor(np.array([[9.0]]))])
+        constant = nn.Tensor(np.array([[9.0]]))
+        joined = nn.concat([row, constant])
         np.testing.assert_array_equal(joined.data, [[3.0, 4.0, 9.0]])
         linear_readout(joined, [[1.0, 2.0, 5.0]]).backward()
     np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(constant.grad, [[5.0]])
 
 
 @pytest.mark.parametrize(
@@ -530,7 +532,7 @@ def test_a_recording_collects_only_the_ops_of_its_own_thread():
         worker.join(timeout=10)
         assert not worker.is_alive()
         assert nn._tape.ops == [mine]
-        assert theirs[0].backward_fn is None and theirs[0].grad is None
+        assert theirs[0].backward_fn is None and theirs[0]._grad is None
         linear_readout(mine, np.ones((1, 2))).backward()
     np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
 
@@ -541,7 +543,7 @@ def custom_op(x, backward_fn):
 
     def backward(grad):
         backward_fn(grad)
-        nn._accumulate(x, 2.0 * grad)
+        x.grad += 2.0 * grad
 
     return nn._record(x.data * 2.0, backward)
 
@@ -583,7 +585,7 @@ def test_split_records_the_workers_ops_as_one_node_of_the_callers_tape():
     assert walked_on == {"there": worker, "here": threading.main_thread()}
     # outside a recording the worker records nothing and no gradient buffer is made
     theirs, mine = nn.split(lambda: nn.scale(a, 3.0), lambda: nn.scale(b, 2.0))
-    assert (theirs.backward_fn, theirs.grad, mine.backward_fn, mine.grad) == (None, None, None, None)
+    assert (theirs.backward_fn, theirs._grad, mine.backward_fn, mine._grad) == (None, None, None, None)
 
 
 def test_the_two_sides_of_a_split_run_at_the_same_time():
